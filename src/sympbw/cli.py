@@ -80,6 +80,18 @@ def _parse_exponent(parser: argparse.ArgumentParser, text: str, n: int) -> tuple
     return parts
 
 
+def _int_at_least(low: int):
+    """An argparse type for integers no smaller than low."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its error messages
+    return parse
+
+
 def render_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
 
@@ -337,58 +349,63 @@ def _weights(max_n: int, max_weight: int, lo: int = 1):
 
 
 def _check_dimension(cfg: RunConfig) -> dict:
-    bad = 0
+    bad = cases = 0
     for lam in _weights(cfg.max_n, cfg.max_weight, lo=0):
+        cases += 1
         if len(polytope.enumerate_points(lam)) != polytope.weyl_dim(lam):
             bad += 1
     return {"name": "dimension", "parameters": {
         "max_n": cfg.max_n, "max_weight": cfg.max_weight,
-    }, "expected": 0, "actual": bad}
+    }, "expected": 0, "actual": bad, "cases": cases}
 
 
 def _check_character(cfg: RunConfig) -> dict:
     max_n = min(cfg.max_n, 3)
-    bad = 0
+    bad = cases = 0
     for lam in _weights(max_n, cfg.max_weight):
+        cases += 1
         if polytope.character(lam) != polytope.freudenthal_multiplicities(lam):
             bad += 1
     return {"name": "character", "parameters": {
         "max_n": max_n, "max_weight": cfg.max_weight,
-    }, "expected": 0, "actual": bad}
+    }, "expected": 0, "actual": bad, "cases": cases}
 
 
 def _check_graded_oracle(cfg: RunConfig) -> dict:
     max_n = min(cfg.max_n, 3)
     max_weight = min(cfg.max_weight, 3)
-    bad = 0
+    bad = cases = 0
     for lam in _weights(max_n, max_weight):
+        cases += 1
         if polytope.graded_character(lam) != oracle.pbw_filtration_dims(lam):
             bad += 1
     return {"name": "graded-oracle", "parameters": {
         "max_n": max_n, "max_weight": max_weight,
-    }, "expected": 0, "actual": bad}
+    }, "expected": 0, "actual": bad, "cases": cases}
 
 
 def _check_graded_ideal(cfg: RunConfig) -> dict:
     max_n = min(cfg.max_n, 2)
     max_weight = min(cfg.max_weight, 3)
-    bad = 0
+    bad = cases = 0
     for lam in _weights(max_n, max_weight):
+        cases += 1
         if polytope.graded_character(lam) != grmod.quotient_graded_dims(lam):
             bad += 1
     return {"name": "graded-ideal", "parameters": {
         "max_n": max_n, "max_weight": max_weight,
-    }, "expected": 0, "actual": bad}
+    }, "expected": 0, "actual": bad, "cases": cases}
 
 
 def _check_straightening(cfg: RunConfig) -> dict:
     max_n = min(cfg.max_n, 2)
     max_weight = min(cfg.max_weight, 2)
-    bad = 0
+    bad = cases = 0
     for lam in _weights(max_n, max_weight):
         n = len(lam)
         for path in dyck.enumerate_paths(n):
             for s in grmod.minimal_violations(lam, path):
+                cases += 1
                 try:
                     grmod.straightening_element(lam, path, s)
                     nf = grmod.normal_form(
@@ -401,7 +418,7 @@ def _check_straightening(cfg: RunConfig) -> dict:
                     bad += 1
     return {"name": "straightening", "parameters": {
         "max_n": max_n, "max_weight": max_weight,
-    }, "expected": 0, "actual": bad}
+    }, "expected": 0, "actual": bad, "cases": cases}
 
 
 def _check_order_laws(cfg: RunConfig, triples: int = 2000) -> dict:
@@ -435,16 +452,17 @@ def _check_order_laws(cfg: RunConfig, triples: int = 2000) -> dict:
             bad += 1
     return {"name": "order-laws", "parameters": {
         "max_n": max_n, "triples": triples, "seed": cfg.seed,
-    }, "expected": 0, "actual": bad}
+    }, "expected": 0, "actual": bad, "cases": triples}
 
 
 def _check_partial_support(cfg: RunConfig) -> dict:
     max_n = min(cfg.max_n, 4)
-    bad = 0
+    bad = cases = 0
     for n in range(1, max_n + 1):
         for k in range(1, n + 1):
             beta = simple_root(k)
             for alpha in positive_roots(n):
+                cases += 1
                 P = grmod.SparsePolynomial.variable_power(alpha, 1, n)
                 unit = grmod.partial_op(beta, P, variant="unit")
                 chev = grmod.partial_op(beta, P, variant="chevalley")
@@ -452,47 +470,50 @@ def _check_partial_support(cfg: RunConfig) -> dict:
                     bad += 1
     return {"name": "partial-support", "parameters": {
         "max_n": max_n,
-    }, "expected": 0, "actual": bad}
+    }, "expected": 0, "actual": bad, "cases": cases}
 
 
 def _check_peeling(cfg: RunConfig) -> dict:
     max_n = min(cfg.max_n, 3)
     max_weight = min(cfg.max_weight, 3)
-    bad = 0
+    bad = cases = 0
     for lam in _weights(max_n, max_weight):
         for s in polytope.enumerate_points(lam):
+            cases += 1
             try:
                 decomp.peel_completely(lam, s)
             except (AssertionError, ValueError):
                 bad += 1
     return {"name": "peeling", "parameters": {
         "max_n": max_n, "max_weight": max_weight,
-    }, "expected": 0, "actual": bad}
+    }, "expected": 0, "actual": bad, "cases": cases}
 
 
 def _check_fundamental_points(cfg: RunConfig) -> dict:
     max_n = min(cfg.max_n, 5)
-    bad = 0
+    bad = cases = 0
     for n in range(1, max_n + 1):
         for i in range(1, n + 1):
+            cases += 1
             omega = tuple(1 if k == i else 0 for k in range(1, n + 1))
             if decomp.fundamental_points(n, i) != polytope.enumerate_points(omega):
                 bad += 1
     return {"name": "fundamental-points", "parameters": {
         "max_n": max_n,
-    }, "expected": 0, "actual": bad}
+    }, "expected": 0, "actual": bad, "cases": cases}
 
 
 def _check_binomial(cfg: RunConfig) -> dict:
     max_n = min(cfg.max_n + 2, 6)
-    bad = 0
+    bad = cases = 0
     for n in range(1, max_n + 1):
         for i in range(1, n + 1):
+            cases += 1
             if not decomp.binomial_identity_check(n, i):
                 bad += 1
     return {"name": "binomial-identity", "parameters": {
         "max_n": max_n,
-    }, "expected": 0, "actual": bad}
+    }, "expected": 0, "actual": bad, "cases": cases}
 
 
 def _check_tensor(cfg: RunConfig) -> dict:
@@ -509,21 +530,22 @@ def _check_tensor(cfg: RunConfig) -> dict:
             bad += 1
     return {"name": "tensor-cartan", "parameters": {
         "pairs": len(pairs),
-    }, "expected": 0, "actual": bad}
+    }, "expected": 0, "actual": bad, "cases": len(pairs)}
 
 
 def _check_ordered_basis(cfg: RunConfig) -> dict:
     max_weight = min(cfg.max_weight, 3)
-    bad = 0
+    bad = cases = 0
     if cfg.max_n >= 2:
         for lam in itertools.product(range(max_weight + 1), repeat=2):
             if not 1 <= sum(lam) <= max_weight:
                 continue
+            cases += 1
             if oracle.monomial_rank(lam) != polytope.weyl_dim(lam):
                 bad += 1
     return {"name": "ordered-basis", "parameters": {
         "n": 2, "max_weight": max_weight,
-    }, "expected": 0, "actual": bad}
+    }, "expected": 0, "actual": bad, "cases": cases}
 
 
 SUITES = {
@@ -540,7 +562,11 @@ SUITES = {
 
 
 def run_verification(cfg: RunConfig) -> VerificationReport:
-    """Execute the selected battery and tally pass/fail."""
+    """Execute the selected battery and tally pass/fail.
+
+    A check that examined no case fails: an empty comparison proves nothing.
+    The case counts are not part of the report.
+    """
     if cfg.suite == "all":
         checks = [fn for fns in SUITES.values() for fn in fns]
     else:
@@ -551,7 +577,11 @@ def run_verification(cfg: RunConfig) -> VerificationReport:
         results[0]["expected"] = results[0]["actual"] + 1
         results[0]["name"] += " (injected)"
     for rec in results:
-        rec["status"] = "pass" if rec["expected"] == rec["actual"] else "fail"
+        cases = rec.pop("cases")
+        if not cases:
+            print(f"{rec['name']}: examined no cases", file=sys.stderr)
+        ok = cases and rec["expected"] == rec["actual"]
+        rec["status"] = "pass" if ok else "fail"
     passed = sum(1 for rec in results if rec["status"] == "pass")
     return VerificationReport(results, passed, len(results) - passed)
 
@@ -649,9 +679,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="rank")
     p.add_argument("--lambda", dest="lam", required=True,
                    help="dominant weight m1,...,mn")
-    p.add_argument("--max-degree", type=int, default=None,
+    p.add_argument("--max-degree", type=_int_at_least(0), default=None,
                    help="truncate the table at this total degree")
-    p.add_argument("--cap", type=int, default=200000,
+    p.add_argument("--cap", type=_int_at_least(1), default=200000,
                    help="abort if a cell needs more monomials than this")
     p.set_defaults(handler=cmd_ideal_dims)
 
@@ -669,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dominant weight m1,...,mn")
     p.add_argument("--filtration", action="store_true",
                    help="also emit the graded filtration table")
-    p.add_argument("--cap", type=int, default=20000,
+    p.add_argument("--cap", type=_int_at_least(1), default=20000,
                    help="largest allowed ambient dimension")
     p.set_defaults(handler=cmd_oracle)
 
@@ -678,15 +708,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", required=True,
                    help="dominant weight m1,...,mn")
     p.add_argument("--mu", required=True, help="second dominant weight m1,...,mn")
-    p.add_argument("--cap", type=int, default=20000,
+    p.add_argument("--cap", type=_int_at_least(1), default=20000,
                    help="largest allowed ambient dimension")
     p.set_defaults(handler=cmd_tensor)
 
     p = add("verify", "cross-module verification battery")
     p.add_argument("--suite", default="all",
                    help="all or one of: " + ", ".join(SUITES))
-    p.add_argument("--max-n", type=int, default=2, help="largest rank to test")
-    p.add_argument("--max-weight", type=int, default=3,
+    p.add_argument("--max-n", type=_int_at_least(1), default=2,
+                   help="largest rank to test")
+    p.add_argument("--max-weight", type=_int_at_least(1), default=3,
                    help="largest total weight to test")
     p.add_argument("--seed", type=int, default=20260821,
                    help="seed for randomized property sampling")

@@ -90,18 +90,6 @@ def fundamental_count(n: int, i: int) -> int:
     return sum(1 for _ in _fundamental_supports(n, i))
 
 
-def roots_through(n: int, i: int) -> set:
-    """R_i: positive roots whose expansion over the simple roots uses alpha_i."""
-    validate_rank(n)
-    if not 1 <= i <= n:
-        raise ValueError(f"simple index must satisfy 1 <= i <= {n}, got {i}")
-    return {
-        alpha
-        for alpha in positive_roots(n)
-        if simple_coefficients(alpha, n)[i - 1] != 0
-    }
-
-
 def support_R_i(s, i: int) -> set:
     """R_i^s: support roots of s whose expansion uses alpha_i."""
     n = math.isqrt(len(s))

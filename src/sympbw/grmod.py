@@ -17,12 +17,11 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import dyck, polytope
-from .linalg import IncrementalBasis
+from .linalg import IncrementalBasis, combine, vec_add, vec_scale
 from .rootsys import (
     PositiveRoot,
     chevalley_realization,
     coefficient_root_map,
-    index_position,
     is_hook_root,
     make_index,
     make_root,
@@ -71,23 +70,13 @@ class SparsePolynomial:
         return hash((self.n, frozenset(self.terms.items())))
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for s, c in other.terms.items():
-            y = out.get(s, 0) + c
-            if y:
-                out[s] = y
-            else:
-                del out[s]
-        return SparsePolynomial(self.n, out)
+        return SparsePolynomial(self.n, combine(other.terms.items(), self.terms))
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return SparsePolynomial(self.n, vec_add(self.terms, other.terms, -1))
 
     def scale(self, c):
-        c = Fraction(c)
-        if not c:
-            return SparsePolynomial(self.n)
-        return SparsePolynomial(self.n, {s: c * x for s, x in self.terms.items()})
+        return SparsePolynomial(self.n, vec_scale(self.terms, Fraction(c)))
 
     def shift(self, t):
         """Multiply by the monomial with exponent t."""
@@ -99,19 +88,17 @@ class SparsePolynomial:
     def __mul__(self, other):
         if not isinstance(other, SparsePolynomial):
             return self.scale(other)
-        out = SparsePolynomial(self.n)
-        for t, c in other.terms.items():
-            out = out + self.shift(t).scale(c)
-        return out
+        return SparsePolynomial(self.n, combine(
+            (tuple(a + b for a, b in zip(s, t)), c * x)
+            for t, c in other.terms.items()
+            for s, x in self.terms.items()
+        ))
 
     def coefficient(self, s) -> Fraction:
         return self.terms.get(tuple(s), Fraction(0))
 
     def monomials(self):
         return list(self.terms)
-
-    def degrees(self) -> set:
-        return {sum(s) for s in self.terms}
 
     def __str__(self):
         if not self.terms:
@@ -209,7 +196,7 @@ def partial_op(beta: PositiveRoot, P: SparsePolynomial, variant: str = "unit"):
         realization = chevalley_realization(n)
     elif variant != "unit":
         raise ValueError(f"unknown variant {variant!r}")
-    out = {}
+    terms = []
     for s, c in P.terms.items():
         for pos, x in enumerate(s):
             if not x:
@@ -230,13 +217,8 @@ def partial_op(beta: PositiveRoot, P: SparsePolynomial, variant: str = "unit"):
             t = list(s)
             t[pos] -= 1
             t[idx[gamma]] += 1
-            t = tuple(t)
-            y = out.get(t, 0) + c * x * coeff
-            if y:
-                out[t] = y
-            else:
-                del out[t]
-    return SparsePolynomial(n, out)
+            terms.append((tuple(t), c * x * coeff))
+    return SparsePolynomial(n, combine(terms))
 
 
 def apply_partial_power(beta, P, exponent: int, variant: str = "unit"):
@@ -381,21 +363,10 @@ def quotient_graded_dims(
 class StraighteningPlan(NamedTuple):
     path: tuple
     end_row: int  # i for a hook endpoint a[i,i~]; the endpoint row otherwise
-    q_maxima: tuple  # per path row, the largest alphabet letter used
     start_root: PositiveRoot  # whose Sigma-th power seeds the computation
     sigma: int
     factors: tuple  # (root, exponent) pairs in application order
     shift: int  # row offset of the path frame inside the full triangle
-
-
-def _column_maxima(path, n: int) -> tuple:
-    """Per path row, the largest alphabet letter appearing in that row."""
-    maxima = {}
-    for alpha in path:
-        prev = maxima.get(alpha.row)
-        if prev is None or index_position(alpha.col, n) > index_position(prev, n):
-            maxima[alpha.row] = alpha.col
-    return tuple(maxima[r] for r in sorted(maxima))
 
 
 def _restrict_to_frame(path, s, n: int, a: int):
@@ -495,7 +466,6 @@ def straightening_plan(lam, path, s) -> StraighteningPlan:
     return StraighteningPlan(
         path=path,
         end_row=i,
-        q_maxima=_column_maxima(path, n),
         start_root=start,
         sigma=sigma,
         factors=tuple((b, e) for b, e in factors if e),

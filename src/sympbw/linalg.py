@@ -1,25 +1,49 @@
-"""Incremental exact row reduction over the rationals.
+"""Exact sparse vectors and incremental row reduction over the rationals.
 
-Vectors are sparse dicts mapping hashable, orderable keys to Fractions.  The
-basis keeps its rows fully reduced (each row owns its pivot key, the smallest
-key of the row, and no other row touches that key), so membership tests and
-coordinates are deterministic and independent of insertion order history.
+Vectors are sparse dicts mapping hashable, orderable keys to exact numbers
+(ints or Fractions).  ``combine`` is the one place where terms are added into
+a sparse vector and zeros are dropped; every sparse sum in the package goes
+through it.
+
+The basis keeps its rows fully reduced: each row owns its pivot key (the
+smallest key of the row) with entry 1 there, and no other row has an entry at
+that key.  Hence the coefficient of row r in any vector of the span is simply
+the vector's entry at the pivot of r, and one pass over the input's pivot keys
+gives the coordinates and the residual together (``_reduce``).  Membership
+tests and coordinates are deterministic and independent of insertion history.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+
+
+def combine(terms, start=()) -> dict:
+    """A copy of start plus every (key, coefficient) pair of terms, summed by
+    key; a key whose sum becomes zero is dropped as it occurs."""
+    out = dict(start)
+    for k, x in terms:
+        y = out.get(k)
+        if y is None:  # a new key: store x itself, sparing a Fraction sum with 0
+            if x:
+                out[k] = x
+        else:
+            y += x
+            if y:
+                out[k] = y
+            else:
+                del out[k]
+    return out
+
+
+def _scaled(vec: dict, c):
+    """The terms of c*vec, without building the vector."""
+    return ((k, c * x) for k, x in vec.items())
 
 
 def vec_add(u: dict, v: dict, scale=1) -> dict:
     """u + scale*v as sparse dicts, dropping zeros."""
-    out = dict(u)
-    for k, x in v.items():
-        y = out.get(k, 0) + scale * x
-        if y:
-            out[k] = y
-        else:
-            out.pop(k, None)
-    return out
+    return combine(_scaled(v, scale), u)
 
 
 def vec_scale(u: dict, scale) -> dict:
@@ -42,43 +66,44 @@ class IncrementalBasis:
     def rank(self) -> int:
         return len(self.rows)
 
-    def _eliminate(self, vec: dict, combo=None):
-        """Reduce vec against the stored rows; mutates nothing stored."""
-        vec = {k: Fraction(x) for k, x in vec.items() if x}
-        while True:
-            hit = None
-            for k in vec:
-                r = self.pivots.get(k)
-                if r is not None and (hit is None or k < hit[0]):
-                    hit = (k, r)
-            if hit is None:
-                return vec, combo
-            k, r = hit
-            c = vec[k]
-            vec = vec_add(vec, self.rows[r][1], -c)
-            if combo is not None:
-                combo = vec_add(combo, self.combos[r], -c)
+    def _reduce(self, vec: dict):
+        """(residual, coordinates) of vec against the stored rows.
+
+        The coordinates map row index -> the entry of vec at that row's pivot;
+        the residual is vec minus that combination of rows, which is empty
+        exactly when vec lies in the span.  Mutates nothing stored.
+        """
+        pivots = self.pivots
+        rows = self.rows
+        coords = {pivots[k]: x for k, x in vec.items() if x and k in pivots}
+        residual = combine(chain(
+            vec.items(),
+            *(_scaled(rows[r][1], -c) for r, c in coords.items()),
+        ))
+        return residual, coords
 
     def residual(self, vec: dict) -> dict:
         """vec minus its projection onto the span; empty iff vec is in it."""
-        return self._eliminate(vec)[0]
+        return self._reduce(vec)[0]
 
     def contains(self, vec: dict) -> bool:
-        return not self.residual(vec)
+        return not self._reduce(vec)[0]
 
     def add(self, vec: dict) -> bool:
         """Insert vec; True when it enlarged the span."""
         index = self.added
         self.added += 1
-        combo = {index: Fraction(1)} if self.track else None
-        vec, combo = self._eliminate(vec, combo)
+        vec, coords = self._reduce(vec)
         if not vec:
             return False
         pivot = min(vec)
         inv = Fraction(1, 1) / vec[pivot]
         vec = vec_scale(vec, inv)
-        if combo is not None:
-            combo = vec_scale(combo, inv)
+        if self.track:
+            combo = vec_scale(combine(chain(
+                ((index, 1),),
+                *(_scaled(self.combos[r], -c) for r, c in coords.items()),
+            )), inv)
         for r, (p, row) in enumerate(self.rows):
             c = row.get(pivot)
             if c:
@@ -92,21 +117,12 @@ class IncrementalBasis:
         return True
 
     def coordinates(self, vec: dict):
-        """Coefficients over the stored rows (row index -> Fraction), or None.
+        """Coefficients over the stored rows (row index -> number), or None.
 
         Well-defined because the rows are linearly independent.
         """
-        vec = {k: Fraction(x) for k, x in vec.items() if x}
-        coords = {}
-        while vec:
-            k = min(vec)
-            r = self.pivots.get(k)
-            if r is None:
-                return None
-            c = vec[k]
-            coords[r] = c
-            vec = vec_add(vec, self.rows[r][1], -c)
-        return coords
+        residual, coords = self._reduce(vec)
+        return None if residual else coords
 
     def combination(self, vec: dict):
         """Express vec over the original add() inputs (add index -> Fraction)."""
@@ -115,7 +131,6 @@ class IncrementalBasis:
         coords = self.coordinates(vec)
         if coords is None:
             return None
-        out = {}
-        for r, c in coords.items():
-            out = vec_add(out, self.combos[r], c)
-        return out
+        return combine(chain.from_iterable(
+            _scaled(self.combos[r], c) for r, c in coords.items()
+        ))

@@ -17,10 +17,11 @@ from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
-from .linalg import IncrementalBasis
+from .linalg import IncrementalBasis, combine
 from .polytope import enumerate_points
 from .rootsys import (
     chevalley_realization,
+    epsilon_offset,
     positive_roots,
     root_index_map,
     validate_weight,
@@ -81,17 +82,12 @@ def _slot_images(cols, slot: tuple) -> list:
 def apply_root_vector(n: int, alpha, vec: dict) -> dict:
     """Act by f_alpha as a derivation across all tensor slots of vec."""
     cols = _lowering_columns(n)[alpha]
-    out = {}
-    for key, coeff in vec.items():
-        for t, slot in enumerate(key):
-            for new_slot, c in _slot_images(cols, slot):
-                new_key = key[:t] + (new_slot,) + key[t + 1:]
-                val = out.get(new_key, 0) + coeff * c
-                if val:
-                    out[new_key] = val
-                elif new_key in out:
-                    del out[new_key]
-    return out
+    return combine(
+        (key[:t] + (new_slot,) + key[t + 1:], coeff * c)
+        for key, coeff in vec.items()
+        for t, slot in enumerate(key)
+        for new_slot, c in _slot_images(cols, slot)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -110,30 +106,15 @@ def _key_epsilon(key: tuple, n: int) -> tuple:
     return tuple(eps)
 
 
-def _weight_offset(lam, eps: tuple) -> tuple:
-    """Simple-root coordinates of lambda - eps for a weight eps of V(lambda)."""
-    n = len(lam)
-    lam_eps = [sum(lam[k:]) for k in range(n)]
-    diff = [lam_eps[k] - eps[k] for k in range(n)]
-    offset = []
-    total = 0
-    for k in range(n - 1):
-        total += diff[k]
-        offset.append(total)
-    last = total + diff[n - 1]
-    assert last >= 0 and last % 2 == 0
-    offset.append(last // 2)
-    assert all(x >= 0 for x in offset)
-    return tuple(offset)
-
-
 def _vector_offset(lam, vec: dict) -> tuple:
     """Weight offset of a weight vector; all keys must agree."""
     n = len(lam)
-    keys = iter(vec)
-    first = _weight_offset(lam, _key_epsilon(next(keys), n))
-    assert all(_weight_offset(lam, _key_epsilon(k, n)) == first for k in keys)
-    return first
+    weights = {_key_epsilon(key, n) for key in vec}
+    if len(weights) != 1:
+        raise ValueError(
+            f"not a weight vector: its keys have weights {sorted(weights)}"
+        )
+    return epsilon_offset(lam, weights.pop())
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +184,14 @@ def graded_action(lam, cap: int = 20000, space: RepresentationSpace | None = Non
             if not image:
                 continue
             combo = space.basis.combination(image)
-            assert combo is not None, "module is not closed under lowering"
+            if combo is None:
+                raise RuntimeError(f"module is not closed under lowering by {alpha}")
             column = {}
             for i, c in combo.items():
-                assert levels[i] <= levels[j] + 1
+                if levels[i] > levels[j] + 1:
+                    raise RuntimeError(
+                        f"f_{alpha} raises level {levels[j]} to {levels[i]}"
+                    )
                 if levels[i] == levels[j] + 1:
                     column[i] = c
             if column:
@@ -219,14 +204,7 @@ def compose_action(outer: dict, inner: dict) -> dict:
     """Composite of two sparse action matrices (inner applied first)."""
     out = {}
     for src, mid_col in inner.items():
-        column = {}
-        for mid, c in mid_col.items():
-            for dst, x in outer.get(mid, {}).items():
-                val = column.get(dst, 0) + c * x
-                if val:
-                    column[dst] = val
-                elif dst in column:
-                    del column[dst]
+        column = apply_action(outer, mid_col)
         if column:
             out[src] = column
     return out
@@ -234,15 +212,9 @@ def compose_action(outer: dict, inner: dict) -> dict:
 
 def apply_action(mat: dict, vec: dict) -> dict:
     """A sparse action matrix applied to a coordinate vector {index: c}."""
-    out = {}
-    for src, c in vec.items():
-        for dst, x in mat.get(src, {}).items():
-            val = out.get(dst, 0) + c * x
-            if val:
-                out[dst] = val
-            elif dst in out:
-                del out[dst]
-    return out
+    return combine(
+        (dst, c * x) for src, c in vec.items() for dst, x in mat.get(src, {}).items()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -287,23 +259,14 @@ def monomial_rank(lam, cap: int = 20000, reverse: bool = False) -> int:
 
 def _apply_pair(mat_left: dict, mat_right: dict, vec: dict) -> dict:
     """One lowering operator on a tensor pair: act on the left plus the right."""
-    out = {}
-    for (i, j), c in vec.items():
-        for i2, x in mat_left.get(i, {}).items():
-            key = (i2, j)
-            val = out.get(key, 0) + c * x
-            if val:
-                out[key] = val
-            elif key in out:
-                del out[key]
-        for j2, x in mat_right.get(j, {}).items():
-            key = (i, j2)
-            val = out.get(key, 0) + c * x
-            if val:
-                out[key] = val
-            elif key in out:
-                del out[key]
-    return out
+    def terms():
+        for (i, j), c in vec.items():
+            for i2, x in mat_left.get(i, {}).items():
+                yield (i2, j), c * x
+            for j2, x in mat_right.get(j, {}).items():
+                yield (i, j2), c * x
+
+    return combine(terms())
 
 
 def tensor_cartan_dims(lam, mu, cap: int = 20000) -> dict:
@@ -343,8 +306,12 @@ def tensor_cartan_dims(lam, mu, cap: int = 20000) -> dict:
                 pairs = iter(image)
                 i, j = next(pairs)
                 offset = pair_offset(i, j)
-                assert left.level_tags[i] + right.level_tags[j] == level
-                assert all(pair_offset(*p) == offset for p in pairs)
+                if left.level_tags[i] + right.level_tags[j] != level:
+                    raise RuntimeError(f"pair {(i, j)} is not of degree {level}")
+                if any(pair_offset(*p) != offset for p in pairs):
+                    raise RuntimeError(
+                        f"image at degree {level} is not a weight vector"
+                    )
                 table[offset, level] = table.get((offset, level), 0) + 1
                 grown.append(image)
         frontier = grown

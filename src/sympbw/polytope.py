@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from . import dyck
 from .rootsys import (
     epsilon_coords,
+    epsilon_weight,
     path_bound,
     positive_roots,
     root_index_map,
@@ -34,11 +34,6 @@ GradedDimensionTable = dict  # (weight offset over simple roots, degree) -> dim
 class PathInequality(NamedTuple):
     path: tuple
     bound: int
-
-
-def exponent_of(s, alpha, n) -> int:
-    """Coordinate of the multi-exponent s at the positive root alpha."""
-    return s[root_index_map(n)[alpha]]
 
 
 def inequalities(lam) -> list:
@@ -154,17 +149,11 @@ def max_point_degree(lam) -> int:
 # classical oracles
 # ---------------------------------------------------------------------------
 
-def _epsilon_weight(lam) -> tuple:
-    """lambda in orthogonal coordinates: component k is m_k + ... + m_n."""
-    n = len(lam)
-    return tuple(sum(lam[k:]) for k in range(n))
-
-
 def weyl_dim(lam) -> int:
     """Weyl dimension formula for C_n, evaluated exactly."""
     lam = validate_weight(lam)
     n = len(lam)
-    l = [x + (n - k) for k, x in enumerate(_epsilon_weight(lam))]  # lambda + rho
+    l = [x + (n - k) for k, x in enumerate(epsilon_weight(lam))]  # lambda + rho
     r = [n - k for k in range(n)]  # rho
     dim = Fraction(1)
     for i in range(n):
@@ -177,16 +166,6 @@ def weyl_dim(lam) -> int:
     return int(dim)
 
 
-def _offset_to_epsilon(offset, n) -> tuple:
-    """Root-lattice offset (c_1..c_n) -> sum of c_k alpha_k in e-coordinates."""
-    eps = [0] * n
-    for k in range(n - 1):
-        eps[k] += offset[k]
-        eps[k + 1] -= offset[k]
-    eps[n - 1] += 2 * offset[n - 1]
-    return tuple(eps)
-
-
 def freudenthal_multiplicities(lam) -> dict:
     """Exact weight multiplicities of V(lambda) via Freudenthal's recursion.
 
@@ -195,7 +174,7 @@ def freudenthal_multiplicities(lam) -> dict:
     """
     lam = validate_weight(lam)
     n = len(lam)
-    lam_eps = _epsilon_weight(lam)
+    lam_eps = epsilon_weight(lam)
     rho = tuple(n - k for k in range(n))
     pos = [
         (simple_coefficients(alpha, n), epsilon_coords(alpha, n))
@@ -204,10 +183,6 @@ def freudenthal_multiplicities(lam) -> dict:
 
     def dot(u, v):
         return sum(x * y for x, y in zip(u, v))
-
-    def mu_eps(offset):
-        shift = _offset_to_epsilon(offset, n)
-        return tuple(a - b for a, b in zip(lam_eps, shift))
 
     top = tuple(a + b for a, b in zip(lam_eps, rho))
     top_sq = dot(top, top)
@@ -221,6 +196,7 @@ def freudenthal_multiplicities(lam) -> dict:
                 candidates.add(cand)
         frontier = []
         for offset in sorted(candidates):
+            mu = epsilon_weight(lam, offset)
             rhs = 0
             for root_offset, root_eps in pos:
                 k = 1
@@ -231,13 +207,13 @@ def freudenthal_multiplicities(lam) -> dict:
                     m = mult.get(higher, 0)
                     if m:
                         rhs += 2 * m * dot(
-                            tuple(a + k * b for a, b in zip(mu_eps(offset), root_eps)),
+                            tuple(a + k * b for a, b in zip(mu, root_eps)),
                             root_eps,
                         )
                     k += 1
             if rhs == 0:
                 continue
-            shifted = tuple(a + b for a, b in zip(mu_eps(offset), rho))
+            shifted = tuple(a + b for a, b in zip(mu, rho))
             denom = top_sq - dot(shifted, shifted)
             if denom <= 0:
                 raise RuntimeError(f"non-positive Freudenthal denominator at {offset}")

@@ -83,11 +83,6 @@ def index_successor(q: BarredIndex, n: int) -> BarredIndex | None:
     return None if pos == 2 * n - 1 else index_from_position(pos + 1, n)
 
 
-def index_key(q: BarredIndex) -> tuple:
-    """Rank-free sort key realizing the total order on J."""
-    return (1, -q.value) if q.barred else (0, q.value)
-
-
 def make_index(value: int, barred: bool, n: int) -> BarredIndex:
     """Build a column index, normalizing bar(n) to plain n."""
     if not 1 <= value <= n:
@@ -208,6 +203,47 @@ def epsilon_coords(alpha: PositiveRoot, n: int) -> tuple:
         eps[i - 1] += 1
         eps[q.value] -= 1
     return tuple(eps)
+
+
+def epsilon_weight(lam, offset=None) -> tuple:
+    """The weight lambda - sum_k c_k alpha_k in orthogonal coordinates e_1..e_n.
+
+    Component k of lambda = (m_1..m_n) is m_k + ... + m_n; the root-lattice
+    offset (c_1..c_n) defaults to zero.  Here alpha_k = e_k - e_{k+1} for
+    k < n and alpha_n = 2 e_n.
+    """
+    n = len(lam)
+    eps = [sum(lam[k:]) for k in range(n)]
+    if offset is not None:
+        for k in range(n - 1):
+            eps[k] -= offset[k]
+            eps[k + 1] += offset[k]
+        eps[n - 1] -= 2 * offset[n - 1]
+    return tuple(eps)
+
+
+def epsilon_offset(lam, eps) -> tuple:
+    """The offset (c_1..c_n) with epsilon_weight(lam, offset) == eps.
+
+    Raises ValueError unless lambda - eps is a non-negative integer
+    combination of the simple roots.
+    """
+    n = len(lam)
+    if len(eps) != n:
+        raise ValueError(f"weight {tuple(eps)} does not have rank {n}")
+    offset = []
+    total = 0
+    for a, b in zip(epsilon_weight(lam), eps):
+        total += a - b
+        offset.append(total)
+    if total % 2:
+        raise ValueError(
+            f"weight {tuple(eps)} is off the root lattice of {tuple(lam)}"
+        )
+    offset[n - 1] = total // 2
+    if any(c < 0 for c in offset):
+        raise ValueError(f"weight {tuple(eps)} is not below {tuple(lam)}")
+    return tuple(offset)
 
 
 def path_bound(lam, start: PositiveRoot, end: PositiveRoot) -> int:

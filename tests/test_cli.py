@@ -175,7 +175,38 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 2
+    for argv in (
+        ["verify", "--max-n", "0"],
+        ["verify", "--max-weight", "0"],
+        ["verify", "--max-weight", "-1"],
+        ["ideal-dims", "--n", "2", "--lambda", "1,1", "--max-degree", "-1"],
+        ["ideal-dims", "--n", "2", "--lambda", "1,1", "--cap", "0"],
+        ["oracle", "--n", "2", "--lambda", "1,1", "--cap", "0"],
+        ["tensor", "--n", "2", "--lambda", "1,0", "--mu", "1,0", "--cap", "0"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
     capsys.readouterr()
+
+
+def test_verify_check_without_cases_fails(capsys):
+    # at rank 1 there is no tensor pair and no rank-2 weight to examine
+    for suite, name in (("tensor", "tensor-cartan"), ("basis", "ordered-basis")):
+        code, payload = run_json(capsys, [
+            "verify", "--suite", suite, "--max-n", "1", "--max-weight", "1",
+        ])
+        assert code == 1
+        (check,) = payload["checks"]
+        assert check["name"] == name
+        assert check["status"] == "fail"
+        assert check["expected"] == check["actual"] == 0
+        assert "cases" not in check
+    code, payload = run_json(capsys, [
+        "verify", "--suite", "tensor", "--max-n", "2", "--max-weight", "1",
+    ])
+    assert code == 0
+    assert payload["checks"][0]["status"] == "pass"
 
 
 def test_bad_weight_exits_two(capsys):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from sympbw.linalg import IncrementalBasis, vec_add, vec_scale
+from sympbw.linalg import IncrementalBasis, combine, vec_add, vec_scale
 
 
 def test_vec_helpers_drop_zeros():
@@ -14,6 +14,16 @@ def test_vec_helpers_drop_zeros():
     assert vec_add(u, v) == {"a": Fraction(1), "c": Fraction(3)}
     assert vec_scale(u, 0) == {}
     assert vec_scale(u, Fraction(1, 2))["b"] == Fraction(1)
+    # repeated keys are summed, and a key is dropped once its sum is zero
+    terms = [("a", 1), ("b", 2), ("a", Fraction(1, 2)), ("b", -2), ("c", 0)]
+    assert combine(terms) == {"a": Fraction(3, 2)}
+    assert combine([("b", 2), ("b", -2), ("b", 5)]) == {"b": 5}
+    assert combine([]) == {}
+    # start is copied, never mutated
+    start = {"a": Fraction(1), "b": Fraction(2)}
+    out = combine([("a", -1), ("d", 4)], start)
+    assert out == {"b": Fraction(2), "d": 4}
+    assert start == {"a": Fraction(1), "b": Fraction(2)}
 
 
 def test_rank_and_membership():
@@ -106,3 +116,65 @@ def test_rows_stay_reduced():
         for other_pivot, other in basis.rows:
             if other_pivot != pivot:
                 assert pivot not in other
+
+
+def _dense_rank(rows: list) -> int:
+    """Rank of dense Fraction rows by plain Gaussian elimination."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col] / rows[rank][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_reduction_matches_dense_elimination():
+    # pins the one-pass reduction against a plain dense elimination
+    rng = random.Random(2024)
+    for trial in range(40):
+        dim = rng.randint(1, 7)
+
+        def dense(vec):
+            return [Fraction(vec.get(k, 0)) for k in range(dim)]
+
+        def sample(low, high, den):
+            return {k: Fraction(rng.randint(low, high), rng.randint(1, den))
+                    for k in rng.sample(range(dim), rng.randint(1, dim))}
+
+        inputs = []
+        basis = IncrementalBasis(track_combinations=True)
+        for _ in range(rng.randint(1, 9)):
+            if inputs and rng.random() < 0.3:  # a combination of earlier inputs
+                vec = {}
+                for prev in rng.sample(inputs, min(2, len(inputs))):
+                    c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                    vec = vec_add(vec, prev, c)
+            else:
+                vec = sample(-3, 3, 2)
+            before = _dense_rank([dense(v) for v in inputs])
+            grew = basis.add(vec)
+            inputs.append(vec)
+            after = _dense_rank([dense(v) for v in inputs])
+            assert grew == (after > before), trial
+            assert basis.rank == after, trial
+        for _ in range(10):
+            probe = sample(-2, 2, 1)
+            inside = _dense_rank([dense(v) for v in inputs + [probe]]) == basis.rank
+            assert basis.contains(probe) == inside, trial
+            assert (not basis.residual(probe)) == inside, trial
+            combo = basis.combination(probe)
+            if not inside:
+                assert combo is None, trial
+                continue
+            rebuilt = [Fraction(0)] * dim
+            for index, c in combo.items():
+                for k, x in inputs[index].items():
+                    rebuilt[k] += c * x
+            assert rebuilt == dense(probe), trial

@@ -10,6 +10,7 @@ import pytest
 from sympbw import polytope
 from sympbw.grmod import base_relations
 from sympbw.oracle import (
+    _vector_offset,
     apply_action,
     build_module,
     compose_action,
@@ -90,6 +91,15 @@ def test_base_relation_powers_annihilate_highest_vector():
                 for _ in range(e):
                     vec = apply_action(mats[roots[i]], vec)
             assert not vec, (lam, s)
+
+
+def test_vector_offset_raises_on_bad_weights():
+    off_lattice = ((1, 2),) * 5  # weight (5, 5) against lambda = (1, 0)
+    with pytest.raises(ValueError, match="off the root lattice"):
+        _vector_offset((1, 0), {off_lattice: Fraction(1)})
+    with pytest.raises(ValueError, match="not a weight vector"):
+        _vector_offset((1, 0), {((1,),): Fraction(1), ((2,),): Fraction(1)})
+    assert _vector_offset((1, 0), {((2,),): Fraction(1)}) == (1, 0)
 
 
 def test_monomial_vectors_span():

@@ -13,6 +13,8 @@ from sympbw.rootsys import (
     chevalley_realization,
     coefficient_root_map,
     epsilon_coords,
+    epsilon_offset,
+    epsilon_weight,
     index_from_position,
     index_position,
     index_successor,
@@ -109,6 +111,40 @@ def test_simple_coefficients_and_epsilon():
     # coefficient map inverts simple_coefficients
     for alpha in positive_roots(n):
         assert coefficient_root_map(n)[simple_coefficients(alpha, n)] == alpha
+
+
+def test_weight_coordinates_round_trip():
+    assert epsilon_weight((1, 0)) == (1, 0)
+    assert epsilon_weight((1, 2, 1)) == (4, 3, 1)
+    assert epsilon_weight((0, 1), (1, 0)) == (0, 2)
+    assert epsilon_weight((0, 1), (1, 1)) == (0, 0)
+    rng = random.Random(5)
+    for _ in range(50):
+        n = rng.randint(1, 4)
+        lam = tuple(rng.randint(0, 3) for _ in range(n))
+        offset = tuple(rng.randint(0, 4) for _ in range(n))
+        # the e-coordinates of sum(c_k alpha_k) agree with epsilon_coords
+        shift = [0] * n
+        for alpha in positive_roots(n):
+            coeffs = simple_coefficients(alpha, n)
+            if sum(coeffs) == 1:  # a simple root
+                k = coeffs.index(1)
+                for t, e in enumerate(epsilon_coords(alpha, n)):
+                    shift[t] += offset[k] * e
+        assert epsilon_weight(lam, offset) == tuple(
+            a - b for a, b in zip(epsilon_weight(lam), shift))
+        assert epsilon_offset(lam, epsilon_weight(lam, offset)) == offset
+
+
+def test_weight_offset_rejects_weights_off_the_lattice_or_above():
+    with pytest.raises(ValueError, match="off the root lattice"):
+        epsilon_offset((1, 0), (5, 5))
+    with pytest.raises(ValueError, match="not below"):
+        epsilon_offset((1, 0), (2, 1))  # lambda + alpha_1 + alpha_2
+    with pytest.raises(ValueError, match="off the root lattice"):
+        epsilon_offset((1,), (0,))
+    with pytest.raises(ValueError, match="rank"):
+        epsilon_offset((1, 0), (1,))
 
 
 def test_is_valid_root():
