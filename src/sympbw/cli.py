@@ -11,43 +11,21 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
-import random
 import sys
-from typing import NamedTuple
 
-from . import decomp, dyck, grmod, oracle, polytope
+from . import checks, dyck, grmod, oracle, polytope
+from .checks import SUITES
 from .rootsys import (
     is_simple_root,
     positive_roots,
     root_index_map,
     root_to_json,
-    simple_root,
     validate_weight,
     variable_key,
 )
 
 SCHEMA = "sympbw/1"
-
-
-class RunConfig(NamedTuple):
-    """Validated flags steering one verification run."""
-
-    max_n: int
-    max_weight: int
-    seed: int
-    suite: str
-    fmt: str
-    inject_failure: bool
-
-
-class VerificationReport(NamedTuple):
-    """Outcome of a battery of checks; exit code 0 iff none failed."""
-
-    checks: list  # dicts: name, parameters, status, expected, actual
-    passed: int
-    failed: int
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +92,6 @@ def _emit(args, payload: dict, columns: list, rows: list, text_lines: list) -> N
         print("\n".join(text_lines))
 
 
-def _root_str(alpha) -> str:
-    return str(alpha)
-
-
 def _term_list(poly) -> list:
     """Terms of a polynomial as JSON records, earliest in the order first."""
     n = poly.n
@@ -142,7 +116,7 @@ def cmd_roots(args, parser) -> int:
     payload = {"schema": SCHEMA, "n": n, "count": len(records), "roots": records}
     columns = ["index", "row", "col", "barred", "position", "simple"]
     rows = [[r[c] for c in columns] for r in records]
-    text = [f"{r['index']:3d}  {_root_str(alpha)}" for r, alpha in zip(records, roots)]
+    text = [f"{r['index']:3d}  {alpha}" for r, alpha in zip(records, roots)]
     _emit(args, payload, columns, rows, text)
     return 0
 
@@ -162,14 +136,13 @@ def cmd_paths(args, parser) -> int:
         for p, path in enumerate(records)
         for t, rec in enumerate(path)
     ]
-    text = [" -> ".join(_root_str(alpha) for alpha in path) for path in paths]
+    text = [" -> ".join(map(str, path)) for path in paths]
     _emit(args, payload, columns, rows, text)
     return 0
 
 
 def cmd_points(args, parser) -> int:
-    lam = _parse_weight(parser, args.lam, args.n)
-    n = args.n
+    n, lam = args.n, args.lam
     points = polytope.enumerate_points(lam)
     if args.count_only:
         payload = {
@@ -201,7 +174,7 @@ def cmd_points(args, parser) -> int:
 
 
 def cmd_dim(args, parser) -> int:
-    lam = _parse_weight(parser, args.lam, args.n)
+    lam = args.lam
     count = len(polytope.enumerate_points(lam))
     weyl = polytope.weyl_dim(lam)
     payload = {
@@ -215,8 +188,8 @@ def cmd_dim(args, parser) -> int:
     return 0
 
 
-def _table_output(args, lam: tuple, table: dict, extra: dict | None = None) -> None:
-    n = args.n
+def _table_output(args, table: dict, extra: dict | None = None) -> None:
+    n, lam = args.n, args.lam
     cells = sorted(table.items())
     records = [
         {"wt": list(wt), "deg": deg, "dim": count} for (wt, deg), count in cells
@@ -236,8 +209,7 @@ def _table_output(args, lam: tuple, table: dict, extra: dict | None = None) -> N
 
 
 def cmd_char(args, parser) -> int:
-    lam = _parse_weight(parser, args.lam, args.n)
-    n = args.n
+    n, lam = args.n, args.lam
     char = polytope.character(lam)
     records = [
         {"wt": list(wt), "mult": mult} for wt, mult in sorted(char.items())
@@ -254,21 +226,20 @@ def cmd_char(args, parser) -> int:
 
 
 def cmd_graded_char(args, parser) -> int:
-    lam = _parse_weight(parser, args.lam, args.n)
-    _table_output(args, lam, polytope.graded_character(lam))
+    _table_output(args, polytope.graded_character(args.lam))
     return 0
 
 
 def cmd_ideal_dims(args, parser) -> int:
-    lam = _parse_weight(parser, args.lam, args.n)
-    table = grmod.quotient_graded_dims(lam, max_degree=args.max_degree, cap=args.cap)
-    _table_output(args, lam, table)
+    table = grmod.quotient_graded_dims(
+        args.lam, max_degree=args.max_degree, cap=args.cap
+    )
+    _table_output(args, table)
     return 0
 
 
 def cmd_straighten(args, parser) -> int:
-    lam = _parse_weight(parser, args.lam, args.n)
-    n = args.n
+    n, lam = args.n, args.lam
     s = _parse_exponent(parser, args.exponent, n)
     contained = polytope.contains(lam, s)
     payload = {
@@ -308,7 +279,7 @@ def cmd_straighten(args, parser) -> int:
 
 
 def cmd_oracle(args, parser) -> int:
-    lam = _parse_weight(parser, args.lam, args.n)
+    lam = args.lam
     space = oracle.build_module(lam, cap=args.cap)
     weyl = polytope.weyl_dim(lam)
     extra = {
@@ -317,7 +288,7 @@ def cmd_oracle(args, parser) -> int:
     }
     if args.filtration:
         table = oracle.pbw_filtration_dims(lam, space=space)
-        _table_output(args, lam, table, extra)
+        _table_output(args, table, extra)
         return 0
     payload = {"schema": SCHEMA, "n": args.n, "lambda": list(lam)}
     payload.update(extra)
@@ -329,261 +300,9 @@ def cmd_oracle(args, parser) -> int:
 
 
 def cmd_tensor(args, parser) -> int:
-    lam = _parse_weight(parser, args.lam, args.n)
-    mu = _parse_weight(parser, args.mu, args.n)
-    table = oracle.tensor_cartan_dims(lam, mu, cap=args.cap)
-    _table_output(args, lam, table, {"mu": list(mu)})
+    table = oracle.tensor_cartan_dims(args.lam, args.mu, cap=args.cap)
+    _table_output(args, table, {"mu": list(args.mu)})
     return 0
-
-
-# ---------------------------------------------------------------------------
-# verification battery
-# ---------------------------------------------------------------------------
-
-def _weights(max_n: int, max_weight: int, lo: int = 1):
-    """All dominant weights with rank <= max_n and lo <= total <= max_weight."""
-    for n in range(1, max_n + 1):
-        for lam in itertools.product(range(max_weight + 1), repeat=n):
-            if lo <= sum(lam) <= max_weight:
-                yield lam
-
-
-def _check_dimension(cfg: RunConfig) -> dict:
-    bad = cases = 0
-    for lam in _weights(cfg.max_n, cfg.max_weight, lo=0):
-        cases += 1
-        if len(polytope.enumerate_points(lam)) != polytope.weyl_dim(lam):
-            bad += 1
-    return {"name": "dimension", "parameters": {
-        "max_n": cfg.max_n, "max_weight": cfg.max_weight,
-    }, "expected": 0, "actual": bad, "cases": cases}
-
-
-def _check_character(cfg: RunConfig) -> dict:
-    max_n = min(cfg.max_n, 3)
-    bad = cases = 0
-    for lam in _weights(max_n, cfg.max_weight):
-        cases += 1
-        if polytope.character(lam) != polytope.freudenthal_multiplicities(lam):
-            bad += 1
-    return {"name": "character", "parameters": {
-        "max_n": max_n, "max_weight": cfg.max_weight,
-    }, "expected": 0, "actual": bad, "cases": cases}
-
-
-def _check_graded_oracle(cfg: RunConfig) -> dict:
-    max_n = min(cfg.max_n, 3)
-    max_weight = min(cfg.max_weight, 3)
-    bad = cases = 0
-    for lam in _weights(max_n, max_weight):
-        cases += 1
-        if polytope.graded_character(lam) != oracle.pbw_filtration_dims(lam):
-            bad += 1
-    return {"name": "graded-oracle", "parameters": {
-        "max_n": max_n, "max_weight": max_weight,
-    }, "expected": 0, "actual": bad, "cases": cases}
-
-
-def _check_graded_ideal(cfg: RunConfig) -> dict:
-    max_n = min(cfg.max_n, 2)
-    max_weight = min(cfg.max_weight, 3)
-    bad = cases = 0
-    for lam in _weights(max_n, max_weight):
-        cases += 1
-        if polytope.graded_character(lam) != grmod.quotient_graded_dims(lam):
-            bad += 1
-    return {"name": "graded-ideal", "parameters": {
-        "max_n": max_n, "max_weight": max_weight,
-    }, "expected": 0, "actual": bad, "cases": cases}
-
-
-def _check_straightening(cfg: RunConfig) -> dict:
-    max_n = min(cfg.max_n, 2)
-    max_weight = min(cfg.max_weight, 2)
-    bad = cases = 0
-    for lam in _weights(max_n, max_weight):
-        n = len(lam)
-        for path in dyck.enumerate_paths(n):
-            for s in grmod.minimal_violations(lam, path):
-                cases += 1
-                try:
-                    grmod.straightening_element(lam, path, s)
-                    nf = grmod.normal_form(
-                        grmod.SparsePolynomial.monomial(n, s), lam
-                    )
-                except (AssertionError, RuntimeError, ValueError):
-                    bad += 1
-                    continue
-                if any(not polytope.contains(lam, t) for t in nf.monomials()):
-                    bad += 1
-    return {"name": "straightening", "parameters": {
-        "max_n": max_n, "max_weight": max_weight,
-    }, "expected": 0, "actual": bad, "cases": cases}
-
-
-def _check_order_laws(cfg: RunConfig, triples: int = 2000) -> dict:
-    rng = random.Random(cfg.seed)
-    max_n = min(cfg.max_n, 4)
-    bad = 0
-
-    def sample(n, degree):
-        s = [0] * (n * n)
-        for _ in range(degree):
-            s[rng.randrange(n * n)] += 1
-        return tuple(s)
-
-    for _ in range(triples):
-        n = rng.randint(1, max_n)
-        degree = rng.randint(0, 5)
-        s, t, u = sample(n, degree), sample(n, degree), sample(n, rng.randint(0, 5))
-        st = grmod.monomial_compare(s, t)
-        ts = grmod.monomial_compare(t, s)
-        if (st == "equal") != (s == t):
-            bad += 1
-        if {st, ts} not in ({"equal"}, {"less", "greater"}):
-            bad += 1
-        shifted = grmod.monomial_compare(
-            tuple(a + b for a, b in zip(s, u)), tuple(a + b for a, b in zip(t, u))
-        )
-        if shifted != st:
-            bad += 1
-        su = grmod.monomial_compare(s, sample(n, degree + 1))
-        if su != "greater":  # lower degree comes later in the order
-            bad += 1
-    return {"name": "order-laws", "parameters": {
-        "max_n": max_n, "triples": triples, "seed": cfg.seed,
-    }, "expected": 0, "actual": bad, "cases": triples}
-
-
-def _check_partial_support(cfg: RunConfig) -> dict:
-    max_n = min(cfg.max_n, 4)
-    bad = cases = 0
-    for n in range(1, max_n + 1):
-        for k in range(1, n + 1):
-            beta = simple_root(k)
-            for alpha in positive_roots(n):
-                cases += 1
-                P = grmod.SparsePolynomial.variable_power(alpha, 1, n)
-                unit = grmod.partial_op(beta, P, variant="unit")
-                chev = grmod.partial_op(beta, P, variant="chevalley")
-                if set(unit.monomials()) != set(chev.monomials()):
-                    bad += 1
-    return {"name": "partial-support", "parameters": {
-        "max_n": max_n,
-    }, "expected": 0, "actual": bad, "cases": cases}
-
-
-def _check_peeling(cfg: RunConfig) -> dict:
-    max_n = min(cfg.max_n, 3)
-    max_weight = min(cfg.max_weight, 3)
-    bad = cases = 0
-    for lam in _weights(max_n, max_weight):
-        for s in polytope.enumerate_points(lam):
-            cases += 1
-            try:
-                decomp.peel_completely(lam, s)
-            except (AssertionError, ValueError):
-                bad += 1
-    return {"name": "peeling", "parameters": {
-        "max_n": max_n, "max_weight": max_weight,
-    }, "expected": 0, "actual": bad, "cases": cases}
-
-
-def _check_fundamental_points(cfg: RunConfig) -> dict:
-    max_n = min(cfg.max_n, 5)
-    bad = cases = 0
-    for n in range(1, max_n + 1):
-        for i in range(1, n + 1):
-            cases += 1
-            omega = tuple(1 if k == i else 0 for k in range(1, n + 1))
-            if decomp.fundamental_points(n, i) != polytope.enumerate_points(omega):
-                bad += 1
-    return {"name": "fundamental-points", "parameters": {
-        "max_n": max_n,
-    }, "expected": 0, "actual": bad, "cases": cases}
-
-
-def _check_binomial(cfg: RunConfig) -> dict:
-    max_n = min(cfg.max_n + 2, 6)
-    bad = cases = 0
-    for n in range(1, max_n + 1):
-        for i in range(1, n + 1):
-            cases += 1
-            if not decomp.binomial_identity_check(n, i):
-                bad += 1
-    return {"name": "binomial-identity", "parameters": {
-        "max_n": max_n,
-    }, "expected": 0, "actual": bad, "cases": cases}
-
-
-def _check_tensor(cfg: RunConfig) -> dict:
-    pairs = []
-    if cfg.max_n >= 2:
-        funds = [(1, 0), (0, 1)]
-        pairs += list(itertools.product(funds, repeat=2))
-    if cfg.max_n >= 3:
-        pairs.append(((1, 0, 0), (1, 0, 0)))
-    bad = 0
-    for lam, mu in pairs:
-        total = tuple(a + b for a, b in zip(lam, mu))
-        if oracle.tensor_cartan_dims(lam, mu) != oracle.pbw_filtration_dims(total):
-            bad += 1
-    return {"name": "tensor-cartan", "parameters": {
-        "pairs": len(pairs),
-    }, "expected": 0, "actual": bad, "cases": len(pairs)}
-
-
-def _check_ordered_basis(cfg: RunConfig) -> dict:
-    max_weight = min(cfg.max_weight, 3)
-    bad = cases = 0
-    if cfg.max_n >= 2:
-        for lam in itertools.product(range(max_weight + 1), repeat=2):
-            if not 1 <= sum(lam) <= max_weight:
-                continue
-            cases += 1
-            if oracle.monomial_rank(lam) != polytope.weyl_dim(lam):
-                bad += 1
-    return {"name": "ordered-basis", "parameters": {
-        "n": 2, "max_weight": max_weight,
-    }, "expected": 0, "actual": bad, "cases": cases}
-
-
-SUITES = {
-    "dimension": [_check_dimension],
-    "character": [_check_character],
-    "graded": [_check_graded_oracle, _check_graded_ideal],
-    "straightening": [_check_straightening],
-    "order": [_check_order_laws],
-    "partial": [_check_partial_support],
-    "peeling": [_check_peeling, _check_fundamental_points, _check_binomial],
-    "tensor": [_check_tensor],
-    "basis": [_check_ordered_basis],
-}
-
-
-def run_verification(cfg: RunConfig) -> VerificationReport:
-    """Execute the selected battery and tally pass/fail.
-
-    A check that examined no case fails: an empty comparison proves nothing.
-    The case counts are not part of the report.
-    """
-    if cfg.suite == "all":
-        checks = [fn for fns in SUITES.values() for fn in fns]
-    else:
-        checks = SUITES[cfg.suite]
-    results = [fn(cfg) for fn in checks]
-    if cfg.inject_failure and results:
-        results[0] = dict(results[0])
-        results[0]["expected"] = results[0]["actual"] + 1
-        results[0]["name"] += " (injected)"
-    for rec in results:
-        cases = rec.pop("cases")
-        if not cases:
-            print(f"{rec['name']}: examined no cases", file=sys.stderr)
-        ok = cases and rec["expected"] == rec["actual"]
-        rec["status"] = "pass" if ok else "fail"
-    passed = sum(1 for rec in results if rec["status"] == "pass")
-    return VerificationReport(results, passed, len(results) - passed)
 
 
 def cmd_verify(args, parser) -> int:
@@ -591,30 +310,27 @@ def cmd_verify(args, parser) -> int:
         parser.error(
             f"unknown suite {args.suite!r}; choose from all, {', '.join(SUITES)}"
         )
-    cfg = RunConfig(
-        max_n=args.max_n, max_weight=args.max_weight, seed=args.seed,
-        suite=args.suite, fmt=args.format, inject_failure=args.inject_failure,
-    )
-    report = run_verification(cfg)
+    records = checks.run(args.suite, args.max_n, args.max_weight, args.seed)
+    passed = sum(c["status"] == "pass" for c in records)
     payload = {
-        "schema": SCHEMA, "suite": cfg.suite,
-        "max_n": cfg.max_n, "max_weight": cfg.max_weight, "seed": cfg.seed,
-        "passed": report.passed, "failed": report.failed,
-        "checks": report.checks,
+        "schema": SCHEMA, "suite": args.suite,
+        "max_n": args.max_n, "max_weight": args.max_weight, "seed": args.seed,
+        "passed": passed, "failed": len(records) - passed,
+        "checks": records,
     }
     columns = ["name", "status", "expected", "actual", "parameters"]
     rows = [
         [c["name"], c["status"], c["expected"], c["actual"],
          json.dumps(c["parameters"], sort_keys=True)]
-        for c in report.checks
+        for c in records
     ]
     text = [
         f"{c['status'].upper():4s} {c['name']}: expected {c['expected']}, "
         f"actual {c['actual']} {json.dumps(c['parameters'], sort_keys=True)}"
-        for c in report.checks
-    ] + [f"{report.passed}/{len(report.checks)} checks passed"]
+        for c in records
+    ] + [f"{passed}/{len(records)} checks passed"]
     _emit(args, payload, columns, rows, text)
-    return 0 if report.failed == 0 else 1
+    return 0 if passed == len(records) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -633,52 +349,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, **kwargs):
-        p = sub.add_parser(name, help=help_text, **kwargs)
+    def add(name, help_text, rank=True, weight=True):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument(
             "--format", choices=("json", "csv", "text"), default="json",
             help="output format (default json)",
         )
+        if rank:
+            p.add_argument("--n", type=int, required=True, help="rank")
+        if weight:
+            p.add_argument("--lambda", dest="lam", required=True,
+                           help="dominant weight m1,...,mn")
         return p
 
-    p = add("roots", "positive roots in triangle reading order")
-    p.add_argument("--n", type=int, required=True, help="rank")
+    p = add("roots", "positive roots in triangle reading order", weight=False)
     p.set_defaults(handler=cmd_roots)
 
-    p = add("paths", "all symplectic Dyck paths")
-    p.add_argument("--n", type=int, required=True, help="rank")
+    p = add("paths", "all symplectic Dyck paths", weight=False)
     p.add_argument("--count-only", action="store_true", help="emit only the count")
     p.set_defaults(handler=cmd_paths)
 
     p = add("points", "integral points of the path polytope")
-    p.add_argument("--n", type=int, required=True, help="rank")
-    p.add_argument("--lambda", dest="lam", required=True,
-                   help="dominant weight m1,...,mn")
     p.add_argument("--count-only", action="store_true", help="emit only the count")
     p.set_defaults(handler=cmd_points)
 
     p = add("dim", "point count against the Weyl dimension formula")
-    p.add_argument("--n", type=int, required=True, help="rank")
-    p.add_argument("--lambda", dest="lam", required=True,
-                   help="dominant weight m1,...,mn")
     p.set_defaults(handler=cmd_dim)
 
     p = add("char", "weight multiplicities of the point set")
-    p.add_argument("--n", type=int, required=True, help="rank")
-    p.add_argument("--lambda", dest="lam", required=True,
-                   help="dominant weight m1,...,mn")
     p.set_defaults(handler=cmd_char)
 
     p = add("graded-char", "points per (weight, degree) cell")
-    p.add_argument("--n", type=int, required=True, help="rank")
-    p.add_argument("--lambda", dest="lam", required=True,
-                   help="dominant weight m1,...,mn")
     p.set_defaults(handler=cmd_graded_char)
 
     p = add("ideal-dims", "graded dimensions of the polynomial ring modulo the ideal")
-    p.add_argument("--n", type=int, required=True, help="rank")
-    p.add_argument("--lambda", dest="lam", required=True,
-                   help="dominant weight m1,...,mn")
     p.add_argument("--max-degree", type=_int_at_least(0), default=None,
                    help="truncate the table at this total degree")
     p.add_argument("--cap", type=_int_at_least(1), default=200000,
@@ -686,17 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_ideal_dims)
 
     p = add("straighten", "straightening element and normal form of a monomial")
-    p.add_argument("--n", type=int, required=True, help="rank")
-    p.add_argument("--lambda", dest="lam", required=True,
-                   help="dominant weight m1,...,mn")
     p.add_argument("--exponent", required=True,
                    help="multi-exponent c1,...,c_{n*n} in triangle reading order")
     p.set_defaults(handler=cmd_straighten)
 
     p = add("oracle", "module dimension in the tensor-space realization")
-    p.add_argument("--n", type=int, required=True, help="rank")
-    p.add_argument("--lambda", dest="lam", required=True,
-                   help="dominant weight m1,...,mn")
     p.add_argument("--filtration", action="store_true",
                    help="also emit the graded filtration table")
     p.add_argument("--cap", type=_int_at_least(1), default=20000,
@@ -704,15 +402,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_oracle)
 
     p = add("tensor", "graded dimensions of a tensor-product Cartan component")
-    p.add_argument("--n", type=int, required=True, help="rank")
-    p.add_argument("--lambda", dest="lam", required=True,
-                   help="dominant weight m1,...,mn")
     p.add_argument("--mu", required=True, help="second dominant weight m1,...,mn")
     p.add_argument("--cap", type=_int_at_least(1), default=20000,
                    help="largest allowed ambient dimension")
     p.set_defaults(handler=cmd_tensor)
 
-    p = add("verify", "cross-module verification battery")
+    p = add("verify", "cross-module verification battery", rank=False, weight=False)
     p.add_argument("--suite", default="all",
                    help="all or one of: " + ", ".join(SUITES))
     p.add_argument("--max-n", type=_int_at_least(1), default=2,
@@ -721,8 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest total weight to test")
     p.add_argument("--seed", type=int, default=20260821,
                    help="seed for randomized property sampling")
-    p.add_argument("--inject-failure", action="store_true",
-                   help=argparse.SUPPRESS)
     p.set_defaults(handler=cmd_verify)
 
     return parser
@@ -737,6 +430,9 @@ def main(argv=None) -> int:
             validate_weight((0,) * n)
         except ValueError as err:
             parser.error(str(err))
+        for name in ("lam", "mu"):
+            if name in args:
+                setattr(args, name, _parse_weight(parser, getattr(args, name), n))
     try:
         return args.handler(args, parser)
     except ValueError as err:

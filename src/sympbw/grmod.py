@@ -319,7 +319,7 @@ def quotient_graded_dims(
     cells = _monomials_by_cell(n, max_degree)
     for key, monos in cells.items():
         if len(monos) > cap:
-            raise RuntimeError(
+            raise ValueError(
                 f"cell {key} has {len(monos)} monomials, above the cap {cap}"
             )
     by_bidegree = {}

@@ -77,12 +77,6 @@ def index_from_position(pos: int, n: int) -> BarredIndex:
     return BarredIndex(pos, False) if pos <= n else BarredIndex(2 * n - pos, True)
 
 
-def index_successor(q: BarredIndex, n: int) -> BarredIndex | None:
-    """The next-larger element of J, or None for bar(1)."""
-    pos = index_position(q, n)
-    return None if pos == 2 * n - 1 else index_from_position(pos + 1, n)
-
-
 def make_index(value: int, barred: bool, n: int) -> BarredIndex:
     """Build a column index, normalizing bar(n) to plain n."""
     if not 1 <= value <= n:
@@ -272,10 +266,6 @@ def root_to_json(alpha: PositiveRoot) -> dict:
     return {"row": alpha.row, "col": alpha.col.value, "barred": alpha.col.barred}
 
 
-def root_from_json(obj: dict, n: int) -> PositiveRoot:
-    return make_root(int(obj["row"]), int(obj["col"]), bool(obj["barred"]), n)
-
-
 # ---------------------------------------------------------------------------
 # matrix realization
 # ---------------------------------------------------------------------------
@@ -363,7 +353,7 @@ class ChevalleyRealization:
     f_{alpha+alpha_k} = [f_k, f_alpha] (and likewise for e) with the smallest
     simple index k such that alpha + alpha_k is again a root.  Only the
     nonvanishing of these vectors matters downstream; scalar-sensitive
-    computations read the constants off the matrix brackets via ad_coeff.
+    computations read the constants off the matrix brackets via ad_root_coeff.
     """
 
     def __init__(self, n: int):
@@ -415,24 +405,6 @@ class ChevalleyRealization:
 
     def f_root(self, alpha: PositiveRoot):
         return self._f_root[alpha]
-
-    @lru_cache(maxsize=None)
-    def ad_coeff(self, k: int, beta: PositiveRoot) -> int:
-        """Integer c with [e_k, f_beta] = c * f_{beta - alpha_k}; 0 if no such root."""
-        n = self.n
-        coeffs = simple_coefficients(beta, n)
-        lower = tuple(c - (1 if t == k - 1 else 0) for t, c in enumerate(coeffs))
-        target = coefficient_root_map(n).get(lower)
-        commutator = _bracket(self.e[k], self._f_root[beta])
-        if target is None:
-            # only beta = alpha_k leaves a (Cartan) remainder; anything else vanishes
-            if beta != simple_root(k) and not _is_zero_matrix(commutator):
-                raise RuntimeError(f"[e_{k}, f_{beta}] lands outside the root pattern")
-            return 0
-        ratio = _proportionality(commutator, self._f_root[target])
-        if ratio is None or ratio.denominator != 1:
-            raise RuntimeError(f"[e_{k}, f_{beta}] is not an integer multiple of f_{target}")
-        return int(ratio)
 
     @lru_cache(maxsize=None)
     def ad_root_coeff(self, beta: PositiveRoot, alpha: PositiveRoot) -> int:

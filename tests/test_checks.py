@@ -1,0 +1,65 @@
+"""Tests for the verify check runner, driven by stub checks."""
+
+from __future__ import annotations
+
+import pytest
+
+from sympbw import checks
+
+
+def stub(*counts):
+    """A check reporting one case per entry of counts, failing that many times."""
+    def check(max_n, max_weight, seed):
+        return {"max_n": max_n, "seed": seed}, iter(counts)
+
+    return check
+
+
+@pytest.fixture
+def run_stubs(monkeypatch):
+    def run(table):
+        monkeypatch.setitem(checks.SUITES, "stub", table)
+        return checks.run("stub", 2, 3, 5)
+
+    return run
+
+
+def test_check_without_cases_fails(run_stubs, capsys):
+    (record,) = run_stubs({"empty": stub()})
+    assert record == {
+        "name": "empty", "parameters": {"max_n": 2, "seed": 5},
+        "expected": 0, "actual": 0, "status": "fail",
+    }
+    assert capsys.readouterr().err == "empty: examined no cases\n"
+
+
+def test_failure_counts_are_summed(run_stubs, capsys):
+    (record,) = run_stubs({"broken": stub(0, 2, 0)})
+    assert (record["actual"], record["status"]) == (2, "fail")
+    (record,) = run_stubs({"flags": stub(False, True, True)})
+    assert (record["actual"], record["status"]) == (2, "fail")
+    assert type(record["actual"]) is int
+    assert capsys.readouterr().err == ""
+
+
+def test_all_zero_counts_pass(run_stubs, capsys):
+    records = run_stubs({"first": stub(0), "second": stub(False, 0, 0)})
+    assert [(r["name"], r["actual"], r["status"]) for r in records] == [
+        ("first", 0, "pass"), ("second", 0, "pass"),
+    ]
+    assert capsys.readouterr().err == ""
+
+
+def test_all_runs_every_suite_in_order(monkeypatch):
+    calls = []
+
+    def check(name):
+        def run(max_n, max_weight, seed):
+            calls.append(name)
+            return {}, iter([0])
+        return run
+
+    suites = {"a": {"x": check("x"), "y": check("y")}, "b": {"z": check("z")}}
+    monkeypatch.setattr(checks, "SUITES", suites)
+    records = checks.run("all", 1, 1, 0)
+    assert calls == [r["name"] for r in records] == ["x", "y", "z"]

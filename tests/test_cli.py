@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from sympbw import cli
+from sympbw import cli, polytope
 from sympbw.polytope import weyl_dim
 
 
@@ -156,10 +156,13 @@ def test_verify_passes(capsys):
     assert all(c["status"] == "pass" for c in payload["checks"])
 
 
-def test_verify_forced_failure_flips_exit(capsys):
+def test_verify_forced_failure_flips_exit(capsys, monkeypatch):
+    # a wrong reference value for one weight must surface as a failed check
+    monkeypatch.setattr(
+        polytope, "weyl_dim", lambda lam: weyl_dim(lam) + (lam == (1, 1))
+    )
     code, payload = run_json(capsys, [
         "verify", "--suite", "dimension", "--max-n", "2", "--max-weight", "2",
-        "--inject-failure",
     ])
     assert code == 1
     assert payload["failed"] == 1
@@ -217,11 +220,17 @@ def test_bad_weight_exits_two(capsys):
 
 
 def test_library_error_exits_two(capsys):
-    code = cli.main(["oracle", "--n", "2", "--lambda", "1,1", "--cap", "2"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "error:" in captured.err
-    assert "exceeds cap" in captured.err
+    for argv, message in (
+        (["oracle", "--n", "2", "--lambda", "1,1", "--cap", "2"], "exceeds cap"),
+        (["ideal-dims", "--n", "2", "--lambda", "1,1", "--cap", "1"],
+         "above the cap 1"),
+    ):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
 
 
 def test_repeated_runs_are_byte_identical(capsys):

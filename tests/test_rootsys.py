@@ -17,7 +17,6 @@ from sympbw.rootsys import (
     epsilon_weight,
     index_from_position,
     index_position,
-    index_successor,
     is_hook_root,
     is_simple_root,
     is_valid_root,
@@ -25,7 +24,6 @@ from sympbw.rootsys import (
     make_root,
     path_bound,
     positive_roots,
-    root_from_json,
     root_index_map,
     root_successors,
     root_to_json,
@@ -48,8 +46,6 @@ def test_alphabet_order():
         BarredIndex(2, True), BarredIndex(1, True),
     ]
     assert [index_position(q, n) for q in letters] == [1, 2, 3, 4, 5]
-    assert index_successor(BarredIndex(3, False), n) == BarredIndex(2, True)
-    assert index_successor(BarredIndex(1, True), n) is None
 
 
 def test_bar_n_normalizes():
@@ -171,7 +167,17 @@ def test_path_bound():
 def test_root_json_roundtrip():
     for n in (1, 2, 3, 4):
         for alpha in positive_roots(n):
-            assert root_from_json(root_to_json(alpha), n) == alpha
+            rec = root_to_json(alpha)
+            assert rec == {
+                "row": alpha.row, "col": alpha.col.value, "barred": alpha.col.barred,
+            }
+            assert make_root(rec["row"], rec["col"], rec["barred"], n) == alpha
+    assert root_to_json(make_root(1, 1, True, 2)) == {
+        "row": 1, "col": 1, "barred": True,
+    }
+    assert root_to_json(make_root(2, 2, True, 2)) == {
+        "row": 2, "col": 2, "barred": False,
+    }
 
 
 def test_cartan_matrix():
@@ -214,11 +220,24 @@ def test_realization_preserves_skew_form():
 
 def test_ad_coeff_values():
     real = chevalley_realization(2)
-    assert real.ad_coeff(1, make_root(1, 2, False, 2)) == 2
-    assert real.ad_coeff(1, make_root(1, 1, True, 2)) == 2
-    assert real.ad_coeff(2, make_root(1, 2, False, 2)) == -1
-    assert real.ad_coeff(1, simple_root(1)) == 0
-    assert real.ad_coeff(2, make_root(1, 1, True, 2)) == 0
+    a1, a2 = simple_root(1), simple_root(2)
+    assert real.ad_root_coeff(a1, make_root(1, 2, False, 2)) == 2
+    assert real.ad_root_coeff(a1, make_root(1, 1, True, 2)) == 2
+    assert real.ad_root_coeff(a2, make_root(1, 2, False, 2)) == -1
+    assert real.ad_root_coeff(a1, a1) == 0
+    assert real.ad_root_coeff(a2, make_root(1, 1, True, 2)) == 0
+    # [e_k, f_beta] vanishes when beta - alpha_k is no root, unless beta = alpha_k
+    for n in (2, 3, 4):
+        real = chevalley_realization(n)
+        coeff_map = coefficient_root_map(n)
+        for k in range(1, n + 1):
+            for beta in positive_roots(n):
+                lower = list(simple_coefficients(beta, n))
+                lower[k - 1] -= 1
+                if tuple(lower) in coeff_map or beta == simple_root(k):
+                    continue
+                ef = _bracket(real.e[k], real.f_root(beta))
+                assert all(x == 0 for row in ef for x in row), (k, beta)
 
 
 def test_ad_root_coeff_support():
