@@ -19,7 +19,6 @@ from .checks import SUITES
 from .rootsys import (
     is_simple_root,
     positive_roots,
-    root_index_map,
     root_to_json,
     validate_weight,
     variable_key,
@@ -252,12 +251,8 @@ def cmd_straighten(args, parser) -> int:
         payload["element"] = None
         payload["normal_form"] = _term_list(monomial)
     else:
-        ineq = grmod.violated_inequality(lam, s)
-        idx = root_index_map(n)
-        s1 = [0] * (n * n)
-        for alpha in ineq.path:
-            s1[idx[alpha]] = s[idx[alpha]]
-        element, _ = grmod.straightening_element(lam, ineq.path, tuple(s1))
+        ineq, s1, _ = grmod.split_at_violation(lam, s)
+        element, _ = grmod.straightening_element(lam, ineq.path, s1)
         payload["path"] = [root_to_json(alpha) for alpha in ineq.path]
         payload["element"] = _term_list(element)
         payload["normal_form"] = _term_list(grmod.normal_form(monomial, lam))

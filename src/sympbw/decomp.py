@@ -155,12 +155,12 @@ def peel(lam, s) -> tuple:
     remainder = tuple(a - b for a, b in zip(s, marker.exponent))
     omega = tuple(1 if k == i else 0 for k in range(1, n + 1))
     if not polytope.contains(omega, marker.exponent):
-        raise AssertionError(
+        raise RuntimeError(
             f"marker {marker.exponent} escaped the fundamental polytope {omega}"
         )
     reduced = tuple(a - b for a, b in zip(lam, omega))
     if not polytope.contains(reduced, remainder):
-        raise AssertionError(
+        raise RuntimeError(
             f"remainder {remainder} escaped the reduced polytope {reduced}"
         )
     return marker, remainder
@@ -176,7 +176,7 @@ def peel_completely(lam, s) -> list:
         i = next(k for k, m in enumerate(lam, start=1) if m != 0)
         lam = tuple(m - 1 if k == i else m for k, m in enumerate(lam, start=1))
     if any(x != 0 for x in s):
-        raise AssertionError(f"peeling left a nonzero remainder {s}")
+        raise RuntimeError(f"peeling left a nonzero remainder {s}")
     return markers
 
 

@@ -20,6 +20,7 @@ from . import dyck, polytope
 from .linalg import IncrementalBasis, combine, vec_add, vec_scale
 from .rootsys import (
     PositiveRoot,
+    bound_slice,
     chevalley_realization,
     coefficient_root_map,
     is_hook_root,
@@ -244,13 +245,9 @@ def base_relations(lam) -> list:
     n = len(lam)
     rels = []
     for alpha in positive_roots(n):
-        if not alpha.col.barred and alpha.col.value <= n - 1:
-            bound = sum(lam[alpha.row - 1 : alpha.col.value])
-        elif is_hook_root(alpha, n):
-            bound = sum(lam[alpha.row - 1 :])
-        else:
-            continue
-        rels.append(SparsePolynomial.variable_power(alpha, bound + 1, n))
+        if is_hook_root(alpha, n) or not alpha.col.barred and alpha.col.value < n:
+            a, b = bound_slice(alpha.row, alpha, n)
+            rels.append(SparsePolynomial.variable_power(alpha, sum(lam[a:b]) + 1, n))
     return rels
 
 
@@ -283,21 +280,8 @@ def ideal_generators(lam, variant: str = "chevalley") -> IdealGenerators:
 def _monomials_by_cell(n: int, max_degree: int):
     """All exponents of degree <= max_degree grouped by (weight, degree)."""
     cells = {}
-    dim = n * n
-    s = [0] * dim
-
-    def assign(i, left):
-        if i == dim:
-            t = tuple(s)
-            key = (polytope.weight_of(t, n), sum(t))
-            cells.setdefault(key, []).append(t)
-            return
-        for value in range(left + 1):
-            s[i] = value
-            assign(i + 1, left - value)
-        s[i] = 0
-
-    assign(0, max_degree)
+    for s in polytope.lattice_points(n * n, [(range(n * n), max_degree)]):
+        cells.setdefault((polytope.weight_of(s, n), sum(s)), []).append(s)
     return cells
 
 
@@ -478,21 +462,9 @@ def minimal_violations(lam, path):
     lam = validate_weight(lam)
     n = len(lam)
     idx = root_index_map(n)
-    positions = [idx[alpha] for alpha in path]
     total = path_bound(lam, path[0], path[-1]) + 1
-    out = []
-
-    def split(remaining, at, s):
-        if at == len(positions) - 1:
-            s[positions[at]] = remaining
-            out.append(tuple(s))
-            return
-        for head in range(remaining + 1):
-            s[positions[at]] = head
-            split(remaining - head, at + 1, s)
-
-    split(total, 0, [0] * (n * n))
-    return out
+    row = ([idx[alpha] for alpha in path], total)
+    return [s for s in polytope.lattice_points(n * n, [row]) if sum(s) == total]
 
 
 def straightening_element(lam, path, s):
@@ -513,11 +485,11 @@ def straightening_element(lam, path, s):
         P = _embed_from_frame(P, n, plan.shift + 1)
     lead = P.coefficient(s)
     if not lead:
-        raise AssertionError(f"straightening lost its leading term f^{tuple(s)}")
+        raise RuntimeError(f"straightening lost its leading term f^{tuple(s)}")
     key = order_key(tuple(s), n)
     for t in P.monomials():
         if tuple(t) != tuple(s) and not order_key(t, n) > key:
-            raise AssertionError(
+            raise RuntimeError(
                 f"straightening produced {t} not later than {tuple(s)}"
             )
     return P, lead
@@ -525,13 +497,18 @@ def straightening_element(lam, path, s):
 
 def violated_inequality(lam, s):
     """First Dyck-path inequality that s breaks, or None."""
-    lam = validate_weight(lam)
-    n = len(lam)
-    idx = root_index_map(n)
-    for ineq in polytope.inequalities(lam):
-        if sum(s[idx[alpha]] for alpha in ineq.path) > ineq.bound:
-            return ineq
-    return None
+    return polytope.first_broken(lam, s)
+
+
+def split_at_violation(lam, s):
+    """The first path inequality that s breaks, the part of s on its path,
+    and the rest of s; raises RuntimeError when s breaks none."""
+    ineq = violated_inequality(lam, s)
+    if ineq is None:
+        raise RuntimeError(f"{s} is outside the polytope but breaks nothing")
+    on_path = {root_index_map(len(lam))[alpha] for alpha in ineq.path}
+    s1 = tuple(x if i in on_path else 0 for i, x in enumerate(s))
+    return ineq, s1, tuple(a - b for a, b in zip(s, s1))
 
 
 def normal_form(P: SparsePolynomial, lam, step_cap: int = 10000):
@@ -546,22 +523,14 @@ def normal_form(P: SparsePolynomial, lam, step_cap: int = 10000):
     n = len(lam)
     if P.n != n:
         raise ValueError(f"polynomial rank {P.n} does not match weight rank {n}")
-    idx = root_index_map(n)
     for _ in range(step_cap):
         outside = [s for s in P.terms if not polytope.contains(lam, s)]
         if not outside:
             return P
         s = min(outside, key=lambda t: order_key(t, n))
-        ineq = violated_inequality(lam, s)
-        if ineq is None:
-            raise AssertionError(f"{s} is outside the polytope but breaks nothing")
-        s1 = [0] * (n * n)
-        for alpha in ineq.path:
-            s1[idx[alpha]] = s[idx[alpha]]
-        s1 = tuple(s1)
-        s2 = tuple(a - b for a, b in zip(s, s1))
+        ineq, s1, s2 = split_at_violation(lam, s)
         element, lead = straightening_element(lam, ineq.path, s1)
         P = P - element.shift(s2).scale(P.terms[s] / lead)
         if P.coefficient(s):
-            raise AssertionError(f"straightening failed to remove {s}")
+            raise RuntimeError(f"straightening failed to remove {s}")
     raise RuntimeError(f"normal form did not terminate within {step_cap} steps")

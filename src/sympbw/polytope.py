@@ -6,6 +6,14 @@ weight coefficients.  The integral points S(lambda) of the polytope index the
 monomial basis of the degenerate module; their weights and degrees give the
 character and the graded character.
 
+The polytope has one representation, the path table of a rank: one row per
+Dyck path, in path enumeration order, holding the path, its reading-order
+coordinate indices and the slice of lambda whose sum bounds it.  The table
+depends on the rank alone and is built once; the bounds of a weight are read
+off it on each use.  Membership is one scan of the rows that stops at the
+first broken path (first_broken), and every lattice-point enumeration is one
+depth-first walk over rows of (coordinates, bound) (lattice_points).
+
 Two classical oracles are included for independent verification: the Weyl
 dimension formula and Freudenthal's recursion for weight multiplicities, both
 in exact arithmetic.
@@ -14,13 +22,14 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import dyck
 from .rootsys import (
+    bound_slice,
     epsilon_coords,
     epsilon_weight,
-    path_bound,
     positive_roots,
     root_index_map,
     simple_coefficients,
@@ -36,58 +45,64 @@ class PathInequality(NamedTuple):
     bound: int
 
 
+@lru_cache(maxsize=None)
+def _path_table(n: int) -> tuple:
+    """One row (path, coordinate indices, a, b) per Dyck path, in path order.
+
+    The coordinates are the reading-order slots of the path's roots and the
+    path's inequality for a weight lambda is bounded by sum(lambda[a:b]).
+    Distinct paths have distinct supports, so no two rows repeat each other.
+    """
+    idx = root_index_map(n)
+    return tuple(
+        (path, tuple(idx[alpha] for alpha in path))
+        + bound_slice(path[0].row, path[-1], n)
+        for path in dyck.enumerate_paths(n)
+    )
+
+
 def inequalities(lam) -> list:
     """One inequality per Dyck path, in path enumeration order."""
     lam = validate_weight(lam)
-    n = len(lam)
     return [
-        PathInequality(p, path_bound(lam, p[0], p[-1]))
-        for p in dyck.enumerate_paths(n)
+        PathInequality(path, sum(lam[a:b]))
+        for path, _, a, b in _path_table(len(lam))
     ]
 
 
-def _support_bounds(lam):
-    """Deduplicated (coordinate index tuple, bound) pairs for fast membership."""
-    n = len(lam)
-    idx = root_index_map(n)
-    seen = {}
-    for ineq in inequalities(lam):
-        support = tuple(sorted(idx[alpha] for alpha in ineq.path))
-        prev = seen.get(support)
-        if prev is None or ineq.bound < prev:
-            seen[support] = ineq.bound
-    return sorted(seen.items())
-
-
-def contains(lam, s) -> bool:
-    """Whether the multi-exponent s lies in P(lambda)."""
+def first_broken(lam, s):
+    """The first path inequality, in path order, that the multi-exponent s
+    breaks, or None when s satisfies all of them."""
     lam = validate_weight(lam)
     n = len(lam)
     if len(s) != n * n:
         raise ValueError(f"multi-exponent needs {n * n} coordinates, got {len(s)}")
-    if any(x < 0 for x in s):
-        return False
-    return all(
-        sum(s[i] for i in support) <= bound for support, bound in _support_bounds(lam)
-    )
+    for path, coords, a, b in _path_table(n):
+        bound = sum(lam[a:b])
+        if sum(map(s.__getitem__, coords)) > bound:
+            return PathInequality(path, bound)
+    return None
 
 
-def enumerate_points(lam) -> list:
-    """All integral points of P(lambda), lexicographic in reading-order coordinates.
+def contains(lam, s) -> bool:
+    """Whether the multi-exponent s lies in P(lambda): no negative coordinate
+    and no broken path inequality."""
+    return first_broken(lam, s) is None and min(s) >= 0
 
-    Depth-first assignment with running partial sums per inequality; a branch
-    dies as soon as any path sum exceeds its bound.  Every coordinate lies on
-    at least one path, so all coordinates are a priori bounded.
+
+def lattice_points(dim: int, rows) -> list:
+    """All non-negative integer points of length dim, in lexicographic order,
+    whose coordinates summed over each row's indices stay within its bound.
+
+    The rows are a list of (coordinate indices, bound) pairs.  Depth-first
+    assignment with the running slack of every row; a branch dies as soon as
+    a row's sum exceeds its bound, and a coordinate on no row stays 0.
     """
-    lam = validate_weight(lam)
-    n = len(lam)
-    dim = n * n
-    bounds = _support_bounds(lam)
-    on_coord = [[] for _ in range(dim)]  # coordinate -> inequality slots
-    for slot, (support, _) in enumerate(bounds):
-        for i in support:
+    on_coord = [[] for _ in range(dim)]  # coordinate -> row slots
+    for slot, (coords, _) in enumerate(rows):
+        for i in coords:
             on_coord[i].append(slot)
-    slack = [bound for _, bound in bounds]
+    slack = [bound for _, bound in rows]
     point = [0] * dim
     out = []
 
@@ -107,6 +122,19 @@ def enumerate_points(lam) -> list:
 
     assign(0)
     return out
+
+
+def enumerate_points(lam) -> list:
+    """All integral points of P(lambda), lexicographic in reading-order coordinates.
+
+    Every coordinate lies on at least one path, so all coordinates are a
+    priori bounded.
+    """
+    lam = validate_weight(lam)
+    n = len(lam)
+    return lattice_points(
+        n * n, [(coords, sum(lam[a:b])) for _, coords, a, b in _path_table(n)]
+    )
 
 
 def weight_of(s, n: int) -> tuple:

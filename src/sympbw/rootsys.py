@@ -240,13 +240,19 @@ def epsilon_offset(lam, eps) -> tuple:
     return tuple(offset)
 
 
-def path_bound(lam, start: PositiveRoot, end: PositiveRoot) -> int:
-    """Sum of weight coefficients bounding a path from `start` to `end`.
+def bound_slice(row: int, end: PositiveRoot, n: int) -> tuple:
+    """The pair (a, b) such that sum(lam[a:b]) bounds a path from alpha_row to `end`.
 
-    For a path from the simple root alpha_i to the simple root alpha_j (j < n)
-    the bound is m_i + ... + m_j; for an endpoint alpha_{j,bar(j)} (including
-    j = n) it is m_i + ... + m_n.
+    A path ending in column j is bounded by m_row + ... + m_j; a path ending at
+    a hook root alpha_{j,bar(j)} (including alpha_{n,n}) by m_row + ... + m_n.
+    The power of f_alpha in the ideal follows the same rule with `end` = alpha.
     """
+    return row - 1, n if is_hook_root(end, n) else end.col.value
+
+
+def path_bound(lam, start: PositiveRoot, end: PositiveRoot) -> int:
+    """Sum of weight coefficients bounding a path from `start` to `end`, by the
+    rule of bound_slice; raises ValueError unless the endpoints fit a path."""
     lam = validate_weight(lam)
     n = len(lam)
     if not (is_valid_root(start, n) and is_valid_root(end, n)):
@@ -255,11 +261,10 @@ def path_bound(lam, start: PositiveRoot, end: PositiveRoot) -> int:
         raise ValueError(f"path start {start} is not a simple root")
     if end.row < start.row:
         raise ValueError(f"path end {end} lies above start {start}")
-    if is_hook_root(end, n):
-        return sum(lam[start.row - 1:])
-    if is_simple_root(end):
-        return sum(lam[start.row - 1:end.row])
-    raise ValueError(f"path end {end} is neither simple nor of the form alpha_(j,bar(j))")
+    if not (is_hook_root(end, n) or is_simple_root(end)):
+        raise ValueError(f"path end {end} is neither simple nor of the form alpha_(j,bar(j))")
+    a, b = bound_slice(start.row, end, n)
+    return sum(lam[a:b])
 
 
 def root_to_json(alpha: PositiveRoot) -> dict:

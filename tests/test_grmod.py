@@ -8,10 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from sympbw import polytope
+from sympbw import grmod, polytope
 from sympbw.dyck import enumerate_paths
 from sympbw.grmod import (
     SparsePolynomial,
+    _monomials_by_cell,
     apply_partial_power,
     base_relations,
     column_sum,
@@ -30,7 +31,10 @@ from sympbw.grmod import (
 )
 from sympbw.rootsys import (
     chevalley_realization,
+    epsilon_coords,
+    epsilon_weight,
     make_root,
+    path_bound,
     positive_roots,
     root_index_map,
     simple_root,
@@ -211,6 +215,16 @@ def test_base_relations_shape():
         (0, 0, 2, 0),  # f_{1,1~}^{m1+m2+1}
         (0, 0, 0, 1),  # f_{2,2}^{m2+1}
     }
+    # each power is (lambda, alpha^vee) + 1, the pairing taken in e-coordinates
+    for lam in ((1, 2, 3), (2, 0, 1, 3)):
+        n = len(lam)
+        eps = epsilon_weight(lam)
+        for r in base_relations(lam):
+            (s, _), = r.terms.items()
+            (pos, power), = [(k, x) for k, x in enumerate(s) if x]
+            alpha = epsilon_coords(positive_roots(n)[pos], n)
+            pairing = 2 * sum(a * b for a, b in zip(eps, alpha))
+            assert power == pairing // sum(a * a for a in alpha) + 1
 
 
 def test_closure_sizes_frozen():
@@ -263,6 +277,33 @@ def test_unit_variant_diverges_at_rank_three():
 # straightening
 # ---------------------------------------------------------------------------
 
+def _brute_force(n, top, keep):
+    """Every exponent with entries 0..top that `keep` accepts, in tuple order."""
+    return [s for s in itertools.product(range(top + 1), repeat=n * n) if keep(s)]
+
+
+def test_monomials_by_cell_match_brute_force():
+    for n, max_degree in ((1, 4), (2, 3), (3, 2)):
+        expected = {}
+        for s in _brute_force(n, max_degree, lambda s: sum(s) <= max_degree):
+            expected.setdefault((polytope.weight_of(s, n), sum(s)), []).append(s)
+        cells = _monomials_by_cell(n, max_degree)
+        assert list(cells.items()) == list(expected.items())
+
+
+def test_minimal_violations_match_brute_force():
+    for lam in ((3,), (1, 1), (0, 2), (1, 0, 0), (0, 0, 1)):
+        n = len(lam)
+        idx = root_index_map(n)
+        for path in enumerate_paths(n):
+            total = path_bound(lam, path[0], path[-1]) + 1
+            off = [i for i in range(n * n) if i not in {idx[a] for a in path}]
+            expected = _brute_force(
+                n, total, lambda s: sum(s) == total and not any(s[i] for i in off)
+            )
+            assert minimal_violations(lam, path) == expected, (lam, path)
+
+
 def test_minimal_violations_counts():
     lam = (1, 0)
     counts = [len(minimal_violations(lam, path)) for path in enumerate_paths(2)]
@@ -310,6 +351,16 @@ def test_straightening_elements_lie_in_the_ideal():
             assert normal_form(element, lam).is_zero(), (path, s)
 
 
+def test_straightening_element_raises_when_the_lead_vanishes(monkeypatch):
+    a11, a12, hook = (make_root(1, 1, False, 2), make_root(1, 2, False, 2),
+                      make_root(1, 1, True, 2))
+    monkeypatch.setattr(
+        grmod, "apply_partial_power", lambda beta, P, e, variant: SparsePolynomial(P.n)
+    )
+    with pytest.raises(RuntimeError, match="lost its leading term"):
+        straightening_element((1, 0), (a11, a12, hook), (1, 1, 0, 0))
+
+
 def test_straightening_plan_validates_input():
     n = 2
     lam = (1, 0)
@@ -355,3 +406,7 @@ def test_violated_inequality_detects_breaks():
     ineq = violated_inequality(lam, (2, 0, 0, 0))
     assert ineq is not None
     assert sum((2, 0, 0, 0)[root_index_map(2)[a]] for a in ineq.path) > ineq.bound
+    # an exponent of the wrong rank is rejected, not scanned
+    for s in ((0, 0, 0, 0, 0, 9), (1, 2, 3)):
+        with pytest.raises(ValueError):
+            violated_inequality((1, 1), s)

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from sympbw import polytope
 from sympbw.dyck import enumerate_paths
 from sympbw.polytope import (
     character,
@@ -29,6 +30,28 @@ def test_one_inequality_per_path():
         assert len(ineqs) == len(enumerate_paths(n))
         for ineq, path in zip(ineqs, enumerate_paths(n)):
             assert ineq.path == path
+
+
+def test_every_path_has_its_own_support():
+    # the path table keeps one row per path; no two rows bound the same sum
+    counts = []
+    for n in range(1, 7):
+        paths = enumerate_paths(n)
+        assert len({frozenset(p) for p in paths}) == len(paths)
+        counts.append(len(paths))
+    assert counts == [1, 4, 12, 36, 115, 390]
+
+
+def test_contains_reads_the_table_not_the_inequalities(monkeypatch):
+    calls = []
+    original = polytope.inequalities
+    monkeypatch.setattr(
+        polytope, "inequalities", lambda lam: calls.append(lam) or original(lam)
+    )
+    rng = random.Random(3)
+    for _ in range(1000):
+        contains((1, 1, 1), tuple(rng.randint(0, 2) for _ in range(9)))
+    assert calls == []
 
 
 def test_points_n2_omega1_hand_listed():

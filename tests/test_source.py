@@ -11,8 +11,14 @@ from sympbw import linalg
 SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src" / "sympbw"
 
 
+def _raises_assertion_error(node) -> bool:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_no_assert_statements_in_package():
-    # `python -O` strips assert statements, so invariants must raise explicitly
+    # `python -O` strips assert statements, so invariants must raise explicitly,
+    # and with a real error type rather than the one assert statements use
     files = sorted(SOURCE.glob("*.py"))
     assert files
     found = [
@@ -20,6 +26,8 @@ def test_no_assert_statements_in_package():
         for path in files
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
+        or isinstance(node, ast.Raise) and node.exc is not None
+        and _raises_assertion_error(node)
     ]
     assert found == []
 
