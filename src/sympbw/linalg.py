@@ -5,6 +5,12 @@ Vectors are sparse dicts mapping hashable, orderable keys to exact numbers
 a sparse vector and zeros are dropped; every sparse sum in the package goes
 through it.
 
+Numbers stay ints where the arithmetic is exact and become Fractions only
+where it is not; no float is ever made.  A row normalized by an int pivot
+keeps every entry that the pivot divides as an int and makes a Fraction only
+of a non-integral quotient; a row with a Fraction pivot is scaled by the
+pivot's exact inverse (both in ``_divide``).
+
 The basis keeps its rows fully reduced: each row owns its pivot key (the
 smallest key of the row) with entry 1 there, and no other row has an entry at
 that key.  Hence the coefficient of row r in any vector of the span is simply
@@ -52,6 +58,21 @@ def vec_scale(u: dict, scale) -> dict:
     return {k: scale * x for k, x in u.items()}
 
 
+def _divide(u: dict, p) -> dict:
+    """u / p exactly.  For an int p an entry stays an int where p divides it
+    and becomes a Fraction where not; any other p scales by its inverse."""
+    if type(p) is not int:
+        return vec_scale(u, Fraction(1, 1) / p)
+    out = {}
+    for k, x in u.items():
+        if type(x) is int:
+            q, r = divmod(x, p)
+            out[k] = Fraction(x, p) if r else q
+        else:
+            out[k] = x / p
+    return out
+
+
 class IncrementalBasis:
     """A growing reduced basis supporting rank, membership, and coordinates."""
 
@@ -59,7 +80,7 @@ class IncrementalBasis:
         self.rows = []  # list of (pivot, vector) with vector[pivot] == 1
         self.pivots = {}  # pivot key -> row index
         self.track = track_combinations
-        self.combos = []  # per row: dict add-index -> Fraction
+        self.combos = []  # per row: dict add-index -> int or Fraction
         self.added = 0  # count of add() calls, successful or not
 
     @property
@@ -97,13 +118,13 @@ class IncrementalBasis:
         if not vec:
             return False
         pivot = min(vec)
-        inv = Fraction(1, 1) / vec[pivot]
-        vec = vec_scale(vec, inv)
+        lead = vec[pivot]
+        vec = _divide(vec, lead)
         if self.track:
-            combo = vec_scale(combine(chain(
+            combo = _divide(combine(chain(
                 ((index, 1),),
                 *(_scaled(self.combos[r], -c) for r, c in coords.items()),
-            )), inv)
+            )), lead)
         for r, (p, row) in enumerate(self.rows):
             c = row.get(pivot)
             if c:
@@ -125,7 +146,7 @@ class IncrementalBasis:
         return None if residual else coords
 
     def combination(self, vec: dict):
-        """Express vec over the original add() inputs (add index -> Fraction)."""
+        """Express vec over the original add() inputs (add index -> number)."""
         if not self.track:
             raise RuntimeError("basis was built without combination tracking")
         coords = self.coordinates(vec)

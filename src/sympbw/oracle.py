@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import NamedTuple
@@ -24,13 +23,26 @@ from .rootsys import (
     epsilon_offset,
     positive_roots,
     root_index_map,
+    simple_coefficients,
     validate_weight,
     variable_key,
 )
 
 
+class WeightBlock(NamedTuple):
+    """The tracked basis of one weight space of a module."""
+
+    basis: IncrementalBasis
+    positions: list  # per add() call: the module position it added, or None
+
+
 class RepresentationSpace(NamedTuple):
-    """A highest-weight module with weight and PBW-level tags per basis vector."""
+    """A highest-weight module with weight and PBW-level tags per basis vector.
+
+    ``basis`` holds one tracked basis per weight space, keyed by weight
+    offset: vectors of different weights never interact, so each image is
+    reduced only against the vectors of its own weight.
+    """
 
     n: int
     lam: tuple
@@ -38,7 +50,7 @@ class RepresentationSpace(NamedTuple):
     basis_vectors: list  # raw spanning vectors, in discovery order
     weight_tags: list  # weight offset of each basis vector (simple-root coords)
     level_tags: list  # minimal number of lowering operators reaching it
-    basis: IncrementalBasis
+    basis: dict  # weight offset -> WeightBlock
 
     @property
     def dimension(self) -> int:
@@ -65,8 +77,10 @@ def _lowering_columns(n: int) -> dict:
     return out
 
 
-def _slot_images(cols, slot: tuple) -> list:
-    """One derivation step on a single wedge factor, with signs."""
+@lru_cache(maxsize=None)
+def _slot_images(n: int, alpha, slot: tuple) -> tuple:
+    """One step of f_alpha as a derivation on a single wedge factor, with signs."""
+    cols = _lowering_columns(n)[alpha]
     out = []
     for p, a in enumerate(slot):
         for b, c in cols.get(a, ()):
@@ -76,17 +90,16 @@ def _slot_images(cols, slot: tuple) -> list:
             pos = bisect_left(rest, b)
             sign = -1 if (p + pos) % 2 else 1
             out.append((rest[:pos] + (b,) + rest[pos:], sign * c))
-    return out
+    return tuple(out)
 
 
 def apply_root_vector(n: int, alpha, vec: dict) -> dict:
     """Act by f_alpha as a derivation across all tensor slots of vec."""
-    cols = _lowering_columns(n)[alpha]
     return combine(
         (key[:t] + (new_slot,) + key[t + 1:], coeff * c)
         for key, coeff in vec.items()
         for t, slot in enumerate(key)
-        for new_slot, c in _slot_images(cols, slot)
+        for new_slot, c in _slot_images(n, alpha, slot)
     )
 
 
@@ -117,12 +130,22 @@ def _vector_offset(lam, vec: dict) -> tuple:
     return epsilon_offset(lam, weights.pop())
 
 
+def _lowered(offset: tuple, alpha, n: int) -> tuple:
+    """The weight offset of f_alpha applied to a vector of weight offset `offset`."""
+    return tuple(a + b for a, b in zip(offset, simple_coefficients(alpha, n)))
+
+
 # ---------------------------------------------------------------------------
 # module construction
 # ---------------------------------------------------------------------------
 
 def build_module(lam, cap: int = 20000) -> RepresentationSpace:
-    """Close the highest vector under all lowering operators, level by level."""
+    """Close the highest vector under all lowering operators, level by level.
+
+    Each image is added once to the basis of the weight space it lies in;
+    an image that enlarges the span becomes a module vector, after a check
+    that its weight is the expected one.
+    """
     lam = validate_weight(lam)
     n = len(lam)
     ambient = 1
@@ -131,28 +154,40 @@ def build_module(lam, cap: int = 20000) -> RepresentationSpace:
     if ambient > cap:
         raise ValueError(f"ambient dimension {ambient} exceeds cap {cap}")
     slots = tuple(i for i, m in enumerate(lam, start=1) for _ in range(m))
-    start = {tuple(tuple(range(1, i + 1)) for i in slots): Fraction(1)}
-    basis = IncrementalBasis(track_combinations=True)
-    basis.add(start)
-    space = RepresentationSpace(
-        n, lam, slots, [start], [(0,) * n], [0], basis)
+    space = RepresentationSpace(n, lam, slots, [], [], [], {})
+
+    def insert(vec: dict, weight: tuple, level: int) -> None:
+        block = space.basis.get(weight)
+        if block is None:
+            block = space.basis[weight] = WeightBlock(
+                IncrementalBasis(track_combinations=True), [])
+        if not block.basis.add(vec):
+            block.positions.append(None)
+            return
+        found = _vector_offset(lam, vec)
+        if found != weight:
+            raise RuntimeError(
+                f"module vector of weight offset {found} where {weight} was expected"
+            )
+        block.positions.append(len(space.basis_vectors))
+        space.basis_vectors.append(vec)
+        space.weight_tags.append(weight)
+        space.level_tags.append(level)
+
+    insert({tuple(tuple(range(1, i + 1)) for i in slots): 1}, (0,) * n, 0)
     roots = positive_roots(n)
-    frontier = [start]
+    frontier = range(1)
     level = 0
     while frontier:
         level += 1
-        grown = []
-        for vec in frontier:
+        first = space.dimension
+        for j in frontier:
+            vec, weight = space.basis_vectors[j], space.weight_tags[j]
             for alpha in roots:
                 image = apply_root_vector(n, alpha, vec)
-                if not image or basis.contains(image):
-                    continue
-                basis.add(image)
-                space.basis_vectors.append(image)
-                space.weight_tags.append(_vector_offset(lam, image))
-                space.level_tags.append(level)
-                grown.append(image)
-        frontier = grown
+                if image:
+                    insert(image, _lowered(weight, alpha, n), level)
+        frontier = range(first, space.dimension)  # the vectors of this level
     return space
 
 
@@ -183,11 +218,13 @@ def graded_action(lam, cap: int = 20000, space: RepresentationSpace | None = Non
             image = apply_root_vector(n, alpha, vec)
             if not image:
                 continue
-            combo = space.basis.combination(image)
+            block = space.basis.get(_lowered(space.weight_tags[j], alpha, n))
+            combo = None if block is None else block.basis.combination(image)
             if combo is None:
                 raise RuntimeError(f"module is not closed under lowering by {alpha}")
             column = {}
-            for i, c in combo.items():
+            for add_index, c in combo.items():
+                i = block.positions[add_index]
                 if levels[i] > levels[j] + 1:
                     raise RuntimeError(
                         f"f_{alpha} raises level {levels[j]} to {levels[i]}"
@@ -289,7 +326,7 @@ def tensor_cartan_dims(lam, mu, cap: int = 20000) -> dict:
         return tuple(a + b for a, b in zip(left.weight_tags[i], right.weight_tags[j]))
 
     basis = IncrementalBasis()
-    start = {(0, 0): Fraction(1)}
+    start = {(0, 0): 1}
     basis.add(start)
     table = {((0,) * n, 0): 1}
     roots = positive_roots(n)

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from sympbw import cli, polytope
+from sympbw import cli, grmod, polytope
 from sympbw.polytope import weyl_dim
 
 
@@ -121,6 +121,24 @@ def test_straighten_text_format(capsys):
     assert code == 0
     assert "contained=false" in out
     assert "normal_form: 0" in out
+
+
+def test_straighten_computes_the_element_once(capsys, monkeypatch):
+    # the first normal-form step reuses the element the payload shows
+    calls = []
+    original = grmod.straightening_element
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(grmod, "straightening_element", counted)
+    code, payload = run_json(capsys, [
+        "straighten", "--n", "2", "--lambda", "1,0", "--exponent", "2,0,0,0",
+    ])
+    assert code == 0
+    assert payload["contained"] is False
+    assert len(calls) == 1
 
 
 def test_oracle_summary_and_filtration(capsys):

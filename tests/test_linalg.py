@@ -136,17 +136,28 @@ def _dense_rank(rows: list) -> int:
 
 
 def test_reduction_matches_dense_elimination():
-    # pins the one-pass reduction against a plain dense elimination
+    # pins the one-pass reduction against a plain dense elimination; every
+    # other trial feeds plain ints, which must stay ints wherever the pivot
+    # divides them and never become floats
     rng = random.Random(2024)
+    divisible = fractional = 0
     for trial in range(40):
         dim = rng.randint(1, 7)
+        integral = trial % 2 == 1
 
         def dense(vec):
             return [Fraction(vec.get(k, 0)) for k in range(dim)]
 
+        def number(low, high, den):
+            x = rng.randint(low, high)
+            return x if integral else Fraction(x, rng.randint(1, den))
+
         def sample(low, high, den):
-            return {k: Fraction(rng.randint(low, high), rng.randint(1, den))
+            return {k: number(low, high, den)
                     for k in rng.sample(range(dim), rng.randint(1, dim))}
+
+        def no_float(*vectors):
+            return not any(isinstance(x, float) for v in vectors for x in v.values())
 
         inputs = []
         basis = IncrementalBasis(track_combinations=True)
@@ -154,16 +165,26 @@ def test_reduction_matches_dense_elimination():
             if inputs and rng.random() < 0.3:  # a combination of earlier inputs
                 vec = {}
                 for prev in rng.sample(inputs, min(2, len(inputs))):
-                    c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                    vec = vec_add(vec, prev, c)
+                    vec = vec_add(vec, prev, number(-3, 3, 3))
             else:
-                vec = sample(-3, 3, 2)
+                vec = sample(-4, 4, 2) if integral else sample(-3, 3, 2)
+            residual = basis.residual(vec)
             before = _dense_rank([dense(v) for v in inputs])
             grew = basis.add(vec)
             inputs.append(vec)
             after = _dense_rank([dense(v) for v in inputs])
             assert grew == (after > before), trial
             assert basis.rank == after, trial
+            assert no_float(*(row for _, row in basis.rows), *basis.combos), trial
+            if grew and all(type(x) is int for x in residual.values()):
+                lead = residual[min(residual)]
+                row = basis.rows[-1][1]
+                if all(x % lead == 0 for x in residual.values()):
+                    divisible += 1
+                    assert all(type(x) is int for x in row.values()), trial
+                else:
+                    fractional += 1
+                    assert any(type(x) is Fraction for x in row.values()), trial
         for _ in range(10):
             probe = sample(-2, 2, 1)
             inside = _dense_rank([dense(v) for v in inputs + [probe]]) == basis.rank
@@ -173,8 +194,11 @@ def test_reduction_matches_dense_elimination():
             if not inside:
                 assert combo is None, trial
                 continue
+            assert no_float(combo), trial
             rebuilt = [Fraction(0)] * dim
             for index, c in combo.items():
                 for k, x in inputs[index].items():
                     rebuilt[k] += c * x
             assert rebuilt == dense(probe), trial
+    # int trials reach both pivots that divide their row and pivots that do not
+    assert divisible and fractional, (divisible, fractional)

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from sympbw import polytope
+from sympbw import oracle, polytope
 from sympbw.grmod import base_relations
+from sympbw.linalg import IncrementalBasis
 from sympbw.oracle import (
     _vector_offset,
     apply_action,
@@ -100,6 +101,35 @@ def test_vector_offset_raises_on_bad_weights():
     with pytest.raises(ValueError, match="not a weight vector"):
         _vector_offset((1, 0), {((1,),): Fraction(1), ((2,),): Fraction(1)})
     assert _vector_offset((1, 0), {((2,),): Fraction(1)}) == (1, 0)
+
+
+def test_weight_blocks_match_the_character():
+    for lam in ((1, 1, 1), (0, 1, 1)):
+        space = build_module(lam)
+        ranks = {weight: block.basis.rank for weight, block in space.basis.items()}
+        assert ranks == polytope.character(lam), lam
+        for weight, block in space.basis.items():
+            assert len(block.positions) == block.basis.added, lam
+            added = [j for j in block.positions if j is not None]
+            assert len(added) == block.basis.rank, lam
+            assert [space.weight_tags[j] for j in added] == [weight] * len(added)
+        assert all(type(x) is int
+                   for vec in space.basis_vectors for x in vec.values()), lam
+
+
+def test_build_module_reduces_each_image_once(monkeypatch):
+    def refuse(self, vec):
+        raise AssertionError("build_module called contains")
+
+    monkeypatch.setattr(IncrementalBasis, "contains", refuse)
+    assert build_module((0, 1, 1)).dimension == weyl_dim((0, 1, 1))
+
+
+def test_build_module_checks_the_expected_weight(monkeypatch):
+    # every image expected at the top weight: the first new vector is refused
+    monkeypatch.setattr(oracle, "simple_coefficients", lambda alpha, n: (0,) * n)
+    with pytest.raises(RuntimeError, match="was expected"):
+        build_module((1, 0))
 
 
 def test_monomial_vectors_span():
