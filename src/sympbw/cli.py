@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 
 from . import checks, dyck, grmod, oracle, polytope
 from .checks import SUITES
@@ -252,12 +251,9 @@ def cmd_straighten(args, parser) -> int:
         payload["element"] = None
         payload["normal_form"] = _term_list(monomial)
     else:
-        ineq, s1, s2 = grmod.split_at_violation(lam, s)
-        element, lead = grmod.straightening_element(lam, ineq.path, s1)
-        payload["path"] = [root_to_json(alpha) for alpha in ineq.path]
+        path, element, first_step = grmod.straighten_step(monomial, s, lam)
+        payload["path"] = [root_to_json(alpha) for alpha in path]
         payload["element"] = _term_list(element)
-        # the first step of the normal form, taken with the element just made
-        first_step = monomial - element.shift(s2).scale(Fraction(1) / lead)
         payload["normal_form"] = _term_list(grmod.normal_form(first_step, lam))
     columns = ["part", "coeff"] + [f"s{i + 1}" for i in range(n * n)]
     rows, text = [], [f"contained={str(contained).lower()}"]

@@ -20,14 +20,13 @@ from typing import NamedTuple
 
 from . import polytope
 from .rootsys import (
-    PositiveRoot,
-    index_position,
     make_root,
     positive_roots,
     root_index_map,
     simple_coefficients,
     validate_rank,
     validate_weight,
+    variable_key,
 )
 
 
@@ -102,14 +101,6 @@ def support_R_i(s, i: int) -> set:
     }
 
 
-def _comparable(a: PositiveRoot, b: PositiveRoot, n: int) -> bool:
-    """Whether some Dyck path passes through both roots: componentwise order
-    on (row, J-position)."""
-    pa = (a.row, index_position(a.col, n))
-    pb = (b.row, index_position(b.col, n))
-    return (pa[0] <= pb[0] and pa[1] <= pb[1]) or (pb[0] <= pa[0] and pb[1] <= pa[1])
-
-
 def minimal_marker(s, i: int) -> MinimalMarker:
     """The minimal elements of R_i^s in the path order, as roots + indicator.
 
@@ -122,12 +113,12 @@ def minimal_marker(s, i: int) -> MinimalMarker:
     idx = root_index_map(n)
     minimal = []
     for beta in sup:
-        pb = (beta.row, index_position(beta.col, n))
+        pb = variable_key(beta, n)
         dominated = False
         for gamma in sup:
             if gamma == beta:
                 continue
-            pg = (gamma.row, index_position(gamma.col, n))
+            pg = variable_key(gamma, n)
             if pg[0] <= pb[0] and pg[1] <= pb[1]:
                 dominated = True
                 break

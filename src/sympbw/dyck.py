@@ -11,21 +11,14 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .rootsys import (
-    PositiveRoot,
-    index_position,
     is_hook_root,
     is_simple_root,
     is_valid_root,
     root_successors,
     simple_root,
     validate_rank,
+    variable_key,
 )
-
-DyckPath = tuple  # tuple of PositiveRoot
-
-
-def _path_key(path, n):
-    return tuple((alpha.row, index_position(alpha.col, n)) for alpha in path)
 
 
 @lru_cache(maxsize=None)
@@ -45,7 +38,7 @@ def enumerate_paths(n: int) -> tuple:
 
     for i in range(1, n + 1):
         extend([simple_root(i)])
-    found.sort(key=lambda p: _path_key(p, n))
+    found.sort(key=lambda p: tuple(variable_key(alpha, n) for alpha in p))
     return tuple(found)
 
 

@@ -8,6 +8,13 @@ dimensions by incremental row reduction, the degree/row-sum/lex monomial
 order, and the explicit operator composites whose value on a high power of
 the long-root variable is a straightening relation with prescribed leading
 term.
+
+A path that starts on row a lives in the corner sp_{2(n-a+1)}: for k >= a,
+e_k and f_k act on the letters a..2n+1-a as the rank n-a+1 generators do,
+and every corner root vector is a bracket of those generators, so the
+corner's Chevalley constants are the full rank's own.  Straightening is
+therefore planned and evaluated in rank n for every path, with no change of
+frame.
 """
 from __future__ import annotations
 
@@ -345,59 +352,23 @@ def quotient_graded_dims(
 # ---------------------------------------------------------------------------
 
 class StraighteningPlan(NamedTuple):
-    path: tuple
-    end_row: int  # i for a hook endpoint a[i,i~]; the endpoint row otherwise
     start_root: PositiveRoot  # whose Sigma-th power seeds the computation
     sigma: int
     factors: tuple  # (root, exponent) pairs in application order
-    shift: int  # row offset of the path frame inside the full triangle
-
-
-def _restrict_to_frame(path, s, n: int, a: int):
-    """Re-index a path starting at row a (and an exponent on it) to rank
-    n - a + 1 by shifting rows and letters down by a - 1."""
-    shift = a - 1
-    m = n - shift
-    idx = root_index_map(m)
-    new_path = []
-    t = [0] * (m * m)
-    for alpha in path:
-        beta = make_root(
-            alpha.row - shift, alpha.col.value - shift, alpha.col.barred, m
-        )
-        new_path.append(beta)
-        t[idx[beta]] = s[root_index_map(n)[alpha]]
-    return tuple(new_path), tuple(t)
-
-
-def _embed_from_frame(P: SparsePolynomial, n: int, a: int) -> SparsePolynomial:
-    """Shift a polynomial in the rank n - a + 1 frame back into rank n."""
-    shift = a - 1
-    m = P.n
-    idx = root_index_map(n)
-    out = {}
-    for s, c in P.terms.items():
-        big = [0] * (n * n)
-        for alpha, x in zip(positive_roots(m), s):
-            if not x:
-                continue
-            beta = make_root(
-                alpha.row + shift, alpha.col.value + shift, alpha.col.barred, n
-            )
-            big[idx[beta]] = x
-        out[tuple(big)] = c
-    return SparsePolynomial(n, out)
 
 
 def straightening_plan(lam, path, s) -> StraighteningPlan:
     """The operator schedule for a path-supported exponent above its bound.
 
-    In the frame where the path starts on the first row, the plan seeds with
-    the power Sigma of the path's last reachable first-row variable and lists
-    the derivation factors in application order: for a hook endpoint a[i,i~]
-    the three displayed blocks, then the bridge back to row 1 columns, then
-    the row-lifting block; for a simple endpoint the column-splitting block
-    followed by the row-lifting block.
+    A path starting on row a lies in the corner sp_{2(n-a+1)} spanned by the
+    roots of rows a..n.  The plan seeds with the power Sigma of the path's
+    last reachable row-a variable and lists the derivation factors in
+    application order: for a hook endpoint a[i,i~] the three displayed
+    blocks, then the bridge back to row a columns, then the row-lifting
+    block; for a simple endpoint the column-splitting block followed by the
+    row-lifting block.  Every factor is a corner root, and the corner's
+    Chevalley constants are those of the full rank, so the plan is read and
+    evaluated in rank n directly.
     """
     lam = validate_weight(lam)
     n = len(lam)
@@ -413,13 +384,9 @@ def straightening_plan(lam, path, s) -> StraighteningPlan:
     if sigma <= bound:
         raise ValueError(f"total {sigma} does not exceed the path bound {bound}")
     a = path[0].row
-    if a > 1:
-        path, s = _restrict_to_frame(path, s, n, a)
-        lam = lam[a - 1 :]
-        n = len(lam)
 
-    def row_one(value, barred, e):
-        return make_root(1, value, barred, n), e
+    def row_a(value, barred, e):
+        return make_root(a, value, barred, n), e
 
     def csum(value, barred):
         return column_sum(s, value, barred, n)
@@ -428,32 +395,28 @@ def straightening_plan(lam, path, s) -> StraighteningPlan:
     factors = []
     if is_hook_root(end, n):
         i = end.row
-        for c in range(1, i):  # delta_1, smallest column first
-            factors.append(row_one(c + 1, True, csum(c, False)))
+        for c in range(a, i):  # delta_1, smallest column first
+            factors.append(row_a(c + 1, True, csum(c, False)))
         for q in range(i, n):  # delta_2, smallest column first
-            factors.append(row_one(q, False, csum(q, False) + csum(q + 1, True)))
+            factors.append(row_a(q, False, csum(q, False) + csum(q + 1, True)))
         for q in range(n - 1, i - 1, -1):  # delta_3, largest hook first
             factors.append((make_root(q + 1, q + 1, True, n), csum(q, False)))
-        if i >= 2:
-            factors.append(row_one(i - 1, False, csum(i, True) + row_sum(s, i, n)))
-        for k in range(i - 1, 1, -1):  # the second composite
-            factors.append(row_one(k - 1, False, row_sum(s, k, n)))
-        start = make_root(1, 1, True, n)
+        if i > a:
+            factors.append(row_a(i - 1, False, csum(i, True) + row_sum(s, i, n)))
+        for k in range(i - 1, a, -1):  # the second composite
+            factors.append(row_a(k - 1, False, row_sum(s, k, n)))
+        start = make_root(a, a, True, n)
     else:
         j = end.row
-        for c in range(1, j):  # split the seed across the first-row columns
+        for c in range(a, j):  # split the seed across the row-a columns
             factors.append((make_root(c + 1, j, False, n), csum(c, False)))
-        for k in range(j, 1, -1):  # lift rows, deepest first
-            factors.append(row_one(k - 1, False, row_sum(s, k, n)))
-        i = j
-        start = make_root(1, j, False, n)
+        for k in range(j, a, -1):  # lift rows, deepest first
+            factors.append(row_a(k - 1, False, row_sum(s, k, n)))
+        start = make_root(a, j, False, n)
     return StraighteningPlan(
-        path=path,
-        end_row=i,
         start_root=start,
         sigma=sigma,
         factors=tuple((b, e) for b, e in factors if e),
-        shift=a - 1,
     )
 
 
@@ -477,12 +440,9 @@ def straightening_element(lam, path, s):
     lam = validate_weight(lam)
     n = len(lam)
     plan = straightening_plan(lam, path, s)
-    m = n - plan.shift
-    P = SparsePolynomial.variable_power(plan.start_root, plan.sigma, m)
+    P = SparsePolynomial.variable_power(plan.start_root, plan.sigma, n)
     for beta, exponent in plan.factors:
         P = apply_partial_power(beta, P, exponent, variant="chevalley")
-    if plan.shift:
-        P = _embed_from_frame(P, n, plan.shift + 1)
     lead = P.coefficient(s)
     if not lead:
         raise RuntimeError(f"straightening lost its leading term f^{tuple(s)}")
@@ -500,15 +460,24 @@ def violated_inequality(lam, s):
     return polytope.first_broken(lam, s)
 
 
-def split_at_violation(lam, s):
-    """The first path inequality that s breaks, the part of s on its path,
-    and the rest of s; raises RuntimeError when s breaks none."""
+def straighten_step(P: SparsePolynomial, s, lam):
+    """One normal-form step at the monomial f^s of P outside S(lambda).
+
+    Splits s along the first path inequality it breaks and returns that
+    path, the straightening element of the part of s on it, and P minus the
+    multiple of the element times the rest of s that removes f^s.
+    """
     ineq = violated_inequality(lam, s)
     if ineq is None:
         raise RuntimeError(f"{s} is outside the polytope but breaks nothing")
-    on_path = {root_index_map(len(lam))[alpha] for alpha in ineq.path}
+    on_path = {root_index_map(P.n)[alpha] for alpha in ineq.path}
     s1 = tuple(x if i in on_path else 0 for i, x in enumerate(s))
-    return ineq, s1, tuple(a - b for a, b in zip(s, s1))
+    element, lead = straightening_element(lam, ineq.path, s1)
+    rest = tuple(a - b for a, b in zip(s, s1))
+    P = P - element.shift(rest).scale(P.terms[s] / lead)
+    if P.coefficient(s):
+        raise RuntimeError(f"straightening failed to remove {s}")
+    return ineq.path, element, P
 
 
 def normal_form(P: SparsePolynomial, lam, step_cap: int = 10000):
@@ -528,9 +497,5 @@ def normal_form(P: SparsePolynomial, lam, step_cap: int = 10000):
         if not outside:
             return P
         s = min(outside, key=lambda t: order_key(t, n))
-        ineq, s1, s2 = split_at_violation(lam, s)
-        element, lead = straightening_element(lam, ineq.path, s1)
-        P = P - element.shift(s2).scale(P.terms[s] / lead)
-        if P.coefficient(s):
-            raise RuntimeError(f"straightening failed to remove {s}")
+        _, _, P = straighten_step(P, s, lam)
     raise RuntimeError(f"normal form did not terminate within {step_cap} steps")

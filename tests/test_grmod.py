@@ -29,6 +29,7 @@ from sympbw.grmod import (
     straightening_plan,
     violated_inequality,
 )
+from sympbw.linalg import IncrementalBasis
 from sympbw.rootsys import (
     chevalley_realization,
     epsilon_coords,
@@ -340,6 +341,18 @@ def test_straightening_frozen_constants():
     assert lead == 1
     assert element.terms == {(3,): Fraction(1)}
 
+    # a path starting on row 2 at rank 3, inside the sp_4 corner
+    n3 = 3
+    corner_path = (make_root(2, 2, False, n3), make_root(2, 3, False, n3),
+                   make_root(2, 2, True, n3))
+    s = (0, 0, 0, 0, 0, 0, 2, 0, 0)
+    element, lead = straightening_element((0, 1, 0), corner_path, s)
+    assert lead == 8
+    assert element.terms == {
+        s: Fraction(8),
+        (0, 0, 0, 0, 0, 0, 0, 1, 1): Fraction(8),
+    }
+
 
 def test_straightening_elements_lie_in_the_ideal():
     # each straightening element reduces to zero against the closure span
@@ -349,6 +362,41 @@ def test_straightening_elements_lie_in_the_ideal():
         for s in minimal_violations(lam, path):
             element, _ = straightening_element(lam, path, s)
             assert normal_form(element, lam).is_zero(), (path, s)
+
+
+def _closure_cell_basis(closure, n, weight, degree):
+    """Row-reduced span of the monomial multiples of the closure elements in
+    the (weight, degree) cell."""
+    basis = IncrementalBasis()
+    for g in closure:
+        t0 = next(iter(g.terms))
+        rest = tuple(a - b for a, b in zip(weight, polytope.weight_of(t0, n)))
+        for t in _monomials_by_cell(n, degree).get((rest, degree - sum(t0)), ()):
+            basis.add(g.shift(t).terms)
+    return basis
+
+
+def test_corner_straightening_elements_lie_in_the_closure_span():
+    # checked by row reduction alone, not through normal_form: every element
+    # of a path that starts below row 1 is a combination of closure multiples
+    n = 3
+    cases = 0
+    for lam in itertools.product(range(3), repeat=n):
+        if sum(lam) > 2:
+            continue
+        closure = ideal_generators(lam).closure
+        cells = {}
+        for path in enumerate_paths(n):
+            if path[0].row == 1:
+                continue
+            for s in minimal_violations(lam, path):
+                element, _ = straightening_element(lam, path, s)
+                cell = (polytope.weight_of(s, n), sum(s))
+                if cell not in cells:
+                    cells[cell] = _closure_cell_basis(closure, n, *cell)
+                assert not cells[cell].residual(element.terms), (lam, path, s)
+                cases += 1
+    assert cases
 
 
 def test_straightening_element_raises_when_the_lead_vanishes(monkeypatch):
@@ -380,6 +428,21 @@ def test_normal_form_hand_values():
     assert normal_form(mono(n, (1, 1, 0, 0)), (1, 0)).is_zero()
     nf = normal_form(mono(n, (0, 2, 0, 0)), (0, 1))
     assert nf.terms == {(0, 0, 1, 1): Fraction(-1)}
+
+
+def test_straighten_step_removes_the_monomial():
+    # f_{1,2}^2 breaks the path a[1,1] -> a[1,2] -> a[1,1~] at lambda = (0,1);
+    # the off-path factor f_{2,2} shifts the element and the coefficient 3 scales it
+    n = 2
+    lam = (0, 1)
+    s = (0, 2, 0, 1)
+    path, element, rest = grmod.straighten_step(mono(n, s, 3), s, lam)
+    assert path == (make_root(1, 1, False, n), make_root(1, 2, False, n),
+                    make_root(1, 1, True, n))
+    assert element.terms == {(0, 2, 0, 0): Fraction(8), (0, 0, 1, 1): Fraction(8)}
+    assert rest.terms == {(0, 0, 1, 2): Fraction(-3)}
+    with pytest.raises(RuntimeError, match="breaks nothing"):
+        grmod.straighten_step(mono(n, (0, 0, 1, 1)), (0, 0, 1, 1), lam)
 
 
 def test_normal_form_fixes_polytope_points():

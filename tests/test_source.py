@@ -57,3 +57,50 @@ def test_traced_benchmark_names_resolve():
         if name not in vars(linalg.IncrementalBasis)
     ]
     assert missing == []
+
+
+def _module_level_private_names(tree):
+    """(name, defining node) for each module-level `_name` that is not a dunder."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _referenced_names(node, skip):
+    """Names read by Name, Attribute or import nodes under node, outside skip."""
+    for child in ast.walk(node):
+        if child in skip:
+            continue
+        if isinstance(child, ast.Name):
+            yield child.id
+        elif isinstance(child, ast.Attribute):
+            yield child.attr
+        elif isinstance(child, ast.alias):
+            yield child.name
+
+
+def test_private_helpers_are_used():
+    # a private module-level helper that nothing in the package reads is dead
+    trees = {
+        path.name: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(SOURCE.glob("*.py"))
+    }
+    assert trees
+    unused = []
+    for filename, tree in trees.items():
+        for name, definition in _module_level_private_names(tree):
+            own = set(ast.walk(definition))
+            if not any(
+                name in _referenced_names(other, own if other is tree else set())
+                for other in trees.values()
+            ):
+                unused.append(f"{filename}:{name}")
+    assert unused == []
