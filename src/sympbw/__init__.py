@@ -46,6 +46,7 @@ from .polytope import (
     freudenthal_multiplicities,
     graded_character,
     inequalities,
+    point_count,
     weyl_dim,
 )
 from .rootsys import (
@@ -98,6 +99,7 @@ __all__ = [
     "pbw_filtration_dims",
     "peel",
     "peel_completely",
+    "point_count",
     "positive_roots",
     "quotient_graded_dims",
     "simple_root",

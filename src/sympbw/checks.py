@@ -30,7 +30,7 @@ def _weights(max_n: int, max_weight: int, lo: int = 1):
 def dimension(max_n, max_weight, seed):
     """|S(lambda)| equals the Weyl dimension, the zero weight included."""
     return {"max_n": max_n, "max_weight": max_weight}, (
-        len(polytope.enumerate_points(lam)) != polytope.weyl_dim(lam)
+        polytope.point_count(lam) != polytope.weyl_dim(lam)
         for lam in _weights(max_n, max_weight, lo=0)
     )
 
@@ -72,7 +72,10 @@ def straightening(max_n, max_weight, seed):
             for path in dyck.enumerate_paths(n):
                 for s in grmod.minimal_violations(lam, path):
                     try:
-                        grmod.straightening_element(lam, path, s)
+                        # when s breaks this path first, normal_form's first
+                        # step computes this element and runs its checks
+                        if grmod.violated_inequality(lam, s).path != path:
+                            grmod.straightening_element(lam, path, s)
                         nf = grmod.normal_form(
                             grmod.SparsePolynomial.monomial(n, s), lam
                         )

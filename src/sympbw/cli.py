@@ -142,13 +142,12 @@ def cmd_paths(args, parser) -> int:
 
 def cmd_points(args, parser) -> int:
     n, lam = args.n, args.lam
-    points = polytope.enumerate_points(lam)
     if args.count_only:
-        payload = {
-            "schema": SCHEMA, "n": n, "lambda": list(lam), "count": len(points),
-        }
-        _emit(args, payload, ["count"], [[len(points)]], [f"count={len(points)}"])
+        count = polytope.point_count(lam)
+        payload = {"schema": SCHEMA, "n": n, "lambda": list(lam), "count": count}
+        _emit(args, payload, ["count"], [[count]], [f"count={count}"])
         return 0
+    points = polytope.enumerate_points(lam)
     records = [
         {
             "s": list(s),
@@ -174,7 +173,7 @@ def cmd_points(args, parser) -> int:
 
 def cmd_dim(args, parser) -> int:
     lam = args.lam
-    count = len(polytope.enumerate_points(lam))
+    count = polytope.point_count(lam)
     weyl = polytope.weyl_dim(lam)
     payload = {
         "schema": SCHEMA, "n": args.n, "lambda": list(lam),

@@ -14,6 +14,18 @@ off it on each use.  Membership is one scan of the rows that stops at the
 first broken path (first_broken), and every lattice-point enumeration is one
 depth-first walk over rows of (coordinates, bound) (lattice_points).
 
+Counts, characters, graded characters and the largest degree never list the
+points: one memoized walk (_graded_counts) takes the coordinates in the same
+order and counts each suffix once.  Its memo key at coordinate i holds, for
+each distinct set of path coordinates >= i, the smallest slack among the rows
+with that set.  The key is exact: what remains of S(lambda) below i is cut
+out by those rows alone, rows sharing a remaining set bind only as tightly as
+the tightest of them, and a row with no coordinate left binds nothing.  Which
+rows share a set depends on the rank alone, so the grouping is built once per
+rank (_walk_groups) and only the bounds are read per weight; the memo lives
+for one call.  enumerate_points lists the points for the callers that need
+them, and refuses a list longer than POINT_LIMIT before allocating it.
+
 Two classical oracles are included for independent verification: the Weyl
 dimension formula and Freudenthal's recursion for weight multiplicities, both
 in exact arithmetic.
@@ -35,6 +47,11 @@ from .rootsys import (
     simple_coefficients,
     validate_weight,
 )
+
+# Largest S(lambda) that enumerate_points lists (a point of rank n holds n^2
+# ints); well above the 122,850 points of (0,1,2,1), the largest list any
+# test, check or benchmark job builds.
+POINT_LIMIT = 500_000
 
 MultiExponent = tuple  # length n^2, one slot per positive root in reading order
 GradedDimensionTable = dict  # (weight offset over simple roots, degree) -> dim
@@ -59,6 +76,43 @@ def _path_table(n: int) -> tuple:
         + bound_slice(path[0].row, path[-1], n)
         for path in dyck.enumerate_paths(n)
     )
+
+
+@lru_cache(maxsize=None)
+def _walk_groups(n: int) -> tuple:
+    """The row grouping of the counting walk for rank n.
+
+    At coordinate i a row is grouped by the set of its coordinates >= i, and
+    rows with no such coordinate are gone.  Returns the level-0 groups, as
+    tuples of path-table rows, and one entry (on, kept, cut, merged) per
+    coordinate i.  ``on`` lists the groups of level i that hold i.  The
+    groups of level i + 1 come in three runs: those fed by one group of level
+    i without i (``kept`` lists it), by one group with i (``cut``), and by
+    several (``merged`` lists their pairs (feeders without i, feeders with i)).
+    """
+    rows = [frozenset(coords) for _, coords, _, _ in _path_table(n)]
+    level = list(dict.fromkeys(rows))
+    starts = tuple(
+        tuple(r for r, coords in enumerate(rows) if coords == group)
+        for group in level
+    )
+    steps = []
+    for i in range(n * n):
+        feed = {}
+        for g, group in enumerate(level):
+            if group - {i}:
+                feed.setdefault(group - {i}, ([], []))[i in group].append(g)
+        runs = ([], [], [])
+        for rest, (without, with_i) in feed.items():
+            runs[2 if len(without) + len(with_i) > 1 else bool(with_i)].append(rest)
+        steps.append((
+            tuple(g for g, group in enumerate(level) if i in group),
+            tuple(feed[rest][0][0] for rest in runs[0]),
+            tuple(feed[rest][1][0] for rest in runs[1]),
+            tuple(tuple(map(tuple, feed[rest])) for rest in runs[2]),
+        ))
+        level = runs[0] + runs[1] + runs[2]
+    return starts, tuple(steps)
 
 
 def inequalities(lam) -> list:
@@ -128,9 +182,16 @@ def enumerate_points(lam) -> list:
     """All integral points of P(lambda), lexicographic in reading-order coordinates.
 
     Every coordinate lies on at least one path, so all coordinates are a
-    priori bounded.
+    priori bounded.  Raises ValueError before allocating when |S(lambda)|,
+    which is the Weyl dimension, exceeds POINT_LIMIT.
     """
     lam = validate_weight(lam)
+    count = weyl_dim(lam)
+    if count > POINT_LIMIT:
+        raise ValueError(
+            f"S(lambda) for lambda={lam} has {count} points, above the limit "
+            f"{POINT_LIMIT} for listing them"
+        )
     n = len(lam)
     return lattice_points(
         n * n, [(coords, sum(lam[a:b])) for _, coords, a, b in _path_table(n)]
@@ -151,26 +212,99 @@ def degree_of(s) -> int:
     return sum(s)
 
 
-def character(lam) -> dict:
-    """Weight multiplicities of S(lambda), keyed by lambda - mu over simple roots."""
+def _graded_counts(lam, graded: bool = True) -> GradedDimensionTable:
+    """Counts of S(lambda) per (weight offset, degree), no point built.
+
+    The walk of lattice_points over the path table, memoized on each suffix:
+    the counts below coordinate i depend only on i and, for each group of
+    _walk_groups, the smallest slack of its rows.  A cell is packed into one
+    int, base ``base`` digits (degree, weight_1, ..., weight_n), so that
+    setting coordinate i to v shifts every cell below it by v * step[i].
+    With ``graded`` false every step is 0, and the one cell (0, 0) holds
+    |S(lambda)|.
+    """
     lam = validate_weight(lam)
     n = len(lam)
-    return dict(Counter(weight_of(s, n) for s in enumerate_points(lam)))
+    dim = n * n
+    starts, steps = _walk_groups(n)
+    bounds = [sum(lam[a:b]) for _, _, a, b in _path_table(n)]
+    # every coordinate lies on a row and a root's simple coefficients are at
+    # most 2, so base exceeds any degree, weight coordinate or slack
+    base = 2 * sum(bounds) + 1
+    step = [0] * dim
+    if graded:
+        for i, alpha in enumerate(positive_roots(n)):
+            coeffs = simple_coefficients(alpha, n)
+            step[i] = 1 + sum(c * base ** (t + 1) for t, c in enumerate(coeffs))
+    memo = [{} for _ in range(dim)]
+    empty = {0: 1}
+
+    def walk(i, slack):
+        if i == dim:
+            return empty
+        found = memo[i].get(slack)
+        if found is not None:
+            return found
+        on, kept, cut, merged = steps[i]
+        headroom = min((slack[g] for g in on), default=0)
+        fixed = tuple([slack[g] for g in kept])
+        cuts = [slack[g] for g in cut]
+        sides = [
+            (min((slack[g] for g in without), default=base),
+             min((slack[g] for g in with_i), default=base))
+            for without, with_i in merged
+        ]
+        out = {}
+        for v in range(headroom + 1):
+            shift = v * step[i]
+            below = walk(i + 1, fixed + tuple(
+                [x - v for x in cuts] + [min(k, c - v) for k, c in sides]
+            ))
+            for cell, count in below.items():
+                cell += shift
+                out[cell] = out.get(cell, 0) + count
+        memo[i][slack] = out
+        return out
+
+    counts = {}
+    top = tuple(min(bounds[r] for r in rows) for rows in starts)
+    for cell, count in walk(0, top).items():
+        cell, deg = divmod(cell, base)
+        wt = []
+        for _ in range(n):
+            cell, c = divmod(cell, base)
+            wt.append(c)
+        counts[(tuple(wt), deg)] = count
+    return counts
+
+
+def point_count(lam) -> int:
+    """|S(lambda)|, counted by the walk without listing the points."""
+    return sum(_graded_counts(lam, graded=False).values())
+
+
+def character(lam) -> dict:
+    """Weight multiplicities of S(lambda), keyed by lambda - mu over simple roots.
+
+    The keys come in no set order; callers that print the table sort it.
+    """
+    char = Counter()
+    for (wt, _), count in _graded_counts(lam).items():
+        char[wt] += count
+    return dict(char)
 
 
 def graded_character(lam) -> GradedDimensionTable:
-    """Counts of S(lambda) points per (weight offset, degree)."""
-    lam = validate_weight(lam)
-    n = len(lam)
-    table = Counter()
-    for s in enumerate_points(lam):
-        table[(weight_of(s, n), degree_of(s))] += 1
-    return dict(table)
+    """Counts of S(lambda) points per (weight offset, degree).
+
+    The keys come in no set order; callers that print the table sort it.
+    """
+    return _graded_counts(lam)
 
 
 def max_point_degree(lam) -> int:
     """Largest total degree over S(lambda)."""
-    return max(degree_of(s) for s in enumerate_points(lam))
+    return max(deg for _, deg in _graded_counts(lam))
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,29 @@ def test_dim_payload_examples(capsys):
     assert (payload["count"], payload["weyl"], payload["match"]) == (1, 1, True)
 
 
+def test_dim_counts_past_what_a_list_could_hold(capsys):
+    for lam, count in (("2,2,2,2", 43046721), ("1,1,1,1,1", 33554432)):
+        n = str(lam.count(",") + 1)
+        code, payload = run_json(capsys, ["dim", "--n", n, "--lambda", lam])
+        assert code == 0
+        assert (payload["count"], payload["weyl"], payload["match"]) == (
+            count, count, True,
+        )
+
+
+def test_points_past_the_listing_limit_exit_2(capsys):
+    argv = ["points", "--n", "4", "--lambda", "2,2,2,2"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: S(lambda) for lambda=(2, 2, 2, 2) has 43046721 points, "
+        f"above the limit {polytope.POINT_LIMIT} for listing them\n"
+    )
+    code, payload = run_json(capsys, argv + ["--count-only"])
+    assert (code, payload["count"]) == (0, 43046721)
+
+
 def test_roots_reading_order(capsys):
     code, payload = run_json(capsys, ["roots", "--n", "2"])
     assert code == 0

@@ -1,0 +1,78 @@
+"""Golden digests of the CLI's counting and table output.
+
+The sha256 of the concatenated stdout of each (subcommand, format) over a
+fixed list of weights, recorded when every count and character was still
+read off the listed points of S(lambda).  The tables now come from the
+counting walk, so a match shows the switch left the output byte-identical,
+and it keeps later changes to these paths honest.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from sympbw import cli
+
+WEIGHTS = ((3,), (2, 1), (1, 0, 1), (0, 1, 0), (1, 0, 0, 0), (0, 1, 0, 0))
+# ideal-dims is the costly one; the counting subcommands also run at a weight
+# whose point list alone takes about a second to build
+LARGE = ((1, 1, 1, 1),)
+
+COMMANDS = {
+    "char": (["char"], WEIGHTS + LARGE),
+    "graded-char": (["graded-char"], WEIGHTS + LARGE),
+    "dim": (["dim"], WEIGHTS + LARGE),
+    "points-count": (["points", "--count-only"], WEIGHTS + LARGE),
+    "ideal-dims": (["ideal-dims"], WEIGHTS),
+}
+
+DIGESTS = {
+    ("char", "json"):
+        "e4efc0a86372d059091159ca8224678c04faea494e8eccd28d98f547338d778d",
+    ("char", "csv"):
+        "c7cd39e73945b54209642eb02f6958f019579ccde0564d3ef23f3b38b5d865c9",
+    ("char", "text"):
+        "c78abd16ed527d9c53479a8be0c04c1f69549445e6b43f355362da97d05fbae8",
+    ("dim", "json"):
+        "a969416f030217a4d01653fbbd4fe3970c4c27d82fe68ef77b5fc69be4ba1bfa",
+    ("dim", "csv"):
+        "8e15db2945ac938802e68d3452d4137eb419252a597a2ebfd7669c411c03875a",
+    ("dim", "text"):
+        "6f7bbbd502fdc255e6deb9940f3b2d0e66540a7c91b4982868aee5a9cdf14eac",
+    ("graded-char", "json"):
+        "841c8bf5a25f4d9649518e64ef997c4895c125ce9b36b47fc7d6481df7643aca",
+    ("graded-char", "csv"):
+        "ca0309a49fe6d2886d6dd61e041b441764577f722ee63e8c1725f0ec0002f50e",
+    ("graded-char", "text"):
+        "9bfbc477969246e4daabe4e8c3ec57d2c961b59272b5901ea9e4ec7a06df742b",
+    ("ideal-dims", "json"):
+        "b806e53d78c6448935dde335d055f463388db5eb9cb7247707d4b1f0d614eb96",
+    ("ideal-dims", "csv"):
+        "32eb51c257818699c200259c2df8735d5d3246dac6ec70bd607720977747e6d6",
+    ("ideal-dims", "text"):
+        "8c3ce75518743b9b073bfe2c411d843ab4d9f3bb2fdd4ca5fb39d849756a057e",
+    ("points-count", "json"):
+        "41307212229ae06b00d0bcda2f4f489160ea8f64001d2635b811ef5603567c56",
+    ("points-count", "csv"):
+        "6af4faf9379ac9acc3c2ff1ec9342a68cf6c6680eac2f14ad9457467a86007e9",
+    ("points-count", "text"):
+        "f9f4d89d241428f00c64a1115c44ea382f899a55fb32c23abefa8363ed69cf9b",
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_stdout_digest(capsys, command, fmt):
+    argv, weights = COMMANDS[command]
+    digest = hashlib.sha256()
+    for lam in weights:
+        code = cli.main(argv + [
+            "--n", str(len(lam)), "--lambda", ",".join(map(str, lam)),
+            "--format", fmt,
+        ])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        digest.update(captured.out.encode())
+    assert digest.hexdigest() == DIGESTS[command, fmt]

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
-from sympbw import polytope
+from sympbw import cli, polytope
 from sympbw.dyck import enumerate_paths
 from sympbw.polytope import (
     character,
@@ -18,6 +19,7 @@ from sympbw.polytope import (
     graded_character,
     inequalities,
     max_point_degree,
+    point_count,
     weight_of,
     weyl_dim,
 )
@@ -155,3 +157,38 @@ def test_rejects_bad_weights():
         enumerate_points((-1, 0))
     with pytest.raises(ValueError):
         weyl_dim(())
+
+
+# the counting walk against the listed points, on every weight with n <= 3 and
+# total <= 3, the weights of the benchmark's enumerate workload, and (2,1,1,0)
+WALK_WEIGHTS = [
+    lam
+    for n in (1, 2, 3)
+    for lam in itertools.product(range(4), repeat=n)
+    if sum(lam) <= 3
+] + [(2, 2, 2), (1, 1, 1, 1), (0, 2, 0, 1), (0, 0, 0, 1, 1), (0, 0, 0, 0, 0, 1),
+     (1, 0, 0, 0, 0, 1), (2, 1, 1, 0)]
+
+
+@pytest.mark.parametrize("lam", WALK_WEIGHTS, ids=str)
+def test_walk_matches_listed_points(lam):
+    points = enumerate_points(lam)
+    table = Counter((weight_of(s, len(lam)), sum(s)) for s in points)
+    assert graded_character(lam) == table
+    assert max_point_degree(lam) == max(map(sum, points))
+    assert point_count(lam) == len(points) == weyl_dim(lam)
+
+
+def test_counts_never_list_points(monkeypatch, capsys):
+    def refuse(*args):
+        raise RuntimeError("listed the points")
+
+    monkeypatch.setattr(polytope, "enumerate_points", refuse)
+    monkeypatch.setattr(polytope, "lattice_points", refuse)
+    lam = (1, 1, 1, 1)
+    assert sum(character(lam).values()) == 65536
+    assert sum(graded_character(lam).values()) == 65536
+    assert max_point_degree(lam) == 10
+    assert cli.main(["dim", "--n", "4", "--lambda", "1,1,1,1"]) == 0
+    assert '"count": 65536' in capsys.readouterr().out
+
