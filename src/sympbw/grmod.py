@@ -9,6 +9,14 @@ order, and the explicit operator composites whose value on a high power of
 the long-root variable is a straightening relation with prescribed leading
 term.
 
+Coefficients follow the number rule of ``linalg``: an int stays an int, a
+Fraction stays a Fraction, a float or any other number is refused with
+TypeError, and a Fraction is made only of a quotient that is not an integer
+(``linalg.exact_quotient``).  The closure of the defining powers is integral,
+so the quotient dimensions row-reduce int vectors, keyed by exponents packed
+into one int each, and a Fraction appears only where a pivot does not divide
+an entry.
+
 A path that starts on row a lives in the corner sp_{2(n-a+1)}: for k >= a,
 e_k and f_k act on the letters a..2n+1-a as the rank n-a+1 generators do,
 and every corner root vector is a bracket of those generators, so the
@@ -24,7 +32,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import dyck, polytope
-from .linalg import IncrementalBasis, combine, vec_add, vec_scale
+from .linalg import IncrementalBasis, combine, exact_quotient, vec_add, vec_scale
 from .rootsys import (
     PositiveRoot,
     bound_slice,
@@ -42,15 +50,31 @@ from .rootsys import (
 )
 
 
+def _exact(c):
+    """c under the number rule: an int stays an int and a Fraction stays a
+    Fraction; a float or any other number raises TypeError."""
+    if type(c) is int or isinstance(c, Fraction):
+        return c
+    if isinstance(c, int):  # bool and other int subclasses
+        return int(c)
+    raise TypeError(f"coefficient {c!r} is neither an int nor a Fraction")
+
+
 class SparsePolynomial:
-    """Polynomial in the f_alpha with exact coefficients, keyed by exponent."""
+    """Polynomial in the f_alpha with exact coefficients, keyed by exponent.
+
+    Coefficients follow the number rule of ``linalg``: ints stay ints,
+    Fractions stay Fractions, and any other coefficient, a float above all,
+    raises TypeError.  Arithmetic makes a Fraction only of a quotient that is
+    not an integer.
+    """
 
     def __init__(self, n: int, terms=None):
         self.n = n
         self.terms = {}
         if terms:
             for s, c in dict(terms).items():
-                c = Fraction(c)
+                c = _exact(c)
                 if c:
                     self.terms[tuple(s)] = c
 
@@ -84,7 +108,7 @@ class SparsePolynomial:
         return SparsePolynomial(self.n, vec_add(self.terms, other.terms, -1))
 
     def scale(self, c):
-        return SparsePolynomial(self.n, vec_scale(self.terms, Fraction(c)))
+        return SparsePolynomial(self.n, vec_scale(self.terms, _exact(c)))
 
     def shift(self, t):
         """Multiply by the monomial with exponent t."""
@@ -102,8 +126,9 @@ class SparsePolynomial:
             for s, x in self.terms.items()
         ))
 
-    def coefficient(self, s) -> Fraction:
-        return self.terms.get(tuple(s), Fraction(0))
+    def coefficient(self, s):
+        """The coefficient of f^s; 0 when f^s is absent."""
+        return self.terms.get(tuple(s), 0)
 
     def monomials(self):
         return list(self.terms)
@@ -283,12 +308,28 @@ def ideal_generators(lam, variant: str = "chevalley") -> IdealGenerators:
     return IdealGenerators(tuple(rels), tuple(closure), variant)
 
 
+def _pack(s, base: int) -> int:
+    """The int whose base-`base` digits are s, first coordinate most
+    significant.  For digits below the base, packed ints compare as the
+    tuples do, and adding two packed ints adds the vectors when no digit sum
+    reaches the base."""
+    key = 0
+    for x in s:
+        key = key * base + x
+    return key
+
+
 @lru_cache(maxsize=None)
 def _monomials_by_cell(n: int, max_degree: int):
-    """All exponents of degree <= max_degree grouped by (weight, degree)."""
+    """All exponents of degree <= max_degree grouped by (weight, degree),
+    each packed in base max_degree + 1."""
+    points = polytope.lattice_points(n * n, [(range(n * n), max_degree)])
+    points.reverse()
     cells = {}
-    for s in polytope.lattice_points(n * n, [(range(n * n), max_degree)]):
-        cells.setdefault((polytope.weight_of(s, n), sum(s)), []).append(s)
+    while points:  # in order, each tuple freed once packed
+        s = points.pop()
+        key = (polytope.weight_of(s, n), sum(s))
+        cells.setdefault(key, []).append(_pack(s, max_degree + 1))
     return cells
 
 
@@ -301,11 +342,21 @@ def quotient_graded_dims(
     For each bi-degree cell the span of monomial multiples of the closure
     elements is row reduced; the cell dimension is the monomial count minus
     that rank.  Zero cells are omitted.
+
+    Exponents are packed in base max_degree + 1, which no digit of degree
+    <= max_degree reaches, so a monomial shift is one int addition.  A cell
+    (degree, weight) has digits at most 2 * max_degree, since no positive
+    root has a simple-root coefficient above 2; raised by 2 * max_degree each
+    and packed in base 4 * max_degree + 1, two cells subtract without a
+    borrow, so the cell of the shifts is one lookup, which finds nothing
+    for a generator of higher degree than the cell.
     """
     lam = validate_weight(lam)
     n = len(lam)
     if max_degree is None:
         max_degree = polytope.max_point_degree(lam) + 1
+    elif type(max_degree) is not int or max_degree < 0:
+        raise ValueError(f"max_degree must be an int >= 0, got {max_degree!r}")
     gens = ideal_generators(lam, variant)
     cells = _monomials_by_cell(n, max_degree)
     for key, monos in cells.items():
@@ -313,33 +364,34 @@ def quotient_graded_dims(
             raise ValueError(
                 f"cell {key} has {len(monos)} monomials, above the cap {cap}"
             )
-    by_bidegree = {}
+    base, cell_base = max_degree + 1, 4 * max_degree + 1
+    lift = _pack([2 * max_degree] * (n + 1), cell_base)
+    shifts_by_cell = {
+        _pack((d, *mu), cell_base) + lift: monos for (mu, d), monos in cells.items()
+    }
+    by_bidegree = {}  # packed cell -> packed closure elements, closure order
     for g in gens.closure:
         mono = next(iter(g.terms))
-        key = (polytope.weight_of(mono, n), sum(mono))
-        by_bidegree.setdefault(key, []).append(g)
+        d = sum(mono)
+        if d <= max_degree:
+            key = _pack((d, *polytope.weight_of(mono, n)), cell_base)
+            by_bidegree.setdefault(key, []).append(
+                {_pack(s, base): c for s, c in g.terms.items()}
+            )
     table = {}
     for (mu, d), monos in sorted(cells.items()):
         basis = IncrementalBasis()
         full = len(monos)
-        for (gmu, gd), gens_here in by_bidegree.items():
-            delta = d - gd
-            if delta < 0:
-                continue
-            shift_key = (tuple(a - b for a, b in zip(mu, gmu)), delta)
-            shifts = cells.get(shift_key)
-            if not shifts:
-                continue
-            done = False
-            for t in shifts:
-                for g in gens_here:
-                    basis.add(g.shift(t).terms)
-                    if basis.rank == full:
-                        done = True
-                        break
-                if done:
-                    break
-            if done:
+        here = _pack((d, *mu), cell_base) + lift
+        products = (
+            {s + t: c for s, c in g.items()}
+            for gkey, gens_here in by_bidegree.items()
+            for t in shifts_by_cell.get(here - gkey, ())
+            for g in gens_here
+        )
+        for vec in products:
+            basis.add(vec)
+            if basis.rank == full:
                 break
         dim = full - basis.rank
         if dim:
@@ -474,7 +526,7 @@ def straighten_step(P: SparsePolynomial, s, lam):
     s1 = tuple(x if i in on_path else 0 for i, x in enumerate(s))
     element, lead = straightening_element(lam, ineq.path, s1)
     rest = tuple(a - b for a, b in zip(s, s1))
-    P = P - element.shift(rest).scale(P.terms[s] / lead)
+    P = P - element.shift(rest).scale(exact_quotient(P.terms[s], lead))
     if P.coefficient(s):
         raise RuntimeError(f"straightening failed to remove {s}")
     return ineq.path, element, P

@@ -9,7 +9,8 @@ Numbers stay ints where the arithmetic is exact and become Fractions only
 where it is not; no float is ever made.  A row normalized by an int pivot
 keeps every entry that the pivot divides as an int and makes a Fraction only
 of a non-integral quotient; a row with a Fraction pivot is scaled by the
-pivot's exact inverse (both in ``_divide``).
+pivot's exact inverse (both in ``_divide``).  ``exact_quotient`` divides two
+numbers by the same rule, and no other module divides.
 
 The basis keeps its rows fully reduced: each row owns its pivot key (the
 smallest key of the row) with entry 1 there, and no other row has an entry at
@@ -71,6 +72,12 @@ def _divide(u: dict, p) -> dict:
         else:
             out[k] = x / p
     return out
+
+
+def exact_quotient(x, p):
+    """x / p exactly, by the rule of ``_divide``: an int when p is an int
+    that divides the int x, a Fraction otherwise."""
+    return _divide({0: x}, p)[0]
 
 
 class IncrementalBasis:

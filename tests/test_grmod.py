@@ -73,6 +73,26 @@ def test_polynomial_product_adds_exponents():
                                            ((1, 1, 0, 0), (0, 1, 1, 0))}
 
 
+def test_polynomial_number_rule():
+    n = 2
+    s, t = (1, 0, 0, 0), (0, 1, 0, 0)
+    p = SparsePolynomial(n, {s: 3, t: Fraction(1, 2)})
+    assert type(p.terms[s]) is int and type(p.terms[t]) is Fraction
+    assert type(mono(n, s, True).terms[s]) is int
+    assert type(p.scale(2).terms[s]) is int
+    assert p.scale(2).terms[t] == 1 and type(p.scale(2).terms[t]) is Fraction
+    assert type((p + p).terms[s]) is int and type((p * p).terms[(2, 0, 0, 0)]) is int
+    assert p.coefficient((0, 0, 0, 1)) == 0
+    assert type(p.coefficient((0, 0, 0, 1))) is int
+    for bad in (0.5, 2.0, "1", None):
+        with pytest.raises(TypeError):
+            SparsePolynomial(n, {s: bad})
+        with pytest.raises(TypeError):
+            p.scale(bad)
+    with pytest.raises(TypeError):
+        p * 1.5
+
+
 def test_column_and_row_sums():
     n = 2
     # reading order: a[1,1], a[1,2], a[1,1~], a[2,2]
@@ -253,6 +273,37 @@ def test_quotient_matches_point_count_both_variants():
         assert quotient_graded_dims(lam, variant="unit") == want, lam
 
 
+def test_quotient_rejects_a_bad_max_degree():
+    for bad in (-1, True, False, 2.0, "3", Fraction(2)):
+        with pytest.raises(ValueError, match="max_degree"):
+            quotient_graded_dims((1, 1), max_degree=bad)
+    assert quotient_graded_dims((1, 1), max_degree=0) == {((0, 0), 0): 1}
+
+
+def test_quotient_packing_base_does_not_carry():
+    # exponents and cells are packed in a base set by max_degree; a base too
+    # small would carry between coordinates and change the table
+    for lam in ((1, 1), (0, 1, 0), (1, 0, 1)):
+        default = quotient_graded_dims(lam)
+        wider = quotient_graded_dims(
+            lam, max_degree=polytope.max_point_degree(lam) + 3
+        )
+        assert wider == default == polytope.graded_character(lam), lam
+
+
+def test_closure_coefficients_are_ints():
+    cases = 0
+    for n in (1, 2, 3):
+        for lam in itertools.product(range(3), repeat=n):
+            if sum(lam) > 2:
+                continue
+            for variant in ("chevalley", "unit"):
+                for poly in ideal_generators(lam, variant).closure:
+                    assert all(type(c) is int for c in poly.terms.values())
+                    cases += 1
+    assert cases
+
+
 def test_unit_variant_diverges_at_rank_three():
     # closing the ideal with the unit-coefficient derivations overshoots for
     # the second fundamental weight at rank 3: the closure picks up elements
@@ -283,12 +334,30 @@ def _brute_force(n, top, keep):
     return [s for s in itertools.product(range(top + 1), repeat=n * n) if keep(s)]
 
 
+def _unpack(key: int, base: int, length: int) -> tuple:
+    """The exponent packed into key in the given base, first coordinate most
+    significant."""
+    digits = []
+    for _ in range(length):
+        key, x = divmod(key, base)
+        digits.append(x)
+    return tuple(reversed(digits))
+
+
+def _cell_exponents(n, max_degree):
+    """_monomials_by_cell with every packed key unpacked."""
+    return {
+        cell: [_unpack(t, max_degree + 1, n * n) for t in monos]
+        for cell, monos in _monomials_by_cell(n, max_degree).items()
+    }
+
+
 def test_monomials_by_cell_match_brute_force():
     for n, max_degree in ((1, 4), (2, 3), (3, 2)):
         expected = {}
         for s in _brute_force(n, max_degree, lambda s: sum(s) <= max_degree):
             expected.setdefault((polytope.weight_of(s, n), sum(s)), []).append(s)
-        cells = _monomials_by_cell(n, max_degree)
+        cells = _cell_exponents(n, max_degree)
         assert list(cells.items()) == list(expected.items())
 
 
@@ -371,7 +440,7 @@ def _closure_cell_basis(closure, n, weight, degree):
     for g in closure:
         t0 = next(iter(g.terms))
         rest = tuple(a - b for a, b in zip(weight, polytope.weight_of(t0, n)))
-        for t in _monomials_by_cell(n, degree).get((rest, degree - sum(t0)), ()):
+        for t in _cell_exponents(n, degree).get((rest, degree - sum(t0)), ()):
             basis.add(g.shift(t).terms)
     return basis
 
@@ -461,6 +530,26 @@ def test_normal_form_lands_in_the_polytope():
         s = tuple(rng.randint(0, 2) for _ in range(n * n))
         nf = normal_form(mono(n, s), lam)
         assert all(polytope.contains(lam, t) for t in nf.monomials())
+
+
+def test_normal_form_coefficients_are_exact():
+    # the element's lead rarely divides the coefficient it must cancel; the
+    # quotient is then a Fraction, and no coefficient is ever a float
+    nf = normal_form(mono(2, (0, 2, 2, 0)), (2, 1))
+    assert list(nf.terms.values()) == [Fraction(-1, 3)]
+    rng = random.Random(5)
+    cases = [((2, 1), (0, 2, 2, 0), 1)] + [
+        (lam, tuple(rng.randint(0, 2) for _ in range(len(lam) ** 2)), coeff)
+        for lam in ((2, 1), (1, 1), (0, 1, 0), (1, 1, 0))
+        for coeff in (1, 3, Fraction(1, 2))
+        for _ in range(8)
+    ]
+    kinds = set()
+    for lam, s, coeff in cases:
+        for c in normal_form(mono(len(lam), s, coeff), lam).terms.values():
+            assert type(c) in (int, Fraction), (lam, s, c)
+            kinds.add(type(c))
+    assert kinds == {int, Fraction}
 
 
 def test_violated_inequality_detects_breaks():

@@ -5,7 +5,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from sympbw.linalg import IncrementalBasis, combine, vec_add, vec_scale
+from sympbw.linalg import (
+    IncrementalBasis,
+    combine,
+    exact_quotient,
+    vec_add,
+    vec_scale,
+)
 
 
 def test_vec_helpers_drop_zeros():
@@ -24,6 +30,17 @@ def test_vec_helpers_drop_zeros():
     out = combine([("a", -1), ("d", 4)], start)
     assert out == {"b": Fraction(2), "d": 4}
     assert start == {"a": Fraction(1), "b": Fraction(2)}
+
+
+def test_exact_quotient_keeps_ints_and_never_floats():
+    assert exact_quotient(12, -4) == -3 and type(exact_quotient(12, -4)) is int
+    assert exact_quotient(0, 7) == 0 and type(exact_quotient(0, 7)) is int
+    assert exact_quotient(3, 6) == Fraction(1, 2)
+    assert exact_quotient(-3, 9) == Fraction(-1, 3)
+    assert exact_quotient(Fraction(3, 2), 3) == Fraction(1, 2)
+    assert exact_quotient(2, Fraction(2, 3)) == 3
+    for x, p in ((3, 6), (Fraction(3, 2), 3), (2, Fraction(2, 3))):
+        assert type(exact_quotient(x, p)) is Fraction
 
 
 def test_rank_and_membership():

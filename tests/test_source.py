@@ -32,6 +32,32 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def _inexact(node, filename: str) -> bool:
+    """A float or complex literal, a float() call, or a true division `/`
+    outside linalg, which holds the package's exact divisions."""
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, (float, complex))
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Name) and node.func.id == "float"
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.Div) and filename != "linalg.py"
+    return False
+
+
+def test_no_float_arithmetic_in_package():
+    # every number is an int or a Fraction: `/` on two ints makes a float, so
+    # divisions go through linalg.exact_quotient
+    files = sorted(SOURCE.glob("*.py"))
+    assert files
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if _inexact(node, path.name)
+    ]
+    assert found == []
+
+
 def _literal(path: pathlib.Path, name: str):
     """The literal value assigned to a module-level name, read without importing."""
     for node in ast.parse(path.read_text(), filename=str(path)).body:
