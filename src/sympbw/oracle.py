@@ -63,17 +63,14 @@ class RepresentationSpace(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _lowering_columns(n: int) -> dict:
-    """Sparse columns of every f_alpha matrix: {alpha: {letter: ((letter, c), ...)}}."""
+    """Sparse columns of every f_alpha matrix: {alpha: {letter: ((letter, c), ...)}},
+    each column's entries in ascending letter order."""
     realization = chevalley_realization(n)
     out = {}
     for alpha in positive_roots(n):
-        mat = realization.f_root(alpha)
-        cols = {}
-        for a in range(2 * n):
-            entries = tuple((b + 1, mat[b][a]) for b in range(2 * n) if mat[b][a])
-            if entries:
-                cols[a + 1] = entries
-        out[alpha] = cols
+        cols = out[alpha] = {}
+        for (b, a), c in sorted(realization.f_root(alpha).items()):
+            cols[a] = cols.get(a, ()) + ((b, c),)
     return out
 
 

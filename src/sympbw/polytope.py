@@ -175,6 +175,7 @@ def lattice_points(dim: int, rows) -> list:
         point[i] = 0
 
     assign(0)
+    del assign  # the closure holds itself through its cell: free it with the call
     return out
 
 
@@ -266,9 +267,10 @@ def _graded_counts(lam, graded: bool = True) -> GradedDimensionTable:
         memo[i][slack] = out
         return out
 
+    table = walk(0, tuple(min(bounds[r] for r in rows) for rows in starts))
+    del walk  # the closure holds itself and the memo through its cell
     counts = {}
-    top = tuple(min(bounds[r] for r in rows) for rows in starts)
-    for cell, count in walk(0, top).items():
+    for cell, count in table.items():
         cell, deg = divmod(cell, base)
         wt = []
         for _ in range(n):

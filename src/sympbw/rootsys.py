@@ -12,15 +12,18 @@ never carries the value n.  For fixed n there are exactly n^2 positive roots,
 arranged in a triangle whose i-th row has the 2(n-i)+1 roots
 alpha_{i,i}, ..., alpha_{i,n}, alpha_{i,bar(n-1)}, ..., alpha_{i,bar(i)}.
 
-The module also provides an explicit 2n x 2n matrix realization of sp_{2n}
-supplying root vectors and the integer constants by which the raising
-operators act (see ChevalleyRealization).
+The module also provides an explicit 2n x 2n matrix realization of sp_{2n},
+its matrices stored sparse and multiplied on the linalg kernel, supplying
+root vectors and the integer constants by which the raising operators act
+(see ChevalleyRealization).
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
+
+from .linalg import combine, vec_add
 
 
 class BarredIndex(NamedTuple):
@@ -47,19 +50,28 @@ DominantWeight = tuple  # (m_1, ..., m_n), all entries non-negative
 
 
 def validate_weight(lam) -> tuple:
-    """Check and normalize a dominant weight (m_1,...,m_n); rank 0 is rejected."""
-    lam = tuple(int(m) for m in lam)
-    if len(lam) == 0:
+    """Check a dominant weight (m_1,...,m_n) and return it as a tuple.
+
+    Rank 0, a negative entry and an entry whose type is not int (bools
+    included) raise ValueError; nothing is converted.
+    """
+    lam = tuple(lam)
+    if not lam:
         raise ValueError("empty weight: rank must be at least 1")
-    if any(m < 0 for m in lam):
-        raise ValueError(f"dominant weight needs non-negative entries, got {lam}")
+    for m in lam:
+        if type(m) is not int:
+            raise ValueError(f"weight entries must be ints, got {m!r} in {lam!r}")
+        if m < 0:
+            raise ValueError(f"dominant weight needs non-negative entries, got {lam}")
     return lam
 
 
 def validate_rank(n: int) -> int:
+    if type(n) is not int:
+        raise ValueError(f"rank must be an int, got {n!r}")
     if n < 1:
         raise ValueError(f"rank must be at least 1, got {n}")
-    return int(n)
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -275,81 +287,51 @@ def root_to_json(alpha: PositiveRoot) -> dict:
 # matrix realization
 # ---------------------------------------------------------------------------
 
-def _unit_matrix(i: int, j: int, size: int) -> tuple:
-    """Elementary matrix E_{ij} (1-indexed)."""
-    return tuple(
-        tuple(1 if (r == i - 1 and c == j - 1) else 0 for c in range(size))
-        for r in range(size)
+def _mat_mul(a: dict, b: dict) -> dict:
+    return combine(
+        ((i, j), x * y)
+        for (i, k), x in a.items()
+        for (k2, j), y in b.items()
+        if k == k2
     )
 
 
-def _mat_add(a, b, sign=1):
-    return tuple(tuple(x + sign * y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+def _bracket(a: dict, b: dict) -> dict:
+    return vec_add(_mat_mul(a, b), _mat_mul(b, a), -1)
 
 
-def _mat_mul(a, b):
-    size = len(a)
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
-def _bracket(a, b):
-    return _mat_add(_mat_mul(a, b), _mat_mul(b, a), sign=-1)
-
-
-def _is_zero_matrix(a) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
-def _proportionality(a, b):
-    """Exact ratio a = c*b for matrices, or None if not proportional."""
-    ratio = None
-    for ra, rb in zip(a, b):
-        for x, y in zip(ra, rb):
-            if y == 0:
-                if x != 0:
-                    return None
-            else:
-                r = Fraction(x, y)
-                if ratio is None:
-                    ratio = r
-                elif ratio != r:
-                    return None
-    if ratio is None:  # both zero
+def _proportionality(a: dict, b: dict):
+    """The exact c with a = c*b (0 when a is zero and b is not), or None when
+    b is zero or the two are not proportional."""
+    if not b or a.keys() - b.keys():
         return None
-    return ratio
+    ratios = {Fraction(a.get(key, 0), y) for key, y in b.items()}
+    return ratios.pop() if len(ratios) == 1 else None
 
 
-def skew_form(n: int) -> tuple:
+def skew_form(n: int) -> dict:
     """The fixed antidiagonal skew form: S[k, 2n+1-k] = 1 for k <= n, else -1."""
-    size = 2 * n
-    return tuple(
-        tuple(
-            (1 if r + 1 <= n else -1) if r + c == size - 1 else 0
-            for c in range(size)
-        )
-        for r in range(size)
-    )
+    return {(k, 2 * n + 1 - k): 1 if k <= n else -1 for k in range(1, 2 * n + 1)}
 
 
-@lru_cache(maxsize=None)
-def cartan_matrix(n: int) -> tuple:
-    """C_n Cartan matrix a[k][l] = <alpha_l, alpha_k-check> (0-indexed)."""
-    a = [[0] * n for _ in range(n)]
-    for k in range(n):
-        a[k][k] = 2
-    for k in range(n - 1):
-        a[k + 1][k] = -1
-        a[k][k + 1] = -2 if k == n - 2 else -1
-    return tuple(tuple(row) for row in a)
+def cartan_matrix(n: int) -> dict:
+    """C_n Cartan matrix {(k, l): <alpha_l, alpha_k-check>}, nonzero entries only."""
+    a = {(k, k): 2 for k in range(1, n + 1)}
+    for k in range(1, n):
+        a[k + 1, k] = -1
+        a[k, k + 1] = -2 if k == n - 1 else -1
+    return a
 
 
 class ChevalleyRealization:
     """sp_{2n} as matrices X with X^T S + S X = 0 for the antidiagonal skew form S.
 
-    Generators (1-indexed elementary matrices E, size 2n):
+    Every matrix is a sparse dict {(row, col): int} with rows and columns
+    1..2n and no zero entry; products and brackets are sums through
+    linalg.combine.  The matrices are shared by every caller of
+    chevalley_realization and must not be mutated.
+
+    Generators (E the elementary matrices, size 2n):
       e_k = E_{k,k+1} - E_{2n-k,2n+1-k}  (k < n),   e_n = E_{n,n+1}
       f_k = E_{k+1,k} - E_{2n+1-k,2n-k}  (k < n),   f_n = E_{n+1,n}
       h_k = [e_k, f_k]
@@ -364,22 +346,16 @@ class ChevalleyRealization:
     def __init__(self, n: int):
         validate_rank(n)
         self.n = n
-        self.size = 2 * n
         self.e = {}
         self.f = {}
         self.h = {}
         for k in range(1, n + 1):
+            self.e[k] = {(k, k + 1): 1}
+            self.f[k] = {(k + 1, k): 1}
             if k < n:
-                ek = _mat_add(_unit_matrix(k, k + 1, self.size),
-                              _unit_matrix(2 * n - k, 2 * n + 1 - k, self.size), sign=-1)
-                fk = _mat_add(_unit_matrix(k + 1, k, self.size),
-                              _unit_matrix(2 * n + 1 - k, 2 * n - k, self.size), sign=-1)
-            else:
-                ek = _unit_matrix(n, n + 1, self.size)
-                fk = _unit_matrix(n + 1, n, self.size)
-            self.e[k] = ek
-            self.f[k] = fk
-            self.h[k] = _bracket(ek, fk)
+                self.e[k][2 * n - k, 2 * n + 1 - k] = -1
+                self.f[k][2 * n + 1 - k, 2 * n - k] = -1
+            self.h[k] = _bracket(self.e[k], self.f[k])
         self._e_root = {}
         self._f_root = {}
         by_height = sorted(
@@ -402,7 +378,7 @@ class ChevalleyRealization:
                     break
             else:
                 raise RuntimeError(f"no simple root extends {alpha}")
-            if _is_zero_matrix(self._f_root[alpha]):
+            if not self._f_root[alpha]:
                 raise RuntimeError(f"vanishing root vector for {alpha}")
 
     def e_root(self, alpha: PositiveRoot):

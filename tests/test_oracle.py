@@ -22,7 +22,34 @@ from sympbw.oracle import (
     tensor_cartan_dims,
 )
 from sympbw.polytope import graded_character, weyl_dim
-from sympbw.rootsys import positive_roots
+from sympbw.rootsys import chevalley_realization, positive_roots
+
+
+def _derivation(matrix: dict, slot: tuple) -> dict:
+    """f(e_a1 ^ ... ^ e_ak) = sum_p e_a1 ^ ... ^ f(e_ap) ^ ... ^ e_ak, read off
+    the matrix entries {(row, col): c} with f(e_a) = sum_b matrix[b, a] e_b,
+    each wedge sorted with the sign of its inversions."""
+    out = {}
+    for p, a in enumerate(slot):
+        for (b, col), c in matrix.items():
+            if col != a or b in slot[:p] + slot[p + 1:]:
+                continue
+            letters = slot[:p] + (b,) + slot[p + 1:]
+            inversions = sum(x > y for x, y in itertools.combinations(letters, 2))
+            key = (tuple(sorted(letters)),)
+            out[key] = out.get(key, 0) + (-c if inversions % 2 else c)
+    return {key: c for key, c in out.items() if c}
+
+
+def test_root_vectors_act_by_their_matrix_columns():
+    # every single-slot wedge of the letters 1..2n, under every f_alpha
+    for n in (2, 3):
+        real = chevalley_realization(n)
+        for alpha in positive_roots(n):
+            for k in range(1, 2 * n + 1):
+                for slot in itertools.combinations(range(1, 2 * n + 1), k):
+                    image = oracle.apply_root_vector(n, alpha, {(slot,): 1})
+                    assert image == _derivation(real.f_root(alpha), slot), (alpha, slot)
 
 
 def test_module_dimensions_frozen():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 from collections import Counter
@@ -192,3 +193,20 @@ def test_counts_never_list_points(monkeypatch, capsys):
     assert cli.main(["dim", "--n", "4", "--lambda", "1,1,1,1"]) == 0
     assert '"count": 65536' in capsys.readouterr().out
 
+
+@pytest.mark.parametrize("walker", [enumerate_points, point_count, graded_character],
+                         ids=lambda f: f.__name__)
+def test_walkers_leave_no_reference_cycles(walker):
+    # a recursive closure that keeps itself alive would hand its points or
+    # its memo to the cyclic collector instead of freeing them with the call
+    lam = (1, 1, 1)
+    walker(lam)  # warm the per-rank caches
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        walker(lam)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

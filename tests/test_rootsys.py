@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
+from sympbw import decomp, dyck
+from sympbw.linalg import vec_add
+from sympbw.polytope import weyl_dim
 from sympbw.rootsys import (
     BarredIndex,
     PositiveRoot,
@@ -30,6 +35,7 @@ from sympbw.rootsys import (
     simple_coefficients,
     simple_root,
     skew_form,
+    validate_rank,
     validate_weight,
     variable_key,
     _bracket,
@@ -60,6 +66,27 @@ def test_validate_weight():
         validate_weight(())
     with pytest.raises(ValueError):
         validate_weight((1, -1))
+
+
+@pytest.mark.parametrize("lam, bad", [
+    ((1.7, 0), "1.7"), ((True, 0), "True"), (("2", 0), "'2'"), ((1, 0.0), "0.0"),
+])
+def test_validate_weight_refuses_entries_that_are_not_ints(lam, bad):
+    # each of these used to be truncated or parsed: (1.9, 0) had dimension 4
+    with pytest.raises(ValueError, match=f"got {bad} in"):
+        validate_weight(lam)
+    with pytest.raises(ValueError, match=f"got {bad} in"):
+        weyl_dim(lam)
+
+
+@pytest.mark.parametrize("n", [2.5, True, "2", 2.0])
+def test_validate_rank_refuses_ranks_that_are_not_ints(n):
+    message = f"rank must be an int, got {n!r}"
+    for call in (validate_rank, dyck.enumerate_paths, positive_roots,
+                 chevalley_realization, lambda n: decomp.fundamental_points(n, 1)):
+        with pytest.raises(ValueError, match=message):
+            call(n)
+    assert validate_rank(2) == 2
 
 
 def test_positive_roots_reading_order():
@@ -181,8 +208,55 @@ def test_root_json_roundtrip():
 
 
 def test_cartan_matrix():
-    assert cartan_matrix(2) == ((2, -2), (-1, 2))
-    assert cartan_matrix(3) == ((2, -1, 0), (-1, 2, -2), (0, -1, 2))
+    assert cartan_matrix(1) == {(1, 1): 2}
+    assert cartan_matrix(2) == {(1, 1): 2, (1, 2): -2, (2, 1): -1, (2, 2): 2}
+    assert cartan_matrix(3) == {
+        (1, 1): 2, (1, 2): -1,
+        (2, 1): -1, (2, 2): 2, (2, 3): -2,
+        (3, 2): -1, (3, 3): 2,
+    }
+
+
+def test_proportionality_contract():
+    b = {(1, 2): 2, (3, 1): -4}
+    assert _proportionality({(1, 2): 3, (3, 1): -6}, b) == Fraction(3, 2)
+    assert _proportionality({}, b) == 0  # a zero bracket has ratio 0
+    assert _proportionality({(1, 2): 1}, b) is None  # an entry of b missing in a
+    assert _proportionality({(1, 2): 2, (3, 1): 4}, b) is None
+    assert _proportionality({(1, 2): 2, (3, 1): -4, (2, 2): 1}, b) is None
+    assert _proportionality(b, {}) is None
+    assert _proportionality({}, {}) is None
+
+
+# sha256 of the lines written by _realization_lines, recorded from the dense
+# 2n x 2n realization before its matrices became sparse
+REALIZATION_DIGEST = "058ff924c1408f4c2237f2bad8b2cbfb8f2ae107b51d712c9365c15c64fbcb69"
+
+
+def _realization_lines(n: int):
+    """Every nonzero entry (row, col, value) of e, f, h, e_root and f_root at
+    rank n, and every constant ad_root_coeff(beta, alpha), one line each."""
+    def entries(mat):
+        return sorted((r, c, x) for (r, c), x in mat.items())
+
+    real = chevalley_realization(n)
+    roots = positive_roots(n)
+    for name, mats in (("e", real.e), ("f", real.f), ("h", real.h)):
+        for k in range(1, n + 1):
+            yield f"{n} {name}{k} {entries(mats[k])}"
+    for alpha in roots:
+        yield f"{n} e{alpha} {entries(real.e_root(alpha))}"
+        yield f"{n} f{alpha} {entries(real.f_root(alpha))}"
+    for beta in roots:
+        for alpha in roots:
+            yield f"{n} ad {beta} {alpha} {real.ad_root_coeff(beta, alpha)}"
+
+
+def test_realization_constants_golden():
+    lines = [line for n in range(1, 7) for line in _realization_lines(n)]
+    assert len(lines) == 2520
+    text = "\n".join(lines).encode()
+    assert hashlib.sha256(text).hexdigest() == REALIZATION_DIGEST
 
 
 def test_realization_serre_relations():
@@ -191,31 +265,24 @@ def test_realization_serre_relations():
         A = cartan_matrix(n)
         for j in range(1, n + 1):
             for k in range(1, n + 1):
-                ef = _bracket(real.e[j], real.f[k])
                 if j != k:
-                    assert all(all(x == 0 for x in row) for row in ef)
+                    assert _bracket(real.e[j], real.f[k]) == {}
                 he = _bracket(real.h[j], real.e[k])
-                ratio = _proportionality(he, real.e[k])
-                assert ratio == A[j - 1][k - 1]
+                assert _proportionality(he, real.e[k]) == A.get((j, k), 0)
                 hf = _bracket(real.h[j], real.f[k])
-                ratio = _proportionality(hf, real.f[k])
-                assert ratio == -A[j - 1][k - 1]
+                assert _proportionality(hf, real.f[k]) == -A.get((j, k), 0)
 
 
 def test_realization_preserves_skew_form():
     for n in (2, 3, 4):
         real = chevalley_realization(n)
         J = skew_form(n)
-        size = 2 * n
+        assert len(J) == 2 * n
         for alpha in positive_roots(n):
             for M in (real.e_root(alpha), real.f_root(alpha)):
-                Mt = tuple(tuple(M[c][r] for c in range(size)) for r in range(size))
-                left = _mat_mul(Mt, J)
-                right = _mat_mul(J, M)
-                assert all(
-                    left[r][c] + right[r][c] == 0
-                    for r in range(size) for c in range(size)
-                )
+                assert M
+                Mt = {(c, r): x for (r, c), x in M.items()}
+                assert vec_add(_mat_mul(Mt, J), _mat_mul(J, M)) == {}
 
 
 def test_ad_coeff_values():
@@ -236,8 +303,7 @@ def test_ad_coeff_values():
                 lower[k - 1] -= 1
                 if tuple(lower) in coeff_map or beta == simple_root(k):
                     continue
-                ef = _bracket(real.e[k], real.f_root(beta))
-                assert all(x == 0 for row in ef for x in row), (k, beta)
+                assert _bracket(real.e[k], real.f_root(beta)) == {}, (k, beta)
 
 
 def test_ad_root_coeff_support():
