@@ -1,10 +1,13 @@
 """Golden digests of the CLI's counting and table output.
 
 The sha256 of the concatenated stdout of each (subcommand, format) over a
-fixed list of weights, recorded when every count and character was still
-read off the listed points of S(lambda).  The tables now come from the
-counting walk, so a match shows the switch left the output byte-identical,
-and it keeps later changes to these paths honest.
+fixed list of weights.  The counting digests were recorded when every count
+and character was still read off the listed points of S(lambda); the tables
+now come from the counting walk.  The oracle and tensor digests were recorded
+when the module and the tensor component were still closed by two separate
+loops with tracked bases; both now share one untracked closure.  A match
+shows each switch left the output byte-identical, and it keeps later changes
+to these paths honest.
 """
 
 from __future__ import annotations
@@ -19,13 +22,33 @@ WEIGHTS = ((3,), (2, 1), (1, 0, 1), (0, 1, 0), (1, 0, 0, 0), (0, 1, 0, 0))
 # ideal-dims is the costly one; the counting subcommands also run at a weight
 # whose point list alone takes about a second to build
 LARGE = ((1, 1, 1, 1),)
+ORACLE_WEIGHTS = ((1, 1), (0, 1, 1), (1, 1, 1))
+# every pair of fundamental weights at rank 2, then larger and rank-3 pairs
+TENSOR_PAIRS = (
+    ((1, 0), (1, 0)), ((1, 0), (0, 1)), ((0, 1), (1, 0)), ((0, 1), (0, 1)),
+    ((1, 1), (1, 0)), ((1, 0, 0), (1, 0, 0)), ((0, 1, 0), (1, 0, 0)),
+)
+
+
+def _csv(weight) -> str:
+    return ",".join(map(str, weight))
+
+
+def _runs(argv, weights):
+    return [argv + ["--n", str(len(lam)), "--lambda", _csv(lam)] for lam in weights]
+
 
 COMMANDS = {
-    "char": (["char"], WEIGHTS + LARGE),
-    "graded-char": (["graded-char"], WEIGHTS + LARGE),
-    "dim": (["dim"], WEIGHTS + LARGE),
-    "points-count": (["points", "--count-only"], WEIGHTS + LARGE),
-    "ideal-dims": (["ideal-dims"], WEIGHTS),
+    "char": _runs(["char"], WEIGHTS + LARGE),
+    "graded-char": _runs(["graded-char"], WEIGHTS + LARGE),
+    "dim": _runs(["dim"], WEIGHTS + LARGE),
+    "points-count": _runs(["points", "--count-only"], WEIGHTS + LARGE),
+    "ideal-dims": _runs(["ideal-dims"], WEIGHTS),
+    "oracle": _runs(["oracle"], ORACLE_WEIGHTS),
+    "oracle-filtration": _runs(["oracle", "--filtration"], ORACLE_WEIGHTS),
+    "tensor": [
+        _runs(["tensor", "--mu", _csv(mu)], [lam])[0] for lam, mu in TENSOR_PAIRS
+    ],
 }
 
 DIGESTS = {
@@ -53,25 +76,39 @@ DIGESTS = {
         "32eb51c257818699c200259c2df8735d5d3246dac6ec70bd607720977747e6d6",
     ("ideal-dims", "text"):
         "8c3ce75518743b9b073bfe2c411d843ab4d9f3bb2fdd4ca5fb39d849756a057e",
+    ("oracle", "json"):
+        "f68ffabd63f2b3754a431f0e93b57475889d34683aad14b414693cb2f001f9ce",
+    ("oracle", "csv"):
+        "b2e06f6678f08ded62d607fa588c124d1ebd6a6ed088ec30e79befc6a42089ec",
+    ("oracle", "text"):
+        "3e701b0b9552bfae97653c7a08e4fe5d9a09e73ca9fbc840a9abddbc593966d1",
+    ("oracle-filtration", "json"):
+        "eb6085c383c65b636ae096393fb329037aaa83ddc1bbf422fda05eb2fdddf669",
+    ("oracle-filtration", "csv"):
+        "fcfe1cc3175caaeafc49d3ba753fc6513c30e38304c4fe9b364fa7e44568683b",
+    ("oracle-filtration", "text"):
+        "d54c8fbffb55f03c6d162fe9559d753a974b3352a493c65a4f92e34a677029af",
     ("points-count", "json"):
         "41307212229ae06b00d0bcda2f4f489160ea8f64001d2635b811ef5603567c56",
     ("points-count", "csv"):
         "6af4faf9379ac9acc3c2ff1ec9342a68cf6c6680eac2f14ad9457467a86007e9",
     ("points-count", "text"):
         "f9f4d89d241428f00c64a1115c44ea382f899a55fb32c23abefa8363ed69cf9b",
+    ("tensor", "json"):
+        "f45344f72145603fffea1e2e54f0778463b6fe356578dab2291ede2c833cade7",
+    ("tensor", "csv"):
+        "c1194e530b0ca67b310206f0d1752ed1c4667598d38b85671c3456e62d5004cb",
+    ("tensor", "text"):
+        "fa51ecca4a1d20e89e65376e4dfb35cd6feab4ff2c384a07ba00b4936913f772",
 }
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_stdout_digest(capsys, command, fmt):
-    argv, weights = COMMANDS[command]
     digest = hashlib.sha256()
-    for lam in weights:
-        code = cli.main(argv + [
-            "--n", str(len(lam)), "--lambda", ",".join(map(str, lam)),
-            "--format", fmt,
-        ])
+    for argv in COMMANDS[command]:
+        code = cli.main(argv + ["--format", fmt])
         captured = capsys.readouterr()
         assert (code, captured.err) == (0, "")
         digest.update(captured.out.encode())

@@ -106,6 +106,61 @@ def test_graded_action_raises_level_by_one():
                 assert space.level_tags[dst] == space.level_tags[src] + 1
 
 
+def _key_weight(key: tuple, n: int) -> tuple:
+    """The weight of a wedge-tensor key: +1 at letter a <= n, -1 at 2n+1-a."""
+    eps = [0] * n
+    for a in itertools.chain.from_iterable(key):
+        if a <= n:
+            eps[a - 1] += 1
+        else:
+            eps[2 * n - a] -= 1
+    return tuple(eps)
+
+
+def _dense_coordinates(columns: list, target: dict) -> dict:
+    """The exact x with sum_i x[i] * columns[i] == target, by Gauss-Jordan
+    elimination over Fractions on the dense matrix [columns | target]."""
+    keys = sorted({k for vec in columns for k in vec} | set(target))
+    rows = [[Fraction(vec.get(k, 0)) for vec in columns] + [Fraction(target.get(k, 0))]
+            for k in keys]
+    d = len(columns)
+    for c in range(d):
+        p = next(i for i in range(c, len(rows)) if rows[i][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot = rows[c][c]
+        rows[c] = [x / pivot for x in rows[c]]
+        for i, row in enumerate(rows):
+            if i != c and row[c]:
+                rows[i] = [a - row[c] * b for a, b in zip(row, rows[c])]
+    assert not any(row[d] for row in rows[d:]), "target outside the span"
+    return {i: rows[i][d] for i in range(d) if rows[i][d]}
+
+
+def test_graded_action_matches_a_dense_solve():
+    # each image solved over the module vectors by plain elimination; vectors
+    # of another weight share no key with the image, so they are left out
+    for lam in ((1, 1), (2, 1), (0, 1, 1)):
+        n = len(lam)
+        space = build_module(lam)
+        vectors, levels = space.basis_vectors, space.level_tags
+        weight_of = [_key_weight(next(iter(vec)), n) for vec in vectors]
+        expected = {}
+        for alpha in positive_roots(n):
+            mat = expected[alpha] = {}
+            for j, vec in enumerate(vectors):
+                image = oracle.apply_root_vector(n, alpha, vec)
+                if not image:
+                    continue
+                weight = _key_weight(next(iter(image)), n)
+                same = [i for i in range(len(vectors)) if weight_of[i] == weight]
+                coords = _dense_coordinates([vectors[i] for i in same], image)
+                column = {same[k]: c for k, c in coords.items()
+                          if levels[same[k]] == levels[j] + 1}
+                if column:
+                    mat[j] = column
+        assert graded_action(lam, space=space) == expected, lam
+
+
 def test_base_relation_powers_annihilate_highest_vector():
     for lam in ((1, 0), (0, 1), (1, 1)):
         n = len(lam)
