@@ -38,6 +38,7 @@ def enumerate_paths(n: int) -> tuple:
 
     for i in range(1, n + 1):
         extend([simple_root(i)])
+    del extend  # the closure holds itself through its cell: free it with the call
     found.sort(key=lambda p: tuple(variable_key(alpha, n) for alpha in p))
     return tuple(found)
 

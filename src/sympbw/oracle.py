@@ -11,9 +11,9 @@ and straightening machinery and serves as a cross-check for both.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
-from functools import lru_cache
-from math import comb
+from collections import Counter, defaultdict
+from functools import lru_cache, partial
+from math import comb, prod
 from typing import NamedTuple
 
 from .linalg import IncrementalBasis, combine
@@ -29,28 +29,14 @@ from .rootsys import (
 )
 
 
-class WeightBlock(NamedTuple):
-    """The tracked basis of one weight space of a module."""
-
-    basis: IncrementalBasis
-    positions: list  # per add() call: the module position it added, or None
-
-
 class RepresentationSpace(NamedTuple):
-    """A highest-weight module with weight and PBW-level tags per basis vector.
-
-    ``basis`` holds one tracked basis per weight space, keyed by weight
-    offset: vectors of different weights never interact, so each image is
-    reduced only against the vectors of its own weight.
-    """
+    """A highest-weight module with weight and PBW-level tags per basis vector."""
 
     n: int
     lam: tuple
-    slots: tuple  # exterior-power sizes of the tensor factors
     basis_vectors: list  # raw spanning vectors, in discovery order
     weight_tags: list  # weight offset of each basis vector (simple-root coords)
     level_tags: list  # minimal number of lowering operators reaching it
-    basis: dict  # weight offset -> WeightBlock
 
     @property
     def dimension(self) -> int:
@@ -136,78 +122,92 @@ def _lowered(offset: tuple, alpha, n: int) -> tuple:
 # module construction
 # ---------------------------------------------------------------------------
 
-def build_module(lam, cap: int = 20000) -> RepresentationSpace:
-    """Close the highest vector under all lowering operators, level by level.
+def _close(n: int, start: dict, act, check) -> tuple:
+    """Close start under act(alpha, vec) for every positive root, level by level.
 
-    Each image is added once to the basis of the weight space it lies in;
-    an image that enlarges the span becomes a module vector, after a check
-    that its weight is the expected one.
+    Each image is reduced once, in an untracked basis of the weight space it
+    is expected in: the weight offset of its source lowered by alpha.  An
+    image that enlarges that span is kept, once check(image, weight offset,
+    level) has passed it.  Returns the kept vectors, start first, with their
+    weight offsets and levels.
     """
-    lam = validate_weight(lam)
-    n = len(lam)
-    ambient = 1
-    for i, m in enumerate(lam, start=1):
-        ambient *= comb(2 * n, i) ** m
-    if ambient > cap:
-        raise ValueError(f"ambient dimension {ambient} exceeds cap {cap}")
-    slots = tuple(i for i, m in enumerate(lam, start=1) for _ in range(m))
-    space = RepresentationSpace(n, lam, slots, [], [], [], {})
-
-    def insert(vec: dict, weight: tuple, level: int) -> None:
-        block = space.basis.get(weight)
-        if block is None:
-            block = space.basis[weight] = WeightBlock(
-                IncrementalBasis(track_combinations=True), [])
-        if not block.basis.add(vec):
-            block.positions.append(None)
-            return
-        found = _vector_offset(lam, vec)
-        if found != weight:
-            raise RuntimeError(
-                f"module vector of weight offset {found} where {weight} was expected"
-            )
-        block.positions.append(len(space.basis_vectors))
-        space.basis_vectors.append(vec)
-        space.weight_tags.append(weight)
-        space.level_tags.append(level)
-
-    insert({tuple(tuple(range(1, i + 1)) for i in slots): 1}, (0,) * n, 0)
+    vectors, weights, levels = [start], [(0,) * n], [0]
+    bases = defaultdict(IncrementalBasis)  # weight offset -> its span so far
+    bases[weights[0]].add(start)
     roots = positive_roots(n)
     frontier = range(1)
     level = 0
     while frontier:
         level += 1
-        first = space.dimension
         for j in frontier:
-            vec, weight = space.basis_vectors[j], space.weight_tags[j]
+            vec, weight = vectors[j], weights[j]
             for alpha in roots:
-                image = apply_root_vector(n, alpha, vec)
-                if image:
-                    insert(image, _lowered(weight, alpha, n), level)
-        frontier = range(first, space.dimension)  # the vectors of this level
-    return space
+                image = act(alpha, vec)
+                if not image:
+                    continue
+                target = _lowered(weight, alpha, n)
+                if bases[target].add(image):
+                    check(image, target, level)
+                    vectors.append(image)
+                    weights.append(target)
+                    levels.append(level)
+        frontier = range(frontier.stop, len(vectors))  # the vectors of this level
+    return vectors, weights, levels
+
+
+def _highest_vector(lam: tuple, cap: int) -> dict:
+    """e_1 ^ ... ^ e_i in each factor Lambda^i, after a check that the ambient
+    tensor space has at most cap dimensions."""
+    n = len(lam)
+    ambient = prod(comb(2 * n, i) ** m for i, m in enumerate(lam, start=1))
+    if ambient > cap:
+        raise ValueError(f"ambient dimension {ambient} exceeds cap {cap}")
+    return {tuple(tuple(range(1, i + 1)) for i, m in enumerate(lam, start=1)
+                  for _ in range(m)): 1}
+
+
+def build_module(lam, cap: int = 20000) -> RepresentationSpace:
+    """Close the highest vector under all lowering operators, level by level,
+    checking that each new module vector has the expected weight."""
+    lam = validate_weight(lam)
+    n = len(lam)
+
+    def check(vec: dict, weight: tuple, level: int) -> None:
+        found = _vector_offset(lam, vec)
+        if found != weight:
+            raise RuntimeError(
+                f"module vector of weight offset {found} where {weight} was expected"
+            )
+
+    vectors, weights, levels = _close(
+        n, _highest_vector(lam, cap), partial(apply_root_vector, n), check)
+    return RepresentationSpace(n, lam, vectors, weights, levels)
 
 
 def pbw_filtration_dims(lam, cap: int = 20000, space: RepresentationSpace | None = None) -> dict:
     """Graded dimensions {(weight offset, level): dim} of the PBW filtration."""
     if space is None:
         space = build_module(lam, cap)
-    table = Counter()
-    for offset, level in zip(space.weight_tags, space.level_tags):
-        table[(offset, level)] += 1
-    return dict(table)
+    return dict(Counter(zip(space.weight_tags, space.level_tags)))
 
 
 def graded_action(lam, cap: int = 20000, space: RepresentationSpace | None = None) -> dict:
     """Matrices {alpha: {src: {dst: c}}} of the f_alpha on the associated graded module.
 
     Basis vector j of level d maps into the level d+1 slice; components of
-    lower level project away in the graded quotient.
+    lower level project away in the graded quotient.  Coordinates come from
+    one tracked basis per weight space, fed that weight's module vectors in
+    position order, so add index k is the k-th module vector of its weight.
     """
     if space is None:
         space = build_module(lam, cap)
     n = space.n
     levels = space.level_tags
+    members = defaultdict(list)  # weight offset -> module positions, in order
+    bases = defaultdict(lambda: IncrementalBasis(track_combinations=True))
+    for j, (vec, weight) in enumerate(zip(space.basis_vectors, space.weight_tags)):
+        members[weight].append(j)
+        bases[weight].add(vec)
     action = {}
     for alpha in positive_roots(n):
         mat = {}
@@ -215,13 +215,13 @@ def graded_action(lam, cap: int = 20000, space: RepresentationSpace | None = Non
             image = apply_root_vector(n, alpha, vec)
             if not image:
                 continue
-            block = space.basis.get(_lowered(space.weight_tags[j], alpha, n))
-            combo = None if block is None else block.basis.combination(image)
+            weight = _lowered(space.weight_tags[j], alpha, n)
+            combo = bases[weight].combination(image)  # None off the module
             if combo is None:
                 raise RuntimeError(f"module is not closed under lowering by {alpha}")
             column = {}
-            for add_index, c in combo.items():
-                i = block.positions[add_index]
+            for k, c in combo.items():
+                i = members[weight][k]
                 if levels[i] > levels[j] + 1:
                     raise RuntimeError(
                         f"f_{alpha} raises level {levels[j]} to {levels[i]}"
@@ -255,18 +255,16 @@ def apply_action(mat: dict, vec: dict) -> dict:
 # ordered monomials in the unfiltered module
 # ---------------------------------------------------------------------------
 
-def monomial_vector(space: RepresentationSpace, s, reverse: bool = False) -> dict:
-    """f^s applied to the highest vector, factors in decreasing variable order.
+def monomial_vector(n: int, vec: dict, s, reverse: bool = False) -> dict:
+    """f^s applied to vec, factors in decreasing variable order.
 
     reverse=True applies the opposite order, as a witness that spanning
     ranks do not depend on the chosen order of factors.
     """
-    n = space.n
     order = sorted(positive_roots(n), key=lambda alpha: variable_key(alpha, n))
     if reverse:
         order.reverse()
     index = root_index_map(n)
-    vec = space.basis_vectors[0]
     for alpha in order:  # rightmost (smallest) factor acts first
         for _ in range(s[index[alpha]]):
             vec = apply_root_vector(n, alpha, vec)
@@ -278,10 +276,11 @@ def monomial_vector(space: RepresentationSpace, s, reverse: bool = False) -> dic
 def monomial_rank(lam, cap: int = 20000, reverse: bool = False) -> int:
     """Rank of {f^s v : s in S(lambda)} inside the tensor realization."""
     lam = validate_weight(lam)
-    space = build_module(lam, cap)
+    n = len(lam)
+    highest = _highest_vector(lam, cap)
     basis = IncrementalBasis()
     for s in enumerate_points(lam):
-        vec = monomial_vector(space, s, reverse=reverse)
+        vec = monomial_vector(n, highest, s, reverse=reverse)
         if vec:
             basis.add(vec)
     return basis.rank
@@ -319,34 +318,17 @@ def tensor_cartan_dims(lam, mu, cap: int = 20000) -> dict:
     act_left = graded_action(lam, space=left)
     act_right = graded_action(mu, space=right)
 
-    def pair_offset(i: int, j: int) -> tuple:
-        return tuple(a + b for a, b in zip(left.weight_tags[i], right.weight_tags[j]))
+    def check(vec: dict, weight: tuple, level: int) -> None:
+        for i, j in vec:
+            if left.level_tags[i] + right.level_tags[j] != level:
+                raise RuntimeError(f"pair {(i, j)} is not of degree {level}")
+            pair = tuple(a + b for a, b in zip(left.weight_tags[i], right.weight_tags[j]))
+            if pair != weight:
+                raise RuntimeError(
+                    f"image at degree {level} is not a weight vector of offset {weight}"
+                )
 
-    basis = IncrementalBasis()
-    start = {(0, 0): 1}
-    basis.add(start)
-    table = {((0,) * n, 0): 1}
-    roots = positive_roots(n)
-    frontier = [start]
-    level = 0
-    while frontier:
-        level += 1
-        grown = []
-        for vec in frontier:
-            for alpha in roots:
-                image = _apply_pair(act_left[alpha], act_right[alpha], vec)
-                if not image or not basis.add(image):
-                    continue
-                pairs = iter(image)
-                i, j = next(pairs)
-                offset = pair_offset(i, j)
-                if left.level_tags[i] + right.level_tags[j] != level:
-                    raise RuntimeError(f"pair {(i, j)} is not of degree {level}")
-                if any(pair_offset(*p) != offset for p in pairs):
-                    raise RuntimeError(
-                        f"image at degree {level} is not a weight vector"
-                    )
-                table[offset, level] = table.get((offset, level), 0) + 1
-                grown.append(image)
-        frontier = grown
-    return table
+    _, weights, levels = _close(
+        n, {(0, 0): 1},
+        lambda alpha, vec: _apply_pair(act_left[alpha], act_right[alpha], vec), check)
+    return dict(Counter(zip(weights, levels)))

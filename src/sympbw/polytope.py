@@ -126,11 +126,17 @@ def inequalities(lam) -> list:
 
 def first_broken(lam, s):
     """The first path inequality, in path order, that the multi-exponent s
-    breaks, or None when s satisfies all of them."""
+    breaks, or None when s satisfies all of them.  An entry of s whose type
+    is not int (bools included) raises ValueError."""
     lam = validate_weight(lam)
     n = len(lam)
     if len(s) != n * n:
         raise ValueError(f"multi-exponent needs {n * n} coordinates, got {len(s)}")
+    for x in s:
+        if type(x) is not int:
+            raise ValueError(
+                f"multi-exponent entries must be ints, got {x!r} in {tuple(s)!r}"
+            )
     for path, coords, a, b in _path_table(n):
         bound = sum(lam[a:b])
         if sum(map(s.__getitem__, coords)) > bound:

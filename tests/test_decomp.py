@@ -91,6 +91,9 @@ def test_peel_rejects_outsiders():
         peel((1, 0), (2, 0, 0, 0))
     with pytest.raises(ValueError):
         peel((0, 0), (0, 0, 0, 0))
+    # refused at the boundary, not caught later as an escaped remainder
+    with pytest.raises(ValueError, match="must be ints"):
+        peel((1, 0), (0.5, 0, 0, 0))
 
 
 def test_peel_steps_stay_in_polytopes():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 from sympbw.dyck import enumerate_paths, is_dyck_path
 from sympbw.rootsys import (
     index_position,
@@ -94,3 +96,19 @@ def test_path_count_grows_with_rank():
     counts = [len(enumerate_paths(n)) for n in (1, 2, 3, 4, 5)]
     assert counts == sorted(counts)
     assert counts[0] == 1
+
+
+def test_enumerate_paths_leaves_no_reference_cycles():
+    # the recursive closure would hand itself and the found paths to the
+    # cyclic collector; the unwrapped walk, since the cache keeps one result
+    walk = enumerate_paths.__wrapped__
+    walk(8)  # warm the per-rank caches of rootsys
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        walk(8)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -188,13 +189,9 @@ def test_vector_offset_raises_on_bad_weights():
 def test_weight_blocks_match_the_character():
     for lam in ((1, 1, 1), (0, 1, 1)):
         space = build_module(lam)
-        ranks = {weight: block.basis.rank for weight, block in space.basis.items()}
-        assert ranks == polytope.character(lam), lam
-        for weight, block in space.basis.items():
-            assert len(block.positions) == block.basis.added, lam
-            added = [j for j in block.positions if j is not None]
-            assert len(added) == block.basis.rank, lam
-            assert [space.weight_tags[j] for j in added] == [weight] * len(added)
+        assert Counter(space.weight_tags) == polytope.character(lam), lam
+        assert [_vector_offset(lam, vec) for vec in space.basis_vectors] == \
+            space.weight_tags, lam
         assert all(type(x) is int
                    for vec in space.basis_vectors for x in vec.values()), lam
 
@@ -222,11 +219,20 @@ def test_monomial_vectors_span():
 
 
 def test_monomial_vector_of_zero_exponent_is_highest():
-    lam = (1, 1)
-    space = build_module(lam)
-    vec = monomial_vector(space, (0, 0, 0, 0))
+    highest = build_module((1, 1)).basis_vectors[0]
     # one L^1 slot holding letter 1 and one L^2 slot holding letters 1, 2
-    assert vec == {((1,), (1, 2)): Fraction(1)}
+    assert highest == {((1,), (1, 2)): 1}
+    assert monomial_vector(2, highest, (0, 0, 0, 0)) == highest
+
+
+def test_monomial_rank_builds_only_the_highest_vector(monkeypatch):
+    def refuse(lam, cap=20000):
+        raise AssertionError("monomial_rank built the module")
+
+    monkeypatch.setattr(oracle, "build_module", refuse)
+    assert monomial_rank((1, 1)) == weyl_dim((1, 1))
+    with pytest.raises(ValueError, match="ambient dimension 4 exceeds cap 2"):
+        monomial_rank((1, 0), cap=2)
 
 
 def test_tensor_table_totals():

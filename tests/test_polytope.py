@@ -5,7 +5,9 @@ from __future__ import annotations
 import gc
 import itertools
 import random
+import re
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -86,6 +88,13 @@ def test_contains_agrees_with_enumeration():
     for _ in range(300):
         s = tuple(rng.randint(0, 2) for _ in range(n * n))
         assert contains(lam, s) == (s in pts)
+
+
+def test_contains_refuses_entries_that_are_not_ints():
+    # a float or a bool once passed every inequality and read as a point
+    for bad in (0.5, True, Fraction(1)):
+        with pytest.raises(ValueError, match=re.escape(f"got {bad!r} in")):
+            contains((1, 0), (bad, 0, 0, 0))
 
 
 def test_weyl_dim_known_values():
