@@ -267,7 +267,6 @@ def apply_partial_power(beta, P, exponent: int, variant: str = "unit"):
 class IdealGenerators(NamedTuple):
     base_relations: tuple  # the defining powers, reading order of their roots
     closure: tuple  # reduced basis of their span under the simple derivations
-    variant: str
 
 
 def base_relations(lam) -> list:
@@ -305,7 +304,7 @@ def ideal_generators(lam, variant: str = "chevalley") -> IdealGenerators:
             if basis.add(Q.terms):
                 closure.append(Q)
                 queue.append(Q)
-    return IdealGenerators(tuple(rels), tuple(closure), variant)
+    return IdealGenerators(tuple(rels), tuple(closure))
 
 
 def _pack(s, base: int) -> int:

@@ -234,23 +234,6 @@ def graded_action(lam, cap: int = 20000, space: RepresentationSpace | None = Non
     return action
 
 
-def compose_action(outer: dict, inner: dict) -> dict:
-    """Composite of two sparse action matrices (inner applied first)."""
-    out = {}
-    for src, mid_col in inner.items():
-        column = apply_action(outer, mid_col)
-        if column:
-            out[src] = column
-    return out
-
-
-def apply_action(mat: dict, vec: dict) -> dict:
-    """A sparse action matrix applied to a coordinate vector {index: c}."""
-    return combine(
-        (dst, c * x) for src, c in vec.items() for dst, x in mat.get(src, {}).items()
-    )
-
-
 # ---------------------------------------------------------------------------
 # ordered monomials in the unfiltered module
 # ---------------------------------------------------------------------------
@@ -314,9 +297,12 @@ def tensor_cartan_dims(lam, mu, cap: int = 20000) -> dict:
         raise ValueError("weights live in different ranks")
     n = len(lam)
     left = build_module(lam, cap)
-    right = build_module(mu, cap)
     act_left = graded_action(lam, space=left)
-    act_right = graded_action(mu, space=right)
+    if mu == lam:  # both factors are one module
+        right, act_right = left, act_left
+    else:
+        right = build_module(mu, cap)
+        act_right = graded_action(mu, space=right)
 
     def check(vec: dict, weight: tuple, level: int) -> None:
         for i, j in vec:

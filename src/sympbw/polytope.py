@@ -12,7 +12,12 @@ coordinate indices and the slice of lambda whose sum bounds it.  The table
 depends on the rank alone and is built once; the bounds of a weight are read
 off it on each use.  Membership is one scan of the rows that stops at the
 first broken path (first_broken), and every lattice-point enumeration is one
-depth-first walk over rows of (coordinates, bound) (lattice_points).
+depth-first walk over rows of (coordinates, bound) (lattice_points).  The
+walk first reduces the rows to those that can bind: coordinates on a row of
+bound 0 are fixed at 0, rows with the same remaining coordinates merge into
+the tightest, and a row implied by a tighter row over more coordinates is
+dropped.  It then assigns only the coordinates left on a kept row, and lists
+the values of the last of them in one bulk extend per branch.
 
 Counts, characters, graded characters and the largest degree never list the
 points: one memoized walk (_graded_counts) takes the coordinates in the same
@@ -154,33 +159,65 @@ def lattice_points(dim: int, rows) -> list:
     """All non-negative integer points of length dim, in lexicographic order,
     whose coordinates summed over each row's indices stay within its bound.
 
-    The rows are a list of (coordinate indices, bound) pairs.  Depth-first
-    assignment with the running slack of every row; a branch dies as soon as
-    a row's sum exceeds its bound, and a coordinate on no row stays 0.
+    The rows are a list of (coordinate indices, bound) pairs; the indices
+    within a row are distinct.  The rows are first reduced, exactly, to those
+    that can bind: a row with a negative bound and a coordinate leaves no
+    point; every coordinate of a row with bound 0 is fixed at 0; rows with the
+    same remaining ("live") coordinates merge into one with the smallest
+    bound; and a row is dropped when another row holds all its live
+    coordinates with a bound no larger.  The depth-first walk then assigns
+    only the coordinates left on a kept row, in increasing order, with one
+    running slack per kept row; every other coordinate stays 0.  At the last
+    walked coordinate every later one is 0, so each branch lists all its
+    points in one extend over precomputed tails (v, 0, ..., 0).
     """
-    on_coord = [[] for _ in range(dim)]  # coordinate -> row slots
-    for slot, (coords, _) in enumerate(rows):
-        for i in coords:
-            on_coord[i].append(slot)
-    slack = [bound for _, bound in rows]
-    point = [0] * dim
+    if any(bound < 0 and coords for coords, bound in rows):
+        return []
+    zero = {i for coords, bound in rows if bound == 0 for i in coords}
+    tightest = {}  # live coordinates -> smallest bound
+    for coords, bound in rows:
+        live = frozenset(coords).difference(zero)
+        if live and tightest.get(live, bound) >= bound:
+            tightest[live] = bound
+    kept = [
+        (live, bound) for live, bound in tightest.items()
+        if not any(b <= bound and other > live for other, b in tightest.items())
+    ]
+    walked = sorted({i for live, _ in kept for i in live})
+    if not walked:
+        return [(0,) * dim]
+    last = len(walked) - 1
+    slack = [bound for _, bound in kept]
+    on = [[r for r, (live, _) in enumerate(kept) if i in live] for i in walked]
+    # a row without a later coordinate needs no update once its last is set
+    ahead = [[r for r in on[t] if max(kept[r][0]) > i] for t, i in enumerate(walked)]
+    # pieces[t][v]: the zeros after the previous walked coordinate, then v
+    gaps = [(0,) * (i - j - 1) for j, i in zip([-1] + walked, walked)]
+    pieces = [
+        [gap + (v,) for v in range(min(slack[r] for r in on_t) + 1)]
+        for gap, on_t in zip(gaps, on)
+    ]
+    tails = [piece + (0,) * (dim - 1 - walked[-1]) for piece in pieces[-1]]
+    get = slack.__getitem__
     out = []
 
-    def assign(i):
-        if i == dim:
-            out.append(tuple(point))
+    def assign(t, prefix):
+        headroom = min(map(get, on[t]))
+        if t == last:
+            out.extend(map(prefix.__add__, tails[:headroom + 1]))
             return
-        headroom = min((slack[slot] for slot in on_coord[i]), default=0)
-        for value in range(headroom + 1):
-            point[i] = value
-            for slot in on_coord[i]:
-                slack[slot] -= value
-            assign(i + 1)
-            for slot in on_coord[i]:
-                slack[slot] += value
-        point[i] = 0
+        piece = pieces[t]
+        assign(t + 1, prefix + piece[0])
+        if headroom:
+            rows_t = ahead[t]
+            for v in range(1, headroom + 1):
+                for r in rows_t:
+                    slack[r] -= 1
+                assign(t + 1, prefix + piece[v])
+            for r in rows_t:
+                slack[r] += headroom
 
-    assign(0)
+    assign(0, ())
     del assign  # the closure holds itself through its cell: free it with the call
     return out
 
@@ -222,11 +259,12 @@ def degree_of(s) -> int:
 def _graded_counts(lam, graded: bool = True) -> GradedDimensionTable:
     """Counts of S(lambda) per (weight offset, degree), no point built.
 
-    The walk of lattice_points over the path table, memoized on each suffix:
-    the counts below coordinate i depend only on i and, for each group of
-    _walk_groups, the smallest slack of its rows.  A cell is packed into one
-    int, base ``base`` digits (degree, weight_1, ..., weight_n), so that
-    setting coordinate i to v shifts every cell below it by v * step[i].
+    A depth-first walk of every coordinate, in increasing order, over the
+    path table, memoized on each suffix: the counts below coordinate i depend
+    only on i and, for each group of _walk_groups, the smallest slack of its
+    rows.  A cell is packed into one int, base ``base`` digits (degree,
+    weight_1, ..., weight_n), so that setting coordinate i to v shifts every
+    cell below it by v * step[i].
     With ``graded`` false every step is 0, and the one cell (0, 0) holds
     |S(lambda)|.
     """

@@ -309,20 +309,6 @@ def _proportionality(a: dict, b: dict):
     return ratios.pop() if len(ratios) == 1 else None
 
 
-def skew_form(n: int) -> dict:
-    """The fixed antidiagonal skew form: S[k, 2n+1-k] = 1 for k <= n, else -1."""
-    return {(k, 2 * n + 1 - k): 1 if k <= n else -1 for k in range(1, 2 * n + 1)}
-
-
-def cartan_matrix(n: int) -> dict:
-    """C_n Cartan matrix {(k, l): <alpha_l, alpha_k-check>}, nonzero entries only."""
-    a = {(k, k): 2 for k in range(1, n + 1)}
-    for k in range(1, n):
-        a[k + 1, k] = -1
-        a[k, k + 1] = -2 if k == n - 1 else -1
-    return a
-
-
 class ChevalleyRealization:
     """sp_{2n} as matrices X with X^T S + S X = 0 for the antidiagonal skew form S.
 

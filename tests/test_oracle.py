@@ -10,12 +10,10 @@ import pytest
 
 from sympbw import oracle, polytope
 from sympbw.grmod import base_relations
-from sympbw.linalg import IncrementalBasis
+from sympbw.linalg import IncrementalBasis, combine
 from sympbw.oracle import (
     _vector_offset,
-    apply_action,
     build_module,
-    compose_action,
     graded_action,
     monomial_rank,
     monomial_vector,
@@ -24,6 +22,23 @@ from sympbw.oracle import (
 )
 from sympbw.polytope import graded_character, weyl_dim
 from sympbw.rootsys import chevalley_realization, positive_roots
+
+
+def apply_action(mat: dict, vec: dict) -> dict:
+    """A sparse action matrix applied to a coordinate vector {index: c}."""
+    return combine(
+        (dst, c * x) for src, c in vec.items() for dst, x in mat.get(src, {}).items()
+    )
+
+
+def compose_action(outer: dict, inner: dict) -> dict:
+    """Composite of two sparse action matrices (inner applied first)."""
+    out = {}
+    for src, mid_col in inner.items():
+        column = apply_action(outer, mid_col)
+        if column:
+            out[src] = column
+    return out
 
 
 def _derivation(matrix: dict, slot: tuple) -> dict:
@@ -245,6 +260,21 @@ def test_tensor_with_trivial_factor():
     lam = (1, 1)
     assert tensor_cartan_dims(lam, (0, 0)) == pbw_filtration_dims(lam)
     assert tensor_cartan_dims((0, 0), lam) == pbw_filtration_dims(lam)
+
+
+@pytest.mark.parametrize("lam, mu, builds", [
+    ((1, 0, 0), (1, 0, 0), 1),
+    ((1, 0), (0, 1), 2),
+])
+def test_tensor_builds_each_distinct_factor_once(monkeypatch, lam, mu, builds):
+    calls = []
+    original = oracle.build_module
+    monkeypatch.setattr(
+        oracle, "build_module", lambda *args: calls.append(args) or original(*args)
+    )
+    table = tensor_cartan_dims(lam, mu)
+    assert len(calls) == builds
+    assert sum(table.values()) == weyl_dim(tuple(a + b for a, b in zip(lam, mu)))
 
 
 def test_tensor_rank_mismatch():

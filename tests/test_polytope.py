@@ -68,6 +68,67 @@ def test_points_n2_omega1_hand_listed():
     ]
 
 
+def _points_by_brute_force(dim, rows):
+    """Every point of the box whose coordinate i runs up to the smallest bound
+    of a row on i (0 on no row), kept when no row's sum exceeds its bound."""
+    tops = [min((b for coords, b in rows if i in coords), default=0) for i in range(dim)]
+    if min(tops, default=0) < 0:
+        return []
+    return [
+        p for p in itertools.product(*(range(top + 1) for top in tops))
+        if all(sum(p[i] for i in coords) <= b for coords, b in rows)
+    ]
+
+
+def _random_rows(rng, dim):
+    """Rows whose supports often repeat or nest an earlier row's, with bounds
+    that are often 0 and now and then negative."""
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        if rows and rng.random() < 0.4:
+            base = set(rng.choice(rows)[0])
+            if rng.random() < 0.5:  # a subset, the same support or a superset
+                base = {i for i in base if rng.random() < 0.7}
+            else:
+                base |= set(rng.sample(range(dim), rng.randint(0, dim)))
+            coords = sorted(base)
+        else:
+            coords = rng.sample(range(dim), rng.randint(0, dim))
+        bound = rng.choice((-1, 0, 0, 1, 1, 2, 3, 3)) if coords else rng.randint(0, 3)
+        rows.append((coords, bound))
+    return rows
+
+
+def test_lattice_points_match_brute_force():
+    # the indices within a row are distinct, as at every caller of lattice_points
+    rng = random.Random(11)
+    cases = [
+        (4, [([0, 1], 0), ([1, 2, 3], 2)]),  # bound-0 row
+        (3, [([0, 2], 2), ([2, 0], 1), ([0, 2], 3)]),  # repeated support
+        (4, [([0, 1], 1), ([0, 1, 2], 2)]),  # nested, inner row tighter
+        (4, [([0, 1], 2), ([0, 1, 2], 1)]),  # nested, outer row tighter
+        (3, [([0, 1], 2), ([2], -1)]),  # negative bound
+        (3, [([], 0), ([0, 2], 2)]),  # row with no coordinates
+        (5, [([0, 3], 2), ([3, 4], 1)]),  # coordinates 1 and 2 on no row
+        (6, [(range(6), 3)]),  # one row over every coordinate
+        (0, []),
+        (2, []),
+    ]
+    cases += [(dim, _random_rows(rng, dim)) for dim in (rng.randint(1, 6) for _ in range(300))]
+    seen = Counter()
+    for dim, rows in cases:
+        supports = [frozenset(coords) for coords, _ in rows]
+        seen["bound 0"] += any(b == 0 and coords for coords, b in rows)
+        seen["negative"] += any(b < 0 for _, b in rows)
+        seen["empty row"] += frozenset() in supports
+        seen["repeated"] += len(set(supports)) < len(supports)
+        seen["nested"] += any(s < t for s in supports for t in supports)
+        seen["free coordinate"] += len(frozenset().union(*supports)) < dim
+        expected = _points_by_brute_force(dim, rows)
+        assert polytope.lattice_points(dim, rows) == expected, (dim, rows)
+    assert min(seen.values()) >= 10 and len(seen) == 6, seen
+
+
 def test_points_zero_weight():
     assert enumerate_points((0, 0)) == [(0, 0, 0, 0)]
     assert weyl_dim((0, 0, 0)) == 1

@@ -14,7 +14,6 @@ from sympbw.polytope import weyl_dim
 from sympbw.rootsys import (
     BarredIndex,
     PositiveRoot,
-    cartan_matrix,
     chevalley_realization,
     coefficient_root_map,
     epsilon_coords,
@@ -34,7 +33,6 @@ from sympbw.rootsys import (
     root_to_json,
     simple_coefficients,
     simple_root,
-    skew_form,
     validate_rank,
     validate_weight,
     variable_key,
@@ -42,6 +40,20 @@ from sympbw.rootsys import (
     _mat_mul,
     _proportionality,
 )
+
+
+def skew_form(n: int) -> dict:
+    """The fixed antidiagonal skew form: S[k, 2n+1-k] = 1 for k <= n, else -1."""
+    return {(k, 2 * n + 1 - k): 1 if k <= n else -1 for k in range(1, 2 * n + 1)}
+
+
+def cartan_matrix(n: int) -> dict:
+    """C_n Cartan matrix {(k, l): <alpha_l, alpha_k-check>}, nonzero entries only."""
+    a = {(k, k): 2 for k in range(1, n + 1)}
+    for k in range(1, n):
+        a[k + 1, k] = -1
+        a[k, k + 1] = -2 if k == n - 1 else -1
+    return a
 
 
 def test_alphabet_order():

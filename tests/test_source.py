@@ -85,8 +85,8 @@ def test_traced_benchmark_names_resolve():
     assert missing == []
 
 
-def _module_level_private_names(tree):
-    """(name, defining node) for each module-level `_name` that is not a dunder."""
+def _module_level_names(tree):
+    """(name, defining node) for each module-level def, class or assignment."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -96,8 +96,7 @@ def _module_level_private_names(tree):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                yield name, node
+            yield name, node
 
 
 def _referenced_names(node, skip):
@@ -113,20 +112,40 @@ def _referenced_names(node, skip):
             yield child.name
 
 
-def test_private_helpers_are_used():
-    # a private module-level helper that nothing in the package reads is dead
+def _unread(wanted) -> list:
+    """The "file:name" of each module-level name that wanted(name, node)
+    selects and that nothing in the package reads outside its own
+    definition; sympbw/__init__.py reads every name it exports."""
     trees = {
         path.name: ast.parse(path.read_text(), filename=str(path))
         for path in sorted(SOURCE.glob("*.py"))
     }
     assert trees
-    unused = []
+    unread = []
     for filename, tree in trees.items():
-        for name, definition in _module_level_private_names(tree):
+        for name, definition in _module_level_names(tree):
+            if not wanted(name, definition):
+                continue
             own = set(ast.walk(definition))
             if not any(
                 name in _referenced_names(other, own if other is tree else set())
                 for other in trees.values()
             ):
-                unused.append(f"{filename}:{name}")
-    assert unused == []
+                unread.append(f"{filename}:{name}")
+    return unread
+
+
+def test_private_helpers_are_used():
+    # a private module-level helper that nothing in the package reads is dead
+    assert _unread(
+        lambda name, _: name.startswith("_") and not name.startswith("__")
+    ) == []
+
+
+def test_public_helpers_are_used():
+    # a public function or class that the package neither reads nor exports
+    # serves only the tests, and belongs there
+    assert _unread(
+        lambda name, node: not name.startswith("_") and isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ) == []
