@@ -12,9 +12,10 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+from operator import add
 
 from . import decomp, dyck, grmod, oracle, polytope
-from .rootsys import positive_roots, simple_root
+from .rootsys import epsilon_coords, positive_roots, simple_root
 
 ORDER_TRIPLES = 2000
 
@@ -120,14 +121,18 @@ def order_laws(max_n, max_weight, seed):
 
 
 def partial_support(max_n, max_weight, seed):
-    """Along each simple root, the unit and Chevalley derivations share a support."""
+    """Along each simple root beta, the raising action sends f_alpha to a
+    nonzero multiple of f_gamma when gamma + beta = alpha in epsilon
+    coordinates for a positive root gamma, and to 0 when there is none."""
     max_n = min(max_n, 4)
 
     def differs(beta, alpha, n):
-        P = grmod.SparsePolynomial.variable_power(alpha, 1, n)
-        unit = grmod.partial_op(beta, P, variant="unit")
-        chev = grmod.partial_op(beta, P, variant="chevalley")
-        return set(unit.monomials()) != set(chev.monomials())
+        roots = positive_roots(n)
+        eps = {gamma: epsilon_coords(gamma, n) for gamma in roots}
+        want = [g for g in roots if tuple(map(add, eps[g], eps[beta])) == eps[alpha]]
+        f_alpha = grmod.SparsePolynomial.variable_power(alpha, 1, n)
+        image = grmod.partial_op(beta, f_alpha).terms  # no zero coefficient kept
+        return [roots[t.index(1)] for t in image] != want
 
     return {"max_n": max_n}, (
         differs(simple_root(k), alpha, n)

@@ -72,20 +72,23 @@ def support_to_exponent(sup: FundamentalSupport, n: int) -> tuple:
     return tuple(s)
 
 
-def fundamental_points(n: int, i: int) -> list:
-    """All points of S(omega_i) by chain enumeration, sorted as tuples."""
+def _validate_index(n: int, i: int) -> None:
+    """Refuse a rank below 1 or a fundamental index outside 1..n."""
     validate_rank(n)
     if not 1 <= i <= n:
         raise ValueError(f"fundamental index must satisfy 1 <= i <= {n}, got {i}")
+
+
+def fundamental_points(n: int, i: int) -> list:
+    """All points of S(omega_i) by chain enumeration, sorted as tuples."""
+    _validate_index(n, i)
     points = {support_to_exponent(sup, n) for sup in _fundamental_supports(n, i)}
     return sorted(points)
 
 
 def fundamental_count(n: int, i: int) -> int:
     """|S(omega_i)| without materializing exponent vectors."""
-    validate_rank(n)
-    if not 1 <= i <= n:
-        raise ValueError(f"fundamental index must satisfy 1 <= i <= {n}, got {i}")
+    _validate_index(n, i)
     return sum(1 for _ in _fundamental_supports(n, i))
 
 
@@ -94,6 +97,7 @@ def support_R_i(s, i: int) -> set:
     n = math.isqrt(len(s))
     if n * n != len(s):
         raise ValueError(f"multi-exponent length {len(s)} is not a square")
+    _validate_index(n, i)
     return {
         alpha
         for alpha, x in zip(positive_roots(n), s)
@@ -173,9 +177,7 @@ def peel_completely(lam, s) -> list:
 
 def binomial_identity_check(n: int, i: int) -> bool:
     """Whether |S(omega_i)| + |S(omega_{i-2})| + ... equals C(2n, i)."""
-    validate_rank(n)
-    if not 1 <= i <= n:
-        raise ValueError(f"fundamental index must satisfy 1 <= i <= {n}, got {i}")
+    _validate_index(n, i)
     total = 0
     k = i
     while k >= 1:

@@ -1,9 +1,9 @@
 """Polynomials in the root variables, the ideal I(lambda), and straightening.
 
 The module carries the symmetric-algebra half of the construction: exact
-sparse polynomials in the n^2 variables f_alpha, the derivations given on
-generators by f_beta -> f_{beta-alpha}, the ideal generated from the powers
-f_alpha^{(lambda,alpha^vee)+1} under the raising operators, graded quotient
+sparse polynomials in the n^2 variables f_alpha, one derivation per root
+alpha, f_beta -> c f_{beta-alpha} with the realization's Chevalley constant c,
+the ideal generated from f_alpha^{(lambda,alpha^vee)+1} under them, graded quotient
 dimensions by incremental row reduction, the degree/row-sum/lex monomial
 order, and the explicit operator composites whose value on a high power of
 the long-root variable is a straightening relation with prescribed leading
@@ -45,6 +45,7 @@ from .rootsys import (
     positive_roots,
     root_index_map,
     simple_coefficients,
+    validate_exponent,
     validate_weight,
     variable_key,
 )
@@ -214,49 +215,41 @@ def monomial_compare(s, t) -> str:
 # derivations
 # ---------------------------------------------------------------------------
 
-def partial_op(beta: PositiveRoot, P: SparsePolynomial, variant: str = "unit"):
-    """The derivation removing beta: on generators f_a -> c * f_{a - beta}
-    when a - beta is again a positive root, 0 otherwise.  The unit variant
-    uses c = 1; the chevalley variant uses the structure coefficient of the
-    matrix realization, i.e. the honest raising action on the symmetric
-    algebra, and so preserves raising-closed ideals."""
-    n = P.n
-    roots = positive_roots(n)
+@lru_cache(maxsize=None)
+def _raising_table(n: int, beta: PositiveRoot) -> tuple:
+    """e_beta on generators, in reading order: (slot of alpha, slot of gamma, c)
+    for each positive root gamma = alpha - beta, with [e_beta, f_alpha] = c f_gamma."""
     idx = root_index_map(n)
     by_coeffs = coefficient_root_map(n)
     beta_coeffs = simple_coefficients(beta, n)
-    if variant == "chevalley":
-        realization = chevalley_realization(n)
-    elif variant != "unit":
-        raise ValueError(f"unknown variant {variant!r}")
+    table = []
+    for pos, alpha in enumerate(positive_roots(n)):
+        diff = tuple(a - b for a, b in zip(simple_coefficients(alpha, n), beta_coeffs))
+        if diff in by_coeffs:
+            coeff = chevalley_realization(n).ad_root_coeff(beta, alpha)
+            table.append((pos, idx[by_coeffs[diff]], coeff))
+    return tuple(table)
+
+
+def partial_op(beta: PositiveRoot, P: SparsePolynomial):
+    """The raising action of e_beta on the symmetric algebra, read from one
+    table cached per (rank, beta): the derivation f_a -> c * f_{a - beta}, c
+    the realization's structure constant, when a - beta is a positive root,
+    and f_a -> 0 otherwise.  It preserves raising-closed ideals."""
     terms = []
     for s, c in P.terms.items():
-        for pos, x in enumerate(s):
-            if not x:
-                continue
-            alpha = roots[pos]
-            diff = tuple(
-                a - b for a, b in zip(simple_coefficients(alpha, n), beta_coeffs)
-            )
-            gamma = by_coeffs.get(diff)
-            if gamma is None:
-                continue
-            if variant == "chevalley":
-                coeff = realization.ad_root_coeff(beta, alpha)
-                if not coeff:
-                    continue
-            else:
-                coeff = 1
-            t = list(s)
-            t[pos] -= 1
-            t[idx[gamma]] += 1
-            terms.append((tuple(t), c * x * coeff))
-    return SparsePolynomial(n, combine(terms))
+        for pos, target, coeff in _raising_table(P.n, beta):
+            if s[pos]:
+                t = list(s)
+                t[pos] -= 1
+                t[target] += 1
+                terms.append((tuple(t), c * s[pos] * coeff))
+    return SparsePolynomial(P.n, combine(terms))
 
 
-def apply_partial_power(beta, P, exponent: int, variant: str = "unit"):
+def apply_partial_power(beta, P, exponent: int):
     for _ in range(exponent):
-        P = partial_op(beta, P, variant)
+        P = partial_op(beta, P)
     return P
 
 
@@ -282,7 +275,7 @@ def base_relations(lam) -> list:
     return rels
 
 
-def ideal_generators(lam, variant: str = "chevalley") -> IdealGenerators:
+def ideal_generators(lam) -> IdealGenerators:
     """Close the defining powers under the n simple-root derivations."""
     lam = validate_weight(lam)
     n = len(lam)
@@ -298,7 +291,7 @@ def ideal_generators(lam, variant: str = "chevalley") -> IdealGenerators:
     while queue:
         P = queue.pop(0)
         for beta in simples:
-            Q = partial_op(beta, P, variant)
+            Q = partial_op(beta, P)
             if Q.is_zero():
                 continue
             if basis.add(Q.terms):
@@ -332,9 +325,7 @@ def _monomials_by_cell(n: int, max_degree: int):
     return cells
 
 
-def quotient_graded_dims(
-    lam, max_degree=None, variant: str = "chevalley", cap: int = 200000
-):
+def quotient_graded_dims(lam, max_degree=None, cap: int = 200000):
     """Dimensions of the graded quotient by (weight, degree), degrees up to
     max_degree (default: one beyond the largest polytope point degree).
 
@@ -356,7 +347,7 @@ def quotient_graded_dims(
         max_degree = polytope.max_point_degree(lam) + 1
     elif type(max_degree) is not int or max_degree < 0:
         raise ValueError(f"max_degree must be an int >= 0, got {max_degree!r}")
-    gens = ideal_generators(lam, variant)
+    gens = ideal_generators(lam)
     cells = _monomials_by_cell(n, max_degree)
     for key, monos in cells.items():
         if len(monos) > cap:
@@ -423,6 +414,9 @@ def straightening_plan(lam, path, s) -> StraighteningPlan:
     """
     lam = validate_weight(lam)
     n = len(lam)
+    s = validate_exponent(s, n)
+    if min(s) < 0:
+        raise ValueError(f"multi-exponent entries must be non-negative, got {s!r}")
     path = tuple(path)
     ok, why = dyck.is_dyck_path(path, n)
     if not ok:
@@ -493,7 +487,7 @@ def straightening_element(lam, path, s):
     plan = straightening_plan(lam, path, s)
     P = SparsePolynomial.variable_power(plan.start_root, plan.sigma, n)
     for beta, exponent in plan.factors:
-        P = apply_partial_power(beta, P, exponent, variant="chevalley")
+        P = apply_partial_power(beta, P, exponent)
     lead = P.coefficient(s)
     if not lead:
         raise RuntimeError(f"straightening lost its leading term f^{tuple(s)}")

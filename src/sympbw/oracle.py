@@ -185,13 +185,17 @@ def build_module(lam, cap: int = 20000) -> RepresentationSpace:
 
 
 def pbw_filtration_dims(lam, cap: int = 20000, space: RepresentationSpace | None = None) -> dict:
-    """Graded dimensions {(weight offset, level): dim} of the PBW filtration."""
+    """Graded dimensions {(weight offset, level): dim} of the PBW filtration.
+
+    A given space must be the module of lam; another raises ValueError."""
     if space is None:
         space = build_module(lam, cap)
+    elif space.lam != validate_weight(lam):
+        raise ValueError(f"space is the module of {space.lam}, not of {tuple(lam)}")
     return dict(Counter(zip(space.weight_tags, space.level_tags)))
 
 
-def graded_action(lam, cap: int = 20000, space: RepresentationSpace | None = None) -> dict:
+def graded_action(space: RepresentationSpace) -> dict:
     """Matrices {alpha: {src: {dst: c}}} of the f_alpha on the associated graded module.
 
     Basis vector j of level d maps into the level d+1 slice; components of
@@ -199,8 +203,6 @@ def graded_action(lam, cap: int = 20000, space: RepresentationSpace | None = Non
     one tracked basis per weight space, fed that weight's module vectors in
     position order, so add index k is the k-th module vector of its weight.
     """
-    if space is None:
-        space = build_module(lam, cap)
     n = space.n
     levels = space.level_tags
     members = defaultdict(list)  # weight offset -> module positions, in order
@@ -297,12 +299,12 @@ def tensor_cartan_dims(lam, mu, cap: int = 20000) -> dict:
         raise ValueError("weights live in different ranks")
     n = len(lam)
     left = build_module(lam, cap)
-    act_left = graded_action(lam, space=left)
+    act_left = graded_action(left)
     if mu == lam:  # both factors are one module
         right, act_right = left, act_left
     else:
         right = build_module(mu, cap)
-        act_right = graded_action(mu, space=right)
+        act_right = graded_action(right)
 
     def check(vec: dict, weight: tuple, level: int) -> None:
         for i, j in vec:

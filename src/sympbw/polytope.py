@@ -50,6 +50,7 @@ from .rootsys import (
     positive_roots,
     root_index_map,
     simple_coefficients,
+    validate_exponent,
     validate_weight,
 )
 
@@ -135,13 +136,7 @@ def first_broken(lam, s):
     is not int (bools included) raises ValueError."""
     lam = validate_weight(lam)
     n = len(lam)
-    if len(s) != n * n:
-        raise ValueError(f"multi-exponent needs {n * n} coordinates, got {len(s)}")
-    for x in s:
-        if type(x) is not int:
-            raise ValueError(
-                f"multi-exponent entries must be ints, got {x!r} in {tuple(s)!r}"
-            )
+    s = validate_exponent(s, n)
     for path, coords, a, b in _path_table(n):
         bound = sum(lam[a:b])
         if sum(map(s.__getitem__, coords)) > bound:

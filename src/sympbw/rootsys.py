@@ -66,6 +66,21 @@ def validate_weight(lam) -> tuple:
     return lam
 
 
+def validate_exponent(s, n: int) -> tuple:
+    """Check a multi-exponent of rank n and return it as a tuple.
+
+    A length other than n^2 and an entry whose type is not int (bools
+    included) raise ValueError; nothing is converted.
+    """
+    s = tuple(s)
+    if len(s) != n * n:
+        raise ValueError(f"multi-exponent needs {n * n} coordinates, got {len(s)}")
+    for x in s:
+        if type(x) is not int:
+            raise ValueError(f"multi-exponent entries must be ints, got {x!r} in {s!r}")
+    return s
+
+
 def validate_rank(n: int) -> int:
     if type(n) is not int:
         raise ValueError(f"rank must be an int, got {n!r}")

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from sympbw import checks
+from sympbw import checks, grmod
+from sympbw.rootsys import simple_root
 
 
 def stub(*counts):
@@ -63,3 +64,21 @@ def test_all_runs_every_suite_in_order(monkeypatch):
     monkeypatch.setattr(checks, "SUITES", suites)
     records = checks.run("all", 1, 1, 0)
     assert calls == [r["name"] for r in records] == ["x", "y", "z"]
+
+
+@pytest.mark.parametrize("fault", ["dropped entry", "zero constant"])
+def test_partial_support_catches_a_faulty_table(monkeypatch, fault):
+    table = grmod._raising_table
+
+    def faulty(n, beta):
+        entries = list(table(n, beta))
+        if n == 4 and beta == simple_root(2):
+            pos, target, _ = entries.pop()
+            if fault == "zero constant":
+                entries.append((pos, target, 0))
+        return tuple(entries)
+
+    assert checks.run("partial", 4, 1, 0)[0]["status"] == "pass"
+    monkeypatch.setattr(grmod, "_raising_table", faulty)
+    (record,) = checks.run("partial", 4, 1, 0)
+    assert (record["status"], record["actual"]) == ("fail", 1)

@@ -7,7 +7,9 @@ now come from the counting walk.  The oracle and tensor digests were recorded
 when the module and the tensor component were still closed by two separate
 loops with tracked bases; both now share one untracked closure.  A match
 shows each switch left the output byte-identical, and it keeps later changes
-to these paths honest.
+to these paths honest.  The verify digests, taken with the benchmark's
+arguments and the default seed, were recorded while the ideal side still
+kept a second, unit-coefficient derivation beside the Chevalley one.
 """
 
 from __future__ import annotations
@@ -49,6 +51,12 @@ COMMANDS = {
     "tensor": [
         _runs(["tensor", "--mu", _csv(mu)], [lam])[0] for lam, mu in TENSOR_PAIRS
     ],
+    **{
+        f"verify-{suite}": [
+            ["verify", "--suite", suite, "--max-n", "3", "--max-weight", "2"]
+        ]
+        for suite in ("graded", "straightening", "partial")
+    },
 }
 
 DIGESTS = {
@@ -100,6 +108,24 @@ DIGESTS = {
         "c1194e530b0ca67b310206f0d1752ed1c4667598d38b85671c3456e62d5004cb",
     ("tensor", "text"):
         "fa51ecca4a1d20e89e65376e4dfb35cd6feab4ff2c384a07ba00b4936913f772",
+    ("verify-graded", "json"):
+        "f7983abebb01a498cb32ca001ba9f84f6c9a7a9dfd3d1fb420b87f6ec75c5a7e",
+    ("verify-graded", "csv"):
+        "ef9ae27b311a7aac20aac01064fbbf96cb5dddc10e37bbd10aa3236285c2a2a7",
+    ("verify-graded", "text"):
+        "6f703e7ce998e168591bc9d9dc416d255a2d08fc2280ab32e821e889dabf9d13",
+    ("verify-partial", "json"):
+        "8bccab2cc0817d1abbbc93fbce7272fa55ca7868a4eb58bd1ccc7ba0c57ced48",
+    ("verify-partial", "csv"):
+        "f83e5dea491e519080ab1fb97ea7cd817d7e2fc8fd2b9867a337f23762bb2d6b",
+    ("verify-partial", "text"):
+        "ffb95c26eac8c9644822ea55c4d69d87d5eeedce7336efaaec25d05702eed4b9",
+    ("verify-straightening", "json"):
+        "1d3025ec78a2baa9ec9e82c0164fe6b274850cd7e602130a3589cc884e18679f",
+    ("verify-straightening", "csv"):
+        "a4905c81b4fa4a452d4c04cf4cb578e719111939a757271e4189249df2ad0ef7",
+    ("verify-straightening", "text"):
+        "90a16e98b1eba409b4fd90921da1eea8c4d2c4a7d57e82e73718815b326921ed",
 }
 
 

@@ -52,6 +52,11 @@ def test_support_R_i():
     s = (1, 0, 1, 1)  # f_{1,1}, f_{1,1~}, f_{2,2}
     assert support_R_i(s, 1) == {make_root(1, 1, False, n), make_root(1, 1, True, n)}
     assert support_R_i(s, 2) == {make_root(1, 1, True, n), make_root(2, 2, False, n)}
+    for i in (0, -1, 3):  # an index outside 1..n, for the marker too
+        with pytest.raises(ValueError, match="fundamental index"):
+            support_R_i(s, i)
+        with pytest.raises(ValueError, match="fundamental index"):
+            minimal_marker(s, i)
 
 
 def test_minimal_marker_is_an_antichain():

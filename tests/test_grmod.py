@@ -164,6 +164,7 @@ def test_partial_unit_hand_values():
         (make_root(1, 3, False, n), make_root(1, 2, False, n), None),
     ]
     idx = root_index_map(n)
+    real = chevalley_realization(n)
     for beta, alpha, target in cases:
         result = partial_op(beta, SparsePolynomial.variable_power(alpha, 1, n))
         if target is None:
@@ -171,23 +172,23 @@ def test_partial_unit_hand_values():
         else:
             expected = [0] * (n * n)
             expected[idx[target]] = 1
-            assert result.terms == {tuple(expected): Fraction(1)}, (beta, alpha)
+            coeff = real.ad_root_coeff(beta, alpha)
+            assert coeff, (beta, alpha)
+            assert result.terms == {tuple(expected): coeff}, (beta, alpha)
 
 
 def test_partial_acts_as_derivation():
     rng = random.Random(21)
     n = 2
     roots = positive_roots(n)
-    for variant in ("unit", "chevalley"):
-        for _ in range(25):
-            p = mono(n, tuple(rng.randint(0, 2) for _ in range(n * n)),
-                     rng.randint(1, 3))
-            q = mono(n, tuple(rng.randint(0, 2) for _ in range(n * n)))
-            beta = rng.choice(roots)
-            left = partial_op(beta, p * q, variant)
-            right = partial_op(beta, p, variant) * q + p * partial_op(
-                beta, q, variant)
-            assert left.terms == right.terms
+    for _ in range(25):
+        p = mono(n, tuple(rng.randint(0, 2) for _ in range(n * n)),
+                 rng.randint(1, 3))
+        q = mono(n, tuple(rng.randint(0, 2) for _ in range(n * n)))
+        beta = rng.choice(roots)
+        left = partial_op(beta, p * q)
+        right = partial_op(beta, p) * q + p * partial_op(beta, q)
+        assert left.terms == right.terms
 
 
 def test_partial_chevalley_scales_by_bracket_constant():
@@ -196,25 +197,19 @@ def test_partial_chevalley_scales_by_bracket_constant():
         for beta in positive_roots(n):
             for alpha in positive_roots(n):
                 p = SparsePolynomial.variable_power(alpha, 1, n)
-                unit = partial_op(beta, p, "unit")
-                chev = partial_op(beta, p, "chevalley")
-                assert set(unit.terms) == set(chev.terms)
+                chev = partial_op(beta, p)
+                assert len(chev.terms) == (1 if real.ad_root_coeff(beta, alpha) else 0)
                 for t, c in chev.terms.items():
-                    assert c == real.ad_root_coeff(beta, alpha) * unit.terms[t]
-
-
-def test_partial_rejects_unknown_variant():
-    with pytest.raises(ValueError):
-        partial_op(simple_root(1), mono(2, (1, 0, 0, 0)), "other")
+                    assert c == real.ad_root_coeff(beta, alpha)
 
 
 def test_apply_partial_power_iterates():
     n = 2
     p = mono(n, (0, 2, 0, 0))
     beta = simple_root(1)
-    once = partial_op(beta, p, "chevalley")
-    twice = partial_op(beta, once, "chevalley")
-    assert apply_partial_power(beta, p, 2, "chevalley").terms == twice.terms
+    once = partial_op(beta, p)
+    twice = partial_op(beta, once)
+    assert apply_partial_power(beta, p, 2).terms == twice.terms
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +247,7 @@ def test_closure_sizes_frozen():
     assert len(ideal_generators((1, 0)).closure) == 10
     assert len(ideal_generators((0, 1)).closure) == 10
     assert len(ideal_generators((1, 1)).closure) == 18
-    assert len(ideal_generators((1, 0), variant="unit").closure) == 10
-    assert len(ideal_generators((0, 1), variant="unit").closure) == 10
+    assert len(ideal_generators((0, 1, 0)).closure) == 38
 
 
 def test_closure_is_homogeneous():
@@ -266,11 +260,9 @@ def test_closure_is_homogeneous():
         assert len(weights) == 1
 
 
-def test_quotient_matches_point_count_both_variants():
-    for lam in ((1, 0), (0, 1), (1, 1), (2, 0)):
-        want = polytope.graded_character(lam)
-        assert quotient_graded_dims(lam, variant="chevalley") == want, lam
-        assert quotient_graded_dims(lam, variant="unit") == want, lam
+def test_quotient_matches_point_count():
+    for lam in ((1, 0), (0, 1), (1, 1), (2, 0), (0, 1, 0)):
+        assert quotient_graded_dims(lam) == polytope.graded_character(lam), lam
 
 
 def test_quotient_rejects_a_bad_max_degree():
@@ -297,32 +289,10 @@ def test_closure_coefficients_are_ints():
         for lam in itertools.product(range(3), repeat=n):
             if sum(lam) > 2:
                 continue
-            for variant in ("chevalley", "unit"):
-                for poly in ideal_generators(lam, variant).closure:
-                    assert all(type(c) is int for c in poly.terms.values())
-                    cases += 1
+            for poly in ideal_generators(lam).closure:
+                assert all(type(c) is int for c in poly.terms.values())
+                cases += 1
     assert cases
-
-
-def test_unit_variant_diverges_at_rank_three():
-    # closing the ideal with the unit-coefficient derivations overshoots for
-    # the second fundamental weight at rank 3: the closure picks up elements
-    # outside the true ideal and five cells of the quotient collapse.  The
-    # bracket-coefficient closure stays exact.  Frozen as a regression.
-    lam = (0, 1, 0)
-    want = polytope.graded_character(lam)
-    assert len(ideal_generators(lam, variant="chevalley").closure) == 38
-    assert len(ideal_generators(lam, variant="unit").closure) == 46
-    assert quotient_graded_dims(lam, variant="chevalley") == want
-    unit = quotient_graded_dims(lam, variant="unit")
-    assert unit != want
-    missing = sorted(set(want) - set(unit))
-    assert missing == [
-        ((1, 2, 1), 2), ((1, 3, 1), 2), ((1, 3, 2), 2),
-        ((2, 3, 1), 2), ((2, 3, 2), 2),
-    ]
-    assert all(want[cell] == 1 for cell in missing)
-    assert not set(unit) - set(want)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +442,7 @@ def test_straightening_element_raises_when_the_lead_vanishes(monkeypatch):
     a11, a12, hook = (make_root(1, 1, False, 2), make_root(1, 2, False, 2),
                       make_root(1, 1, True, 2))
     monkeypatch.setattr(
-        grmod, "apply_partial_power", lambda beta, P, e, variant: SparsePolynomial(P.n)
+        grmod, "apply_partial_power", lambda beta, P, e: SparsePolynomial(P.n)
     )
     with pytest.raises(RuntimeError, match="lost its leading term"):
         straightening_element((1, 0), (a11, a12, hook), (1, 1, 0, 0))
@@ -490,6 +460,19 @@ def test_straightening_plan_validates_input():
         straightening_plan(lam, (a11,), (0, 1, 0, 0))  # support off the path
     with pytest.raises(ValueError):
         straightening_plan(lam, (a11,), (1, 0, 0, 0))  # below the bound
+    # the exponent rule of polytope.first_broken (n^2 entries, each an int
+    # and not a bool) and no negative entry, for the plan and the element
+    hook = make_root(1, 1, True, n)
+    for path, s, why in [
+        ((a11,), (2.5, 0, 0, 0), "ints"),
+        ((a11, a12, hook), (True, True, True, 0), "ints"),
+        ((a11, a12, hook), (2,), "4 coordinates"),
+        ((a11, a12, hook), (2, 0, 0, 0, 0), "4 coordinates"),
+        ((a11, a12, hook), (3, -1, 0, 0), "non-negative"),
+    ]:
+        for build in (straightening_plan, straightening_element):
+            with pytest.raises(ValueError, match=why):
+                build(lam, path, s)
 
 
 def test_normal_form_hand_values():

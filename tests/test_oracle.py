@@ -104,7 +104,7 @@ def test_filtration_matches_point_count():
 def test_graded_action_commutes():
     lam = (1, 1)
     space = build_module(lam)
-    mats = graded_action(lam, space=space)
+    mats = graded_action(space)
     roots = positive_roots(2)
     for a in roots:
         for b in roots:
@@ -112,10 +112,27 @@ def test_graded_action_commutes():
                 mats[b], mats[a]), (a, b)
 
 
+def test_graded_action_takes_the_module_alone():
+    space = build_module((0, 1))
+    mats = graded_action(space=space)
+    assert mats == graded_action(space)
+    assert {j for mat in mats.values() for j in mat} <= set(range(space.dimension))
+    with pytest.raises(TypeError):  # no weight that could name another module
+        graded_action((1, 0), space=space)
+
+
+def test_filtration_dims_refuse_the_module_of_another_weight():
+    space = build_module((0, 1))
+    assert pbw_filtration_dims([0, 1], space=space) == pbw_filtration_dims((0, 1))
+    for other in ((1, 0), (0, 1, 0)):
+        with pytest.raises(ValueError, match="module of"):
+            pbw_filtration_dims(other, space=space)
+
+
 def test_graded_action_raises_level_by_one():
     lam = (0, 1)
     space = build_module(lam)
-    mats = graded_action(lam, space=space)
+    mats = graded_action(space)
     for alpha, mat in mats.items():
         for src, col in mat.items():
             for dst in col:
@@ -174,14 +191,14 @@ def test_graded_action_matches_a_dense_solve():
                           if levels[same[k]] == levels[j] + 1}
                 if column:
                     mat[j] = column
-        assert graded_action(lam, space=space) == expected, lam
+        assert graded_action(space) == expected, lam
 
 
 def test_base_relation_powers_annihilate_highest_vector():
     for lam in ((1, 0), (0, 1), (1, 1)):
         n = len(lam)
         space = build_module(lam)
-        mats = graded_action(lam, space=space)
+        mats = graded_action(space)
         roots = positive_roots(n)
         for rel in base_relations(lam):
             (s, _), = rel.terms.items()
