@@ -205,6 +205,9 @@ def monomial_compare(s, t) -> str:
     if len(s) != len(t):
         raise ValueError("multi-exponents of different ranks are not comparable")
     n = math.isqrt(len(s))
+    if n * n != len(s):
+        raise ValueError(
+            f"multi-exponent needs a square number of coordinates, got {len(s)}")
     ks, kt = order_key(s, n), order_key(t, n)
     if ks == kt:
         return "equal"

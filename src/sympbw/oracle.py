@@ -6,6 +6,18 @@ one factor Lambda^i for each unit of m_i, with highest vector
 e_1 ^ ... ^ e_i in each factor.  Root vectors act through the matrix
 realization, so every computation here is independent of the polytope
 and straightening machinery and serves as a cross-check for both.
+
+A basis vector of the tensor space is one int key.  Factor t, a Lambda^i,
+has one digit: the index of its i-subset of {1..2n} in lexicographic
+(``itertools.combinations``) order.  The key is the big-endian mixed-radix
+int of the digits, so the highest vector is key 0, and keys compare exactly
+as the tuples of their subsets do.  The pivot of a row, its smallest key, is
+therefore the same as with tuple keys, and with it the discovery order and
+every position in the graded action.  A ``WedgeLayout``, cached per rank and
+factor sizes, holds the radices, the weight of every digit and, for each f_alpha
+and factor, the images of every digit as (key delta, coefficient) pairs.
+A pair of graded-module positions (i, j) in a tensor product of two
+modules is packed the same way, as i * dim(right) + j.
 """
 
 from __future__ import annotations
@@ -13,6 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from functools import lru_cache, partial
+from itertools import combinations
 from math import comb, prod
 from typing import NamedTuple
 
@@ -29,6 +42,21 @@ from .rootsys import (
 )
 
 
+class WedgeLayout(NamedTuple):
+    """Packed int keys of one tensor product of exterior powers Lambda^i.
+
+    The digit of factor t is the index of its subset in subsets[t], and a key
+    is the big-endian mixed-radix int of the digits: sum of digit * place.
+    """
+
+    n: int
+    subsets: tuple  # per factor: its subsets of {1..2n}, in lexicographic order
+    radices: tuple  # per factor: how many subsets it has
+    places: tuple  # per factor: the key value of one unit of its digit
+    epsilon: tuple  # per factor, per digit: the subset's weight, orthogonal coords
+    lowering: dict  # alpha -> per factor: (place, radix, per digit ((delta, c), ...))
+
+
 class RepresentationSpace(NamedTuple):
     """A highest-weight module with weight and PBW-level tags per basis vector."""
 
@@ -37,6 +65,7 @@ class RepresentationSpace(NamedTuple):
     basis_vectors: list  # raw spanning vectors, in discovery order
     weight_tags: list  # weight offset of each basis vector (simple-root coords)
     level_tags: list  # minimal number of lowering operators reaching it
+    layout: WedgeLayout  # the keys of basis_vectors
 
     @property
     def dimension(self) -> int:
@@ -60,7 +89,6 @@ def _lowering_columns(n: int) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
 def _slot_images(n: int, alpha, slot: tuple) -> tuple:
     """One step of f_alpha as a derivation on a single wedge factor, with signs."""
     cols = _lowering_columns(n)[alpha]
@@ -76,13 +104,48 @@ def _slot_images(n: int, alpha, slot: tuple) -> tuple:
     return tuple(out)
 
 
-def apply_root_vector(n: int, alpha, vec: dict) -> dict:
-    """Act by f_alpha as a derivation across all tensor slots of vec."""
+def _slot_epsilon(slot: tuple, n: int) -> tuple:
+    """Weight of a wedge of letters in orthogonal coordinates: +1 at letter
+    a <= n, -1 at 2n+1-a."""
+    eps = [0] * n
+    for a in slot:
+        if a <= n:
+            eps[a - 1] += 1
+        else:
+            eps[2 * n - a] -= 1
+    return tuple(eps)
+
+
+@lru_cache(maxsize=None)
+def _layout(n: int, sizes: tuple) -> WedgeLayout:
+    """The packed keys of the tensor product of Lambda^i, i in sizes, with the
+    weight of each digit and f_alpha's images of each digit as key deltas."""
+    radices = tuple(comb(2 * n, i) for i in sizes)
+    places = tuple(prod(radices[t + 1:]) for t in range(len(sizes)))
+    subsets = tuple(tuple(combinations(range(1, 2 * n + 1), i)) for i in sizes)
+
+    def images(alpha, subs: tuple, place: int) -> tuple:
+        index = {slot: d for d, slot in enumerate(subs)}
+        return tuple(
+            tuple(((index[new] - d) * place, c) for new, c in _slot_images(n, alpha, slot))
+            for d, slot in enumerate(subs))
+
+    lowering = {
+        alpha: tuple((place, radix, images(alpha, subs, place))
+                     for subs, place, radix in zip(subsets, places, radices))
+        for alpha in positive_roots(n)
+    }
+    epsilon = tuple(tuple(_slot_epsilon(slot, n) for slot in subs) for subs in subsets)
+    return WedgeLayout(n, subsets, radices, places, epsilon, lowering)
+
+
+def apply_root_vector(layout: WedgeLayout, alpha, vec: dict) -> dict:
+    """Act by f_alpha as a derivation across all tensor factors of vec."""
     return combine(
-        (key[:t] + (new_slot,) + key[t + 1:], coeff * c)
+        (key + delta, coeff * c)
         for key, coeff in vec.items()
-        for t, slot in enumerate(key)
-        for new_slot, c in _slot_images(n, alpha, slot)
+        for place, radix, images in layout.lowering[alpha]
+        for delta, c in images[key // place % radix]
     )
 
 
@@ -90,22 +153,18 @@ def apply_root_vector(n: int, alpha, vec: dict) -> dict:
 # weights
 # ---------------------------------------------------------------------------
 
-def _key_epsilon(key: tuple, n: int) -> tuple:
-    """Weight of a wedge-tensor basis key in orthogonal coordinates."""
-    eps = [0] * n
-    for slot in key:
-        for a in slot:
-            if a <= n:
-                eps[a - 1] += 1
-            else:
-                eps[2 * n - a] -= 1
+def _key_epsilon(layout: WedgeLayout, key: int) -> tuple:
+    """Weight of a packed key in orthogonal coordinates: the sum of its digits'."""
+    eps = [0] * layout.n
+    for place, radix, weights in zip(layout.places, layout.radices, layout.epsilon):
+        for a, x in enumerate(weights[key // place % radix]):
+            eps[a] += x
     return tuple(eps)
 
 
-def _vector_offset(lam, vec: dict) -> tuple:
+def _vector_offset(layout: WedgeLayout, lam, vec: dict) -> tuple:
     """Weight offset of a weight vector; all keys must agree."""
-    n = len(lam)
-    weights = {_key_epsilon(key, n) for key in vec}
+    weights = {_key_epsilon(layout, key) for key in vec}
     if len(weights) != 1:
         raise ValueError(
             f"not a weight vector: its keys have weights {sorted(weights)}"
@@ -155,15 +214,15 @@ def _close(n: int, start: dict, act, check) -> tuple:
     return vectors, weights, levels
 
 
-def _highest_vector(lam: tuple, cap: int) -> dict:
-    """e_1 ^ ... ^ e_i in each factor Lambda^i, after a check that the ambient
-    tensor space has at most cap dimensions."""
+def _checked_layout(lam: tuple, cap: int) -> WedgeLayout:
+    """The layout of lam's tensor space, one factor Lambda^i for each unit of
+    m_i, built after a check that the space has at most cap dimensions.  Its
+    highest vector, e_1 ^ ... ^ e_i in each factor, is every digit 0: key 0."""
     n = len(lam)
     ambient = prod(comb(2 * n, i) ** m for i, m in enumerate(lam, start=1))
     if ambient > cap:
         raise ValueError(f"ambient dimension {ambient} exceeds cap {cap}")
-    return {tuple(tuple(range(1, i + 1)) for i, m in enumerate(lam, start=1)
-                  for _ in range(m)): 1}
+    return _layout(n, tuple(i for i, m in enumerate(lam, start=1) for _ in range(m)))
 
 
 def build_module(lam, cap: int = 20000) -> RepresentationSpace:
@@ -171,17 +230,18 @@ def build_module(lam, cap: int = 20000) -> RepresentationSpace:
     checking that each new module vector has the expected weight."""
     lam = validate_weight(lam)
     n = len(lam)
+    layout = _checked_layout(lam, cap)
 
     def check(vec: dict, weight: tuple, level: int) -> None:
-        found = _vector_offset(lam, vec)
+        found = _vector_offset(layout, lam, vec)
         if found != weight:
             raise RuntimeError(
                 f"module vector of weight offset {found} where {weight} was expected"
             )
 
     vectors, weights, levels = _close(
-        n, _highest_vector(lam, cap), partial(apply_root_vector, n), check)
-    return RepresentationSpace(n, lam, vectors, weights, levels)
+        n, {0: 1}, partial(apply_root_vector, layout), check)
+    return RepresentationSpace(n, lam, vectors, weights, levels, layout)
 
 
 def pbw_filtration_dims(lam, cap: int = 20000, space: RepresentationSpace | None = None) -> dict:
@@ -203,7 +263,7 @@ def graded_action(space: RepresentationSpace) -> dict:
     one tracked basis per weight space, fed that weight's module vectors in
     position order, so add index k is the k-th module vector of its weight.
     """
-    n = space.n
+    n, layout = space.n, space.layout
     levels = space.level_tags
     members = defaultdict(list)  # weight offset -> module positions, in order
     bases = defaultdict(lambda: IncrementalBasis(track_combinations=True))
@@ -214,7 +274,7 @@ def graded_action(space: RepresentationSpace) -> dict:
     for alpha in positive_roots(n):
         mat = {}
         for j, vec in enumerate(space.basis_vectors):
-            image = apply_root_vector(n, alpha, vec)
+            image = apply_root_vector(layout, alpha, vec)
             if not image:
                 continue
             weight = _lowered(space.weight_tags[j], alpha, n)
@@ -240,19 +300,20 @@ def graded_action(space: RepresentationSpace) -> dict:
 # ordered monomials in the unfiltered module
 # ---------------------------------------------------------------------------
 
-def monomial_vector(n: int, vec: dict, s, reverse: bool = False) -> dict:
+def monomial_vector(layout: WedgeLayout, vec: dict, s, reverse: bool = False) -> dict:
     """f^s applied to vec, factors in decreasing variable order.
 
     reverse=True applies the opposite order, as a witness that spanning
     ranks do not depend on the chosen order of factors.
     """
+    n = layout.n
     order = sorted(positive_roots(n), key=lambda alpha: variable_key(alpha, n))
     if reverse:
         order.reverse()
     index = root_index_map(n)
     for alpha in order:  # rightmost (smallest) factor acts first
         for _ in range(s[index[alpha]]):
-            vec = apply_root_vector(n, alpha, vec)
+            vec = apply_root_vector(layout, alpha, vec)
             if not vec:
                 return {}
     return vec
@@ -260,12 +321,10 @@ def monomial_vector(n: int, vec: dict, s, reverse: bool = False) -> dict:
 
 def monomial_rank(lam, cap: int = 20000, reverse: bool = False) -> int:
     """Rank of {f^s v : s in S(lambda)} inside the tensor realization."""
-    lam = validate_weight(lam)
-    n = len(lam)
-    highest = _highest_vector(lam, cap)
+    layout = _checked_layout(validate_weight(lam), cap)
     basis = IncrementalBasis()
     for s in enumerate_points(lam):
-        vec = monomial_vector(n, highest, s, reverse=reverse)
+        vec = monomial_vector(layout, {0: 1}, s, reverse=reverse)
         if vec:
             basis.add(vec)
     return basis.rank
@@ -275,14 +334,18 @@ def monomial_rank(lam, cap: int = 20000, reverse: bool = False) -> int:
 # tensor products of graded modules
 # ---------------------------------------------------------------------------
 
-def _apply_pair(mat_left: dict, mat_right: dict, vec: dict) -> dict:
-    """One lowering operator on a tensor pair: act on the left plus the right."""
+def _apply_pair(mat_left: dict, mat_right: dict, width: int, vec: dict) -> dict:
+    """One lowering operator on a tensor pair: act on the left plus the right.
+
+    The pair (i, j) has the key i * width + j, width the right factor's
+    dimension."""
     def terms():
-        for (i, j), c in vec.items():
+        for key, c in vec.items():
+            i, j = divmod(key, width)
             for i2, x in mat_left.get(i, {}).items():
-                yield (i2, j), c * x
+                yield i2 * width + j, c * x
             for j2, x in mat_right.get(j, {}).items():
-                yield (i, j2), c * x
+                yield key - j + j2, c * x
 
     return combine(terms())
 
@@ -306,8 +369,11 @@ def tensor_cartan_dims(lam, mu, cap: int = 20000) -> dict:
         right = build_module(mu, cap)
         act_right = graded_action(right)
 
+    width = right.dimension
+
     def check(vec: dict, weight: tuple, level: int) -> None:
-        for i, j in vec:
+        for key in vec:
+            i, j = divmod(key, width)
             if left.level_tags[i] + right.level_tags[j] != level:
                 raise RuntimeError(f"pair {(i, j)} is not of degree {level}")
             pair = tuple(a + b for a, b in zip(left.weight_tags[i], right.weight_tags[j]))
@@ -317,6 +383,7 @@ def tensor_cartan_dims(lam, mu, cap: int = 20000) -> dict:
                 )
 
     _, weights, levels = _close(
-        n, {(0, 0): 1},
-        lambda alpha, vec: _apply_pair(act_left[alpha], act_right[alpha], vec), check)
+        n, {0: 1},
+        lambda alpha, vec: _apply_pair(act_left[alpha], act_right[alpha], width, vec),
+        check)
     return dict(Counter(zip(weights, levels)))

@@ -130,6 +130,14 @@ def test_order_homogeneous_lex_tiebreak():
     assert monomial_compare(s, s) == "equal"
 
 
+def test_order_refuses_a_non_square_length():
+    # six coordinates used to compare as their first four: "equal" here
+    with pytest.raises(ValueError, match="square number of coordinates, got 6"):
+        monomial_compare((0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1))
+    with pytest.raises(ValueError, match="different ranks"):
+        monomial_compare((0, 0, 0, 0), (0, 0, 0, 0, 0))
+
+
 def test_order_key_agrees_with_compare():
     rng = random.Random(3)
     n = 3

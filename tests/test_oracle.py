@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -41,6 +42,24 @@ def compose_action(outer: dict, inner: dict) -> dict:
     return out
 
 
+def _decode(layout, key: int) -> tuple:
+    """The tuple of subsets, one per tensor factor, that a packed key names."""
+    slots = []
+    for subsets, place in zip(layout.subsets, layout.places):
+        digit, key = divmod(key, place)
+        slots.append(subsets[digit])
+    return tuple(slots)
+
+
+def _decoded(layout, vec: dict) -> dict:
+    return {_decode(layout, key): c for key, c in vec.items()}
+
+
+def _encode(layout, slots: tuple) -> int:
+    return sum(subsets.index(slot) * place
+               for subsets, slot, place in zip(layout.subsets, slots, layout.places))
+
+
 def _derivation(matrix: dict, slot: tuple) -> dict:
     """f(e_a1 ^ ... ^ e_ak) = sum_p e_a1 ^ ... ^ f(e_ap) ^ ... ^ e_ak, read off
     the matrix entries {(row, col): c} with f(e_a) = sum_b matrix[b, a] e_b,
@@ -63,9 +82,50 @@ def test_root_vectors_act_by_their_matrix_columns():
         real = chevalley_realization(n)
         for alpha in positive_roots(n):
             for k in range(1, 2 * n + 1):
+                layout = oracle._layout(n, (k,))
                 for slot in itertools.combinations(range(1, 2 * n + 1), k):
-                    image = oracle.apply_root_vector(n, alpha, {(slot,): 1})
-                    assert image == _derivation(real.f_root(alpha), slot), (alpha, slot)
+                    key = _encode(layout, (slot,))
+                    image = oracle.apply_root_vector(layout, alpha, {key: 1})
+                    assert _decoded(layout, image) == _derivation(
+                        real.f_root(alpha), slot), (alpha, slot)
+
+
+def _small_factor_sizes() -> set:
+    """(n, factor sizes) of every weight with n <= 3 and sum <= 2, and of (1,1,1)."""
+    out = {(3, (1, 2, 3))}
+    for n in (1, 2, 3):
+        for lam in itertools.product(range(3), repeat=n):
+            if sum(lam) <= 2:
+                out.add((n, tuple(i for i, m in enumerate(lam, 1) for _ in range(m))))
+    return out
+
+
+def test_packed_keys_order_as_their_subset_tuples():
+    for n, sizes in sorted(_small_factor_sizes()):
+        layout = oracle._layout(n, sizes)
+        ambient = math.prod(layout.radices)
+        decoded = [_decode(layout, key) for key in range(ambient)]
+        assert decoded == sorted(decoded), sizes
+        assert decoded == list(itertools.product(
+            *(itertools.combinations(range(1, 2 * n + 1), i) for i in sizes))), sizes
+        assert [_encode(layout, slots) for slots in decoded] == list(range(ambient))
+
+
+def test_root_vectors_act_as_derivations_on_packed_keys():
+    # f_alpha on a key is the sum over factors of the one-slot derivation
+    for n, sizes in sorted(_small_factor_sizes()):
+        layout = oracle._layout(n, sizes)
+        real = chevalley_realization(n)
+        for alpha in positive_roots(n):
+            matrix = real.f_root(alpha)
+            for key in range(math.prod(layout.radices)):
+                slots = _decode(layout, key)
+                expected = combine(
+                    (slots[:t] + new + slots[t + 1:], c)
+                    for t, slot in enumerate(slots)
+                    for new, c in _derivation(matrix, slot).items())
+                image = oracle.apply_root_vector(layout, alpha, {key: 1})
+                assert _decoded(layout, image) == expected, (sizes, alpha, slots)
 
 
 def test_module_dimensions_frozen():
@@ -176,15 +236,16 @@ def test_graded_action_matches_a_dense_solve():
         n = len(lam)
         space = build_module(lam)
         vectors, levels = space.basis_vectors, space.level_tags
-        weight_of = [_key_weight(next(iter(vec)), n) for vec in vectors]
+        weight_of = [_key_weight(_decode(space.layout, next(iter(vec))), n)
+                     for vec in vectors]
         expected = {}
         for alpha in positive_roots(n):
             mat = expected[alpha] = {}
             for j, vec in enumerate(vectors):
-                image = oracle.apply_root_vector(n, alpha, vec)
+                image = oracle.apply_root_vector(space.layout, alpha, vec)
                 if not image:
                     continue
-                weight = _key_weight(next(iter(image)), n)
+                weight = _key_weight(_decode(space.layout, next(iter(image))), n)
                 same = [i for i in range(len(vectors)) if weight_of[i] == weight]
                 coords = _dense_coordinates([vectors[i] for i in same], image)
                 column = {same[k]: c for k, c in coords.items()
@@ -211,19 +272,22 @@ def test_base_relation_powers_annihilate_highest_vector():
 
 def test_vector_offset_raises_on_bad_weights():
     off_lattice = ((1, 2),) * 5  # weight (5, 5) against lambda = (1, 0)
+    layout = oracle._layout(2, (2,) * 5)
     with pytest.raises(ValueError, match="off the root lattice"):
-        _vector_offset((1, 0), {off_lattice: Fraction(1)})
+        _vector_offset(layout, (1, 0), {_encode(layout, off_lattice): Fraction(1)})
+    layout = oracle._layout(2, (1,))
+    one, two = _encode(layout, ((1,),)), _encode(layout, ((2,),))
     with pytest.raises(ValueError, match="not a weight vector"):
-        _vector_offset((1, 0), {((1,),): Fraction(1), ((2,),): Fraction(1)})
-    assert _vector_offset((1, 0), {((2,),): Fraction(1)}) == (1, 0)
+        _vector_offset(layout, (1, 0), {one: Fraction(1), two: Fraction(1)})
+    assert _vector_offset(layout, (1, 0), {two: Fraction(1)}) == (1, 0)
 
 
 def test_weight_blocks_match_the_character():
     for lam in ((1, 1, 1), (0, 1, 1)):
         space = build_module(lam)
         assert Counter(space.weight_tags) == polytope.character(lam), lam
-        assert [_vector_offset(lam, vec) for vec in space.basis_vectors] == \
-            space.weight_tags, lam
+        assert [_vector_offset(space.layout, lam, vec)
+                for vec in space.basis_vectors] == space.weight_tags, lam
         assert all(type(x) is int
                    for vec in space.basis_vectors for x in vec.values()), lam
 
@@ -251,10 +315,12 @@ def test_monomial_vectors_span():
 
 
 def test_monomial_vector_of_zero_exponent_is_highest():
-    highest = build_module((1, 1)).basis_vectors[0]
+    space = build_module((1, 1))
+    highest = space.basis_vectors[0]
     # one L^1 slot holding letter 1 and one L^2 slot holding letters 1, 2
-    assert highest == {((1,), (1, 2)): 1}
-    assert monomial_vector(2, highest, (0, 0, 0, 0)) == highest
+    assert _decoded(space.layout, highest) == {((1,), (1, 2)): 1}
+    assert highest == {0: 1}
+    assert monomial_vector(space.layout, highest, (0, 0, 0, 0)) == highest
 
 
 def test_monomial_rank_builds_only_the_highest_vector(monkeypatch):
@@ -302,3 +368,14 @@ def test_tensor_rank_mismatch():
 def test_cap_guards_ambient_size():
     with pytest.raises(ValueError):
         build_module((1, 0), cap=2)
+
+
+def test_cap_is_checked_before_the_layout_is_built(monkeypatch):
+    def refuse(n, sizes):
+        raise AssertionError("layout built before the cap check")
+
+    monkeypatch.setattr(oracle, "_layout", refuse)
+    with pytest.raises(ValueError, match="ambient dimension 1800 exceeds cap 100"):
+        build_module((1, 1, 1), cap=100)
+    with pytest.raises(ValueError, match="ambient dimension 1800 exceeds cap 100"):
+        monomial_rank((1, 1, 1), cap=100)
