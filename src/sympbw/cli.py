@@ -3,7 +3,7 @@
 Subcommands emit JSON (canonical: sorted keys, deterministic array orders),
 CSV (tables flattened row-wise), or plain text on standard output; all
 diagnostics go to standard error.  Exit codes: 0 success, 1 verification
-failure, 2 usage error.
+failure or a reader that closed standard output early, 2 usage error.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from . import checks, dyck, grmod, oracle, polytope
@@ -427,10 +428,17 @@ def main(argv=None) -> int:
             if name in args:
                 setattr(args, name, _parse_weight(parser, getattr(args, name), n))
     try:
-        return args.handler(args, parser)
+        status = args.handler(args, parser)
+        sys.stdout.flush()
+        return status
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone (``| head``); send what is still buffered to
+        # devnull so the flush at interpreter exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -31,9 +31,16 @@ rank (_walk_groups) and only the bounds are read per weight; the memo lives
 for one call.  enumerate_points lists the points for the callers that need
 them, and refuses a list longer than POINT_LIMIT before allocating it.
 
-Two classical oracles are included for independent verification: the Weyl
-dimension formula and Freudenthal's recursion for weight multiplicities, both
-in exact arithmetic.
+Two classical oracles are included for independent verification, both in
+exact arithmetic: the Weyl dimension formula and Freudenthal's recursion for
+weight multiplicities.  The recursion runs over the dominant weights alone,
+the orbit form of Moody and Patera.  By W-invariance a weight has the
+multiplicity of its dominant representative, and by the dominant-chain lemma
+(Stembridge) every dominant weight below lambda lies at the end of a chain of
+dominant weights that steps down from lambda by positive roots.  Each
+dominant multiplicity is an exact integer quotient; the table is then
+expanded over the Weyl orbit of each dominant weight, its signed
+permutations in epsilon coordinates.
 """
 from __future__ import annotations
 
@@ -46,6 +53,7 @@ from . import dyck
 from .rootsys import (
     bound_slice,
     epsilon_coords,
+    epsilon_offset,
     epsilon_weight,
     positive_roots,
     root_index_map,
@@ -369,60 +377,103 @@ def weyl_dim(lam) -> int:
     return int(dim)
 
 
+def _signed_permutations(mu: tuple) -> list:
+    """The orbit of mu under the Weyl group of C_n: its distinct signed permutations.
+
+    Closed under the simple reflections, which swap entries k and k + 1
+    (k < n) or negate the last entry.
+    """
+    n = len(mu)
+    orbit = [mu]
+    seen = {mu}
+    for w in orbit:
+        for k in range(n):
+            if k < n - 1:
+                image = w[:k] + (w[k + 1], w[k]) + w[k + 2:]
+            else:
+                image = w[:k] + (-w[k],)
+            if image not in seen:
+                seen.add(image)
+                orbit.append(image)
+    return orbit
+
+
 def freudenthal_multiplicities(lam) -> dict:
     """Exact weight multiplicities of V(lambda) via Freudenthal's recursion.
 
     Keys are offsets in the root lattice: the weight lambda - sum(c_k alpha_k)
-    is keyed by (c_1, ..., c_n), matching the keys of character().
+    is keyed by (c_1, ..., c_n), matching the keys of character().  They come
+    in increasing height sum(c_k), and in increasing offset within a height.
+
+    Freudenthal's formula reads
+    (|lambda+rho|^2 - |mu+rho|^2) m(mu)
+    = 2 sum_{alpha > 0} sum_{k >= 1} m(mu + k alpha) (mu + k alpha, alpha),
+    with (mu + k alpha, alpha) = (mu, alpha) + k |alpha|^2.  It runs over the
+    dominant weights only, the orbit form of Moody and Patera.  In epsilon
+    coordinates mu is dominant when its entries decrease and the last is
+    >= 0.  By the dominant-chain lemma (Stembridge) every dominant weight
+    below lambda is reached from lambda by subtracting positive roots through
+    dominant weights alone, so that search lists them all.  They are solved
+    in increasing height of lambda - mu.  By W-invariance m(mu + k alpha) is
+    the multiplicity of the dominant representative, the absolute values in
+    decreasing order, which lies strictly higher and is already known; each
+    alpha-string stops at its first zero, since weight strings are unbroken.
+    Each quotient is an exact int division.  Every dominant weight is then
+    expanded over its Weyl orbit, its signed permutations.
     """
     lam = validate_weight(lam)
     n = len(lam)
-    lam_eps = epsilon_weight(lam)
-    rho = tuple(n - k for k in range(n))
-    pos = [
-        (simple_coefficients(alpha, n), epsilon_coords(alpha, n))
-        for alpha in positive_roots(n)
-    ]
+    top = epsilon_weight(lam)
+    rho = tuple(range(n, 0, -1))
+    roots = [epsilon_coords(alpha, n) for alpha in positive_roots(n)]
+    roots = [(alpha, sum(a * a for a in alpha)) for alpha in roots]
 
-    def dot(u, v):
-        return sum(x * y for x, y in zip(u, v))
+    dominant = [top]
+    seen = {top}
+    for mu in dominant:
+        for alpha, _ in roots:
+            nu = tuple(a - b for a, b in zip(mu, alpha))
+            if nu not in seen and nu[-1] >= 0 and all(
+                a >= b for a, b in zip(nu, nu[1:])
+            ):
+                seen.add(nu)
+                dominant.append(nu)
+    offsets = {mu: epsilon_offset(lam, mu) for mu in dominant}
+    dominant.sort(key=lambda mu: sum(offsets[mu]))
 
-    top = tuple(a + b for a, b in zip(lam_eps, rho))
-    top_sq = dot(top, top)
-    mult = {(0,) * n: 1}
-    frontier = [(0,) * n]
-    while frontier:
-        candidates = set()
-        for offset in frontier:
-            for k in range(n):
-                cand = tuple(c + (1 if t == k else 0) for t, c in enumerate(offset))
-                candidates.add(cand)
-        frontier = []
-        for offset in sorted(candidates):
-            mu = epsilon_weight(lam, offset)
-            rhs = 0
-            for root_offset, root_eps in pos:
-                k = 1
-                while True:
-                    higher = tuple(c - k * d for c, d in zip(offset, root_offset))
-                    if any(c < 0 for c in higher):
-                        break
-                    m = mult.get(higher, 0)
-                    if m:
-                        rhs += 2 * m * dot(
-                            tuple(a + k * b for a, b in zip(mu, root_eps)),
-                            root_eps,
-                        )
-                    k += 1
-            if rhs == 0:
-                continue
-            shifted = tuple(a + b for a, b in zip(mu, rho))
-            denom = top_sq - dot(shifted, shifted)
-            if denom <= 0:
-                raise RuntimeError(f"non-positive Freudenthal denominator at {offset}")
-            value = Fraction(rhs, denom)
-            if value.denominator != 1:
-                raise RuntimeError(f"non-integer multiplicity at {offset}: {value}")
-            mult[offset] = int(value)
-            frontier.append(offset)
-    return mult
+    def shifted_norm(mu):
+        return sum((a + r) ** 2 for a, r in zip(mu, rho))
+
+    top_norm = shifted_norm(top)
+    mult = {top: 1}
+    for mu in dominant[1:]:
+        rhs = 0
+        for alpha, length in roots:
+            pairing = sum(a * b for a, b in zip(mu, alpha))
+            nu = mu
+            while True:
+                nu = tuple(a + b for a, b in zip(nu, alpha))
+                pairing += length
+                m = mult.get(tuple(sorted(map(abs, nu), reverse=True)), 0)
+                if not m:
+                    break
+                rhs += m * pairing
+        denom = top_norm - shifted_norm(mu)
+        if denom <= 0:
+            raise RuntimeError(
+                f"non-positive Freudenthal denominator at {offsets[mu]}"
+            )
+        value, rest = divmod(2 * rhs, denom)
+        if rest:
+            raise RuntimeError(
+                f"non-integer multiplicity at {offsets[mu]}: {2 * rhs}/{denom}"
+            )
+        mult[mu] = value
+
+    cells = []
+    for mu in dominant:
+        for w in _signed_permutations(mu):
+            offset = epsilon_offset(lam, w)
+            cells.append((sum(offset), offset, mult[mu]))
+    cells.sort()
+    return {offset: m for _, offset, m in cells}

@@ -72,8 +72,11 @@ def test_point_count_equals_weyl_dimension(capfd):
 # ---------------------------------------------------------------------------
 
 def test_character_matches_freudenthal(capfd):
+    cases = list(_weights(3, 3))
+    cases += [lam for lam in _weights(4, 2) if len(lam) == 4 and sum(lam)]
+    cases += [tuple(int(i == k) for i in range(5)) for k in range(5)]
     failures = []
-    for lam in _weights(3, 3):
+    for lam in cases:
         if polytope.character(lam) != polytope.freudenthal_multiplicities(lam):
             failures.append(lam)
     _report(capfd, 2, "polytope character = Freudenthal character", failures)

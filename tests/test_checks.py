@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from sympbw import checks, grmod
+from sympbw import checks, grmod, polytope
 from sympbw.rootsys import simple_root
 
 
@@ -82,3 +82,23 @@ def test_partial_support_catches_a_faulty_table(monkeypatch, fault):
     monkeypatch.setattr(grmod, "_raising_table", faulty)
     (record,) = checks.run("partial", 4, 1, 0)
     assert (record["status"], record["actual"]) == ("fail", 1)
+
+
+@pytest.mark.parametrize("fault", ["dropped weight", "doubled multiplicity"])
+def test_character_catches_a_faulty_freudenthal_table(monkeypatch, fault):
+    table = polytope.freudenthal_multiplicities
+
+    def faulty(lam):
+        mult = table(lam)
+        if fault == "dropped weight":
+            # the last entry is the lowest weight -lambda, never dominant here
+            mult.popitem()
+        else:
+            mult[(0,) * len(lam)] *= 2
+        return mult
+
+    assert checks.run("character", 3, 2, 0)[0]["status"] == "pass"
+    monkeypatch.setattr(polytope, "freudenthal_multiplicities", faulty)
+    (record,) = checks.run("character", 3, 2, 0)
+    # every one of the 16 weights with n <= 3 and 1 <= sum <= 2 is caught
+    assert (record["status"], record["actual"]) == ("fail", 16)

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -292,3 +296,24 @@ def test_render_helpers_on_empty_table():
     rendered = cli.render_json({"schema": cli.SCHEMA, "table": []})
     assert json.loads(rendered)["table"] == []
     assert '"table": []' in rendered
+
+
+def test_closed_stdout_exits_without_a_traceback():
+    # the read end is closed before the process starts, so its first write
+    # to stdout fails with EPIPE, as it does once `| head` has read enough
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from sympbw.cli import main; "
+             "sys.exit(main())", "char", "--n", "2", "--lambda", "1,1",
+             "--format", "text"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr

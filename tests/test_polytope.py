@@ -26,7 +26,13 @@ from sympbw.polytope import (
     weight_of,
     weyl_dim,
 )
-from sympbw.rootsys import positive_roots, root_index_map
+from sympbw.rootsys import (
+    epsilon_coords,
+    epsilon_weight,
+    positive_roots,
+    root_index_map,
+    simple_coefficients,
+)
 
 
 def test_one_inequality_per_path():
@@ -205,6 +211,84 @@ def test_character_matches_freudenthal():
             if not 1 <= sum(lam) <= 2:
                 continue
             assert character(lam) == freudenthal_multiplicities(lam), lam
+
+
+def _reference_freudenthal(lam) -> dict:
+    """Freudenthal's recursion over every weight, breadth first from lambda.
+
+    The package's recursion before it ran over dominant weights only: each
+    level adds one simple root to the offsets of the last, and every string
+    of every positive root is summed out to the offsets that stay >= 0.
+    """
+    n = len(lam)
+    lam_eps = epsilon_weight(lam)
+    rho = tuple(n - k for k in range(n))
+    pos = [
+        (simple_coefficients(alpha, n), epsilon_coords(alpha, n))
+        for alpha in positive_roots(n)
+    ]
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    top = tuple(a + b for a, b in zip(lam_eps, rho))
+    top_sq = dot(top, top)
+    mult = {(0,) * n: 1}
+    frontier = [(0,) * n]
+    while frontier:
+        candidates = set()
+        for offset in frontier:
+            for k in range(n):
+                cand = tuple(c + (1 if t == k else 0) for t, c in enumerate(offset))
+                candidates.add(cand)
+        frontier = []
+        for offset in sorted(candidates):
+            mu = epsilon_weight(lam, offset)
+            rhs = 0
+            for root_offset, root_eps in pos:
+                k = 1
+                while True:
+                    higher = tuple(c - k * d for c, d in zip(offset, root_offset))
+                    if any(c < 0 for c in higher):
+                        break
+                    m = mult.get(higher, 0)
+                    if m:
+                        rhs += 2 * m * dot(
+                            tuple(a + k * b for a, b in zip(mu, root_eps)),
+                            root_eps,
+                        )
+                    k += 1
+            if rhs == 0:
+                continue
+            shifted = tuple(a + b for a, b in zip(mu, rho))
+            denom = top_sq - dot(shifted, shifted)
+            assert denom > 0, offset
+            value = Fraction(rhs, denom)
+            assert value.denominator == 1, (offset, value)
+            mult[offset] = int(value)
+            frontier.append(offset)
+    return mult
+
+
+def _reference_grid():
+    for n in (1, 2, 3):
+        for lam in itertools.product(range(4), repeat=n):
+            if sum(lam) <= 3:
+                yield lam
+    for k in range(4):
+        yield tuple(int(i == k) for i in range(4))
+    for k in range(5):
+        yield tuple(int(i == k) for i in range(5))
+    yield (1, 1, 0, 1)
+
+
+@pytest.mark.parametrize("lam", list(_reference_grid()), ids=str)
+def test_freudenthal_matches_the_all_weights_reference(lam):
+    # same table and the same order: increasing height, then offset
+    got = freudenthal_multiplicities(lam)
+    want = _reference_freudenthal(lam)
+    assert got == want
+    assert list(got.items()) == list(want.items())
 
 
 def test_freudenthal_top_weight():
