@@ -380,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=_int_at_least(0), default=None,
                    help="truncate the table at this total degree")
     p.add_argument("--cap", type=_int_at_least(1), default=200000,
-                   help="abort if a cell needs more monomials than this")
+                   help="abort if a cell has more standard monomials than this")
     p.set_defaults(handler=cmd_ideal_dims)
 
     p = add("straighten", "straightening element and normal form of a monomial")

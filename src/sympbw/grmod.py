@@ -4,10 +4,14 @@ The module carries the symmetric-algebra half of the construction: exact
 sparse polynomials in the n^2 variables f_alpha, one derivation per root
 alpha, f_beta -> c f_{beta-alpha} with the realization's Chevalley constant c,
 the ideal generated from f_alpha^{(lambda,alpha^vee)+1} under them, graded quotient
-dimensions by incremental row reduction, the degree/row-sum/lex monomial
-order, and the explicit operator composites whose value on a high power of
-the long-root variable is a straightening relation with prescribed leading
-term.
+dimensions, the degree/row-sum/lex monomial order, and the explicit operator
+composites whose value on a high power of the long-root variable is a
+straightening relation with prescribed leading term.
+
+Many closure elements of the ideal are single monomials.  The quotient
+dimensions count the standard monomials, those that no single-term element
+divides, found by a walk degree by degree, and subtract the rank of the
+other closure multiples restricted to them, row reduced one cell at a time.
 
 Coefficients follow the number rule of ``linalg``: an int stays an int, a
 Fraction stays a Fraction, a float or any other number is refused with
@@ -314,35 +318,92 @@ def _pack(s, base: int) -> int:
     return key
 
 
-@lru_cache(maxsize=None)
-def _monomials_by_cell(n: int, max_degree: int):
-    """All exponents of degree <= max_degree grouped by (weight, degree),
-    each packed in base max_degree + 1."""
-    points = polytope.lattice_points(n * n, [(range(n * n), max_degree)])
-    points.reverse()
-    cells = {}
-    while points:  # in order, each tuple freed once packed
-        s = points.pop()
-        key = (polytope.weight_of(s, n), sum(s))
-        cells.setdefault(key, []).append(_pack(s, max_degree + 1))
+def _unpack(key: int, base: int, length: int) -> tuple:
+    """The `length` base-`base` digits of key, first coordinate most
+    significant: the inverse of ``_pack``."""
+    digits = []
+    for _ in range(length):
+        key, x = divmod(key, base)
+        digits.append(x)
+    return tuple(reversed(digits))
+
+
+def _standard_monomials(n: int, max_degree: int, forbidden, cap: int) -> dict:
+    """The standard monomials of degree <= max_degree, grouped by cell: the
+    exponents that no exponent in `forbidden` divides.
+
+    An exponent is packed in base max_degree + 1 and its cell (weight,
+    degree) in base 4 * max_degree + 1, each cell digit raised by
+    2 * max_degree (see ``quotient_graded_dims``); the dict maps packed cell
+    -> packed exponents.  The walk goes degree by degree, and a variable
+    steps the exponent by its place and the cell by one precomputed int.  A
+    candidate of the next degree is kept when it is not forbidden and it was
+    reached from as many standard monomials as it has variables in its
+    support, i.e. when each of its divisors of one degree less is standard;
+    the standard set is closed under division, so the test is exact.  A cell
+    with more than cap monomials raises ValueError as its degree is formed.
+    """
+    dim = n * n
+    base, cell_base = max_degree + 1, 4 * max_degree + 1
+    lift = _pack([2 * max_degree] * (n + 1), cell_base)
+    steps = [
+        (base ** (dim - 1 - i),
+         _pack((*simple_coefficients(alpha, n), 1), cell_base),
+         1 << i)
+        for i, alpha in enumerate(positive_roots(n))
+    ]
+    cells = {lift: [0]}
+    level = {0: (lift, 0)}  # exponent -> (cell, bitmask of its support)
+    for _ in range(max_degree):
+        reached = {}  # exponent -> [standard divisors found, cell, support]
+        for s, (cell, support) in level.items():
+            for place, step, bit in steps:
+                t = s + place
+                seen = reached.get(t)
+                if seen is None:
+                    reached[t] = [1, cell + step, support | bit]
+                else:
+                    seen[0] += 1
+        level = {}
+        formed = {}
+        for t, (count, cell, support) in reached.items():
+            if count == support.bit_count() and t not in forbidden:
+                level[t] = (cell, support)
+                formed.setdefault(cell, []).append(t)
+        for cell, monos in formed.items():
+            if len(monos) > cap:
+                *mu, d = _unpack(cell - lift, cell_base, n + 1)
+                raise ValueError(
+                    f"cell {(tuple(mu), d)} has {len(monos)} monomials,"
+                    f" above the cap {cap}"
+                )
+        cells.update(formed)
     return cells
 
 
 def quotient_graded_dims(lam, max_degree=None, cap: int = 200000):
-    """Dimensions of the graded quotient by (weight, degree), degrees up to
-    max_degree (default: one beyond the largest polytope point degree).
+    """Dimensions of the graded quotient S(n^-)/I(lambda) by (weight,
+    degree), degrees up to max_degree (default: one beyond the largest
+    polytope point degree).  Zero cells are omitted; the keys are sorted.
 
-    For each bi-degree cell the span of monomial multiples of the closure
-    elements is row reduced; the cell dimension is the monomial count minus
-    that rank.  Zero cells are omitted.
+    Let K be the span of the monomials that a single-term closure element
+    divides, and call a monomial standard when none does.  K lies in
+    I(lambda), and so does every product g * t of a closure element g and a
+    monomial t; such a product lies in K already when g is a single term or
+    t is not standard.  Hence in each cell the dimension is the number of
+    standard monomials minus the rank of the products g * t, g a closure
+    element of more than one term and t standard, restricted to the standard
+    monomials.  That rank is found by one ``IncrementalBasis`` per cell, which
+    stops at full rank; a cell with no standard monomial is never reduced.
 
     Exponents are packed in base max_degree + 1, which no digit of degree
     <= max_degree reaches, so a monomial shift is one int addition.  A cell
-    (degree, weight) has digits at most 2 * max_degree, since no positive
+    (weight, degree) has digits at most 2 * max_degree, since no positive
     root has a simple-root coefficient above 2; raised by 2 * max_degree each
     and packed in base 4 * max_degree + 1, two cells subtract without a
     borrow, so the cell of the shifts is one lookup, which finds nothing
-    for a generator of higher degree than the cell.
+    for a generator of higher degree than the cell.  The cap bounds the
+    standard monomials of a cell.
     """
     lam = validate_weight(lam)
     n = len(lam)
@@ -350,45 +411,45 @@ def quotient_graded_dims(lam, max_degree=None, cap: int = 200000):
         max_degree = polytope.max_point_degree(lam) + 1
     elif type(max_degree) is not int or max_degree < 0:
         raise ValueError(f"max_degree must be an int >= 0, got {max_degree!r}")
-    gens = ideal_generators(lam)
-    cells = _monomials_by_cell(n, max_degree)
-    for key, monos in cells.items():
-        if len(monos) > cap:
-            raise ValueError(
-                f"cell {key} has {len(monos)} monomials, above the cap {cap}"
-            )
+    if type(cap) is not int or cap < 1:
+        raise ValueError(f"cap must be an int >= 1, got {cap!r}")
     base, cell_base = max_degree + 1, 4 * max_degree + 1
-    lift = _pack([2 * max_degree] * (n + 1), cell_base)
-    shifts_by_cell = {
-        _pack((d, *mu), cell_base) + lift: monos for (mu, d), monos in cells.items()
-    }
-    by_bidegree = {}  # packed cell -> packed closure elements, closure order
-    for g in gens.closure:
+    forbidden = set()
+    by_bidegree = {}  # packed cell -> closure elements of several terms
+    for g in ideal_generators(lam).closure:
         mono = next(iter(g.terms))
         d = sum(mono)
-        if d <= max_degree:
-            key = _pack((d, *polytope.weight_of(mono, n)), cell_base)
+        if d > max_degree:
+            continue
+        if len(g.terms) == 1:
+            forbidden.add(_pack(mono, base))
+        else:
+            key = _pack((*polytope.weight_of(mono, n), d), cell_base)
             by_bidegree.setdefault(key, []).append(
-                {_pack(s, base): c for s, c in g.terms.items()}
+                [(_pack(s, base), c) for s, c in g.terms.items()]
             )
+    cells = _standard_monomials(n, max_degree, forbidden, cap)
+    standard = {t for monos in cells.values() for t in monos}
+    lift = _pack([2 * max_degree] * (n + 1), cell_base)
     table = {}
-    for (mu, d), monos in sorted(cells.items()):
+    for here in sorted(cells):  # packed cells sort as their (weight, degree)
         basis = IncrementalBasis()
-        full = len(monos)
-        here = _pack((d, *mu), cell_base) + lift
+        full = len(cells[here])
         products = (
-            {s + t: c for s, c in g.items()}
+            {s + t: c for s, c in g if s + t in standard}
             for gkey, gens_here in by_bidegree.items()
-            for t in shifts_by_cell.get(here - gkey, ())
+            for t in cells.get(here - gkey, ())
             for g in gens_here
         )
         for vec in products:
-            basis.add(vec)
-            if basis.rank == full:
-                break
+            if vec:
+                basis.add(vec)
+                if basis.rank == full:
+                    break
         dim = full - basis.rank
         if dim:
-            table[(mu, d)] = dim
+            *mu, d = _unpack(here - lift, cell_base, n + 1)
+            table[(tuple(mu), d)] = dim
     return table
 
 

@@ -218,6 +218,8 @@ def _checked_layout(lam: tuple, cap: int) -> WedgeLayout:
     """The layout of lam's tensor space, one factor Lambda^i for each unit of
     m_i, built after a check that the space has at most cap dimensions.  Its
     highest vector, e_1 ^ ... ^ e_i in each factor, is every digit 0: key 0."""
+    if type(cap) is not int or cap < 1:
+        raise ValueError(f"cap must be an int >= 1, got {cap!r}")
     n = len(lam)
     ambient = prod(comb(2 * n, i) ** m for i, m in enumerate(lam, start=1))
     if ambient > cap:

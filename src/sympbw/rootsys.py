@@ -226,6 +226,12 @@ def epsilon_coords(alpha: PositiveRoot, n: int) -> tuple:
     return tuple(eps)
 
 
+@lru_cache(maxsize=256)
+def _suffix_sums(lam: tuple) -> tuple:
+    """(m_1 + ... + m_n, m_2 + ... + m_n, ..., m_n): lambda in e-coordinates."""
+    return tuple(sum(lam[k:]) for k in range(len(lam)))
+
+
 def epsilon_weight(lam, offset=None) -> tuple:
     """The weight lambda - sum_k c_k alpha_k in orthogonal coordinates e_1..e_n.
 
@@ -234,7 +240,7 @@ def epsilon_weight(lam, offset=None) -> tuple:
     k < n and alpha_n = 2 e_n.
     """
     n = len(lam)
-    eps = [sum(lam[k:]) for k in range(n)]
+    eps = list(_suffix_sums(tuple(lam)))
     if offset is not None:
         for k in range(n - 1):
             eps[k] -= offset[k]
@@ -254,7 +260,7 @@ def epsilon_offset(lam, eps) -> tuple:
         raise ValueError(f"weight {tuple(eps)} does not have rank {n}")
     offset = []
     total = 0
-    for a, b in zip(epsilon_weight(lam), eps):
+    for a, b in zip(_suffix_sums(tuple(lam)), eps):
         total += a - b
         offset.append(total)
     if total % 2:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -12,7 +13,6 @@ from sympbw import grmod, polytope
 from sympbw.dyck import enumerate_paths
 from sympbw.grmod import (
     SparsePolynomial,
-    _monomials_by_cell,
     apply_partial_power,
     base_relations,
     column_sum,
@@ -291,6 +291,97 @@ def test_quotient_packing_base_does_not_carry():
         assert wider == default == polytope.graded_character(lam), lam
 
 
+@functools.lru_cache(maxsize=None)
+def _packed_cells(n, max_degree):
+    """Every exponent of degree <= max_degree by (weight, degree), each
+    packed in base max_degree + 1."""
+    return {
+        cell: [grmod._pack(s, max_degree + 1) for s in monos]
+        for cell, monos in _cell_exponents(n, max_degree).items()
+    }
+
+
+def _listing_quotient_dims(lam, max_degree):
+    """The quotient dimensions by listing every monomial of each cell and row
+    reducing all closure multiples in it, standard or not: the method that
+    the walk over standard monomials replaced, kept as a reference."""
+    n = len(lam)
+    cells = _packed_cells(n, max_degree)
+    base, cell_base = max_degree + 1, 4 * max_degree + 1
+    lift = grmod._pack([2 * max_degree] * (n + 1), cell_base)
+    shifts_by_cell = {
+        grmod._pack((d, *mu), cell_base) + lift: monos
+        for (mu, d), monos in cells.items()
+    }
+    by_bidegree = {}
+    for g in ideal_generators(lam).closure:
+        mono = next(iter(g.terms))
+        d = sum(mono)
+        if d <= max_degree:
+            key = grmod._pack((d, *polytope.weight_of(mono, n)), cell_base)
+            by_bidegree.setdefault(key, []).append(
+                {grmod._pack(s, base): c for s, c in g.terms.items()}
+            )
+    table = {}
+    for (mu, d), monos in sorted(cells.items()):
+        basis = IncrementalBasis()
+        here = grmod._pack((d, *mu), cell_base) + lift
+        products = (
+            {s + t: c for s, c in g.items()}
+            for gkey, gens_here in by_bidegree.items()
+            for t in shifts_by_cell.get(here - gkey, ())
+            for g in gens_here
+        )
+        for vec in products:
+            basis.add(vec)
+            if basis.rank == len(monos):
+                break
+        if len(monos) > basis.rank:
+            table[(mu, d)] = len(monos) - basis.rank
+    return table
+
+
+def test_quotient_matches_the_listing_reference():
+    cases = 0
+    for n in (1, 2, 3):
+        for lam in itertools.product(range(3), repeat=n):
+            if sum(lam) > 2:
+                continue
+            default = polytope.max_point_degree(lam) + 1
+            for max_degree in (default, default + 2):
+                want = _listing_quotient_dims(lam, max_degree)
+                got = quotient_graded_dims(lam, max_degree=max_degree)
+                assert got == want, (lam, max_degree)
+                assert list(got.items()) == list(want.items()), (lam, max_degree)
+                cases += 1
+    assert cases == 2 * (3 + 6 + 10)
+    _packed_cells.cache_clear()
+
+
+def test_quotient_rejects_a_bad_cap():
+    for bad in (True, False, 2.5, "9", None, 0, -1, Fraction(3)):
+        with pytest.raises(ValueError, match="cap"):
+            quotient_graded_dims((1, 1), cap=bad)
+
+
+def test_quotient_cap_bounds_standard_monomials_before_any_reduction(monkeypatch):
+    lam, max_degree = (1, 1), polytope.max_point_degree((1, 1)) + 1
+    forbidden = {grmod._pack(s, max_degree + 1) for s in _single_terms(lam, max_degree)}
+    cells = grmod._standard_monomials(2, max_degree, forbidden, cap=10 ** 6)
+    widest = max(map(len, cells.values()))
+    assert widest > 1
+    assert quotient_graded_dims(lam, cap=widest) == quotient_graded_dims(lam)
+    gens = ideal_generators(lam)
+    monkeypatch.setattr(grmod, "ideal_generators", lambda lam: gens)
+
+    def refuse(self, vec):
+        raise AssertionError("a cell was reduced before the cap check")
+
+    monkeypatch.setattr(IncrementalBasis, "add", refuse)
+    with pytest.raises(ValueError, match=rf"has {widest} monomials, above the cap {widest - 1}$"):
+        quotient_graded_dims(lam, cap=widest - 1)
+
+
 def test_closure_coefficients_are_ints():
     cases = 0
     for n in (1, 2, 3):
@@ -312,31 +403,48 @@ def _brute_force(n, top, keep):
     return [s for s in itertools.product(range(top + 1), repeat=n * n) if keep(s)]
 
 
-def _unpack(key: int, base: int, length: int) -> tuple:
-    """The exponent packed into key in the given base, first coordinate most
-    significant."""
-    digits = []
-    for _ in range(length):
-        key, x = divmod(key, base)
-        digits.append(x)
-    return tuple(reversed(digits))
-
-
 def _cell_exponents(n, max_degree):
-    """_monomials_by_cell with every packed key unpacked."""
-    return {
-        cell: [_unpack(t, max_degree + 1, n * n) for t in monos]
-        for cell, monos in _monomials_by_cell(n, max_degree).items()
-    }
+    """Every exponent of degree <= max_degree, in tuple order, grouped by
+    (weight, degree)."""
+    cells = {}
+    for s in polytope.lattice_points(n * n, [(range(n * n), max_degree)]):
+        cells.setdefault((polytope.weight_of(s, n), sum(s)), []).append(s)
+    return cells
 
 
-def test_monomials_by_cell_match_brute_force():
-    for n, max_degree in ((1, 4), (2, 3), (3, 2)):
+def _single_terms(lam, max_degree):
+    """The exponents of the single-term closure elements up to max_degree."""
+    return [
+        s for g in ideal_generators(lam).closure for s in g.terms
+        if len(g.terms) == 1 and sum(s) <= max_degree
+    ]
+
+
+def test_standard_monomials_match_brute_force():
+    for lam, max_degree in (((3,), 6), ((1, 0), 4), ((1, 1), 5), ((0, 2), 4),
+                            ((0, 1, 0), 3), ((1, 0, 1), 3)):
+        n = len(lam)
+        single = _single_terms(lam, max_degree)
+        assert single, lam
+
+        def standard(s):
+            return sum(s) <= max_degree and not any(
+                all(a >= b for a, b in zip(s, g)) for g in single
+            )
+
         expected = {}
-        for s in _brute_force(n, max_degree, lambda s: sum(s) <= max_degree):
-            expected.setdefault((polytope.weight_of(s, n), sum(s)), []).append(s)
-        cells = _cell_exponents(n, max_degree)
-        assert list(cells.items()) == list(expected.items())
+        for s in _brute_force(n, max_degree, standard):
+            expected.setdefault((polytope.weight_of(s, n), sum(s)), set()).add(s)
+        forbidden = {grmod._pack(s, max_degree + 1) for s in single}
+        cells = grmod._standard_monomials(n, max_degree, forbidden, cap=10 ** 6)
+        lift = 2 * max_degree
+        found = {}
+        for cell, monos in cells.items():
+            *mu, d = (x - lift for x in grmod._unpack(cell, 4 * max_degree + 1, n + 1))
+            exponents = [grmod._unpack(t, max_degree + 1, n * n) for t in monos]
+            assert len(set(exponents)) == len(exponents), (lam, cell)
+            found[(tuple(mu), d)] = set(exponents)
+        assert found == expected, lam
 
 
 def test_minimal_violations_match_brute_force():
@@ -415,10 +523,11 @@ def _closure_cell_basis(closure, n, weight, degree):
     """Row-reduced span of the monomial multiples of the closure elements in
     the (weight, degree) cell."""
     basis = IncrementalBasis()
+    shifts = _cell_exponents(n, degree)
     for g in closure:
         t0 = next(iter(g.terms))
         rest = tuple(a - b for a, b in zip(weight, polytope.weight_of(t0, n)))
-        for t in _cell_exponents(n, degree).get((rest, degree - sum(t0)), ()):
+        for t in shifts.get((rest, degree - sum(t0)), ()):
             basis.add(g.shift(t).terms)
     return basis
 

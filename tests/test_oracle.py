@@ -370,6 +370,17 @@ def test_cap_guards_ambient_size():
         build_module((1, 0), cap=2)
 
 
+def test_cap_must_be_an_int_of_at_least_one():
+    # True and 2.5 used to pass the size comparison, "9" and None died in it
+    for bad in (True, False, 2.5, "9", None, 0, -3):
+        for build in (build_module, monomial_rank):
+            with pytest.raises(ValueError, match="cap must be an int >= 1"):
+                build((1, 0), cap=bad)
+        with pytest.raises(ValueError, match="cap must be an int >= 1"):
+            tensor_cartan_dims((1, 0), (0, 1), cap=bad)
+    assert build_module((1, 0), cap=4).dimension == 4
+
+
 def test_cap_is_checked_before_the_layout_is_built(monkeypatch):
     def refuse(n, sizes):
         raise AssertionError("layout built before the cap check")
