@@ -14,10 +14,31 @@ int of the digits, so the highest vector is key 0, and keys compare exactly
 as the tuples of their subsets do.  The pivot of a row, its smallest key, is
 therefore the same as with tuple keys, and with it the discovery order and
 every position in the graded action.  A ``WedgeLayout``, cached per rank and
-factor sizes, holds the radices, the weight of every digit and, for each f_alpha
-and factor, the images of every digit as (key delta, coefficient) pairs.
-A pair of graded-module positions (i, j) in a tensor product of two
-modules is packed the same way, as i * dim(right) + j.
+factor sizes, holds the radices, the weight code of every digit and, for each
+f_alpha and factor, the images of every digit as (key delta, coefficient)
+pairs.  A weight code packs the orthogonal coordinates of a weight as balanced
+digits in base 2F + 1, F the number of factors: each factor adds -1, 0 or 1
+to a coordinate, so the coordinates of a key stay within [-F, F], and the code
+of a key, the sum of its digits' codes, names its weight exactly.  A pair of
+graded-module positions (i, j) in a tensor product of two modules is packed
+the same way as a key, as i * dim(right) + j.
+
+The module closure stops at full weight blocks.  The cyclic span of the
+highest vector is V(lambda), so weight block mu never holds more than the
+multiplicity m(mu), read from Freudenthal's recursion; an image into a block
+that already holds m(mu) vectors lies in their span, so skipping it before
+it is computed drops nothing and keeps every vector and tag of the unbounded
+closure.  The result does not trust that table: ``build_module`` certifies
+that every block holds exactly its table entry and that the total is Weyl's
+dimension.  The kept vectors of a block are independent vectors of V(lambda)
+of that weight, so no block exceeds its true multiplicity; blocks that match
+the table and sum to the true dimension therefore match the true
+multiplicities, which makes the table exact and the closure complete.  Any
+wrong table, too large, too small or missing a weight, raises RuntimeError.
+The tensor-product closure of ``tensor_cartan_dims`` is not bounded: its
+block sizes are what the ``tensor-cartan`` check compares with the module of
+lambda + mu, and bounding them by that module's multiplicities would assume
+the result.
 """
 
 from __future__ import annotations
@@ -27,10 +48,11 @@ from collections import Counter, defaultdict
 from functools import lru_cache, partial
 from itertools import combinations
 from math import comb, prod
+from operator import add
 from typing import NamedTuple
 
 from .linalg import IncrementalBasis, combine
-from .polytope import enumerate_points
+from .polytope import enumerate_points, freudenthal_multiplicities, weyl_dim
 from .rootsys import (
     chevalley_realization,
     epsilon_offset,
@@ -53,7 +75,8 @@ class WedgeLayout(NamedTuple):
     subsets: tuple  # per factor: its subsets of {1..2n}, in lexicographic order
     radices: tuple  # per factor: how many subsets it has
     places: tuple  # per factor: the key value of one unit of its digit
-    epsilon: tuple  # per factor, per digit: the subset's weight, orthogonal coords
+    weight_base: int  # 2F + 1 for F factors: the base of the weight codes
+    weights: tuple  # per factor: (place, radix, per digit its weight code)
     lowering: dict  # alpha -> per factor: (place, radix, per digit ((delta, c), ...))
 
 
@@ -135,8 +158,12 @@ def _layout(n: int, sizes: tuple) -> WedgeLayout:
                      for subs, place, radix in zip(subsets, places, radices))
         for alpha in positive_roots(n)
     }
-    epsilon = tuple(tuple(_slot_epsilon(slot, n) for slot in subs) for subs in subsets)
-    return WedgeLayout(n, subsets, radices, places, epsilon, lowering)
+    base = 2 * len(sizes) + 1
+    weights = tuple(
+        (place, radix, tuple(sum(x * base ** a for a, x in enumerate(_slot_epsilon(slot, n)))
+                             for slot in subs))
+        for subs, place, radix in zip(subsets, places, radices))
+    return WedgeLayout(n, subsets, radices, places, base, weights, lowering)
 
 
 def apply_root_vector(layout: WedgeLayout, alpha, vec: dict) -> dict:
@@ -153,59 +180,71 @@ def apply_root_vector(layout: WedgeLayout, alpha, vec: dict) -> dict:
 # weights
 # ---------------------------------------------------------------------------
 
-def _key_epsilon(layout: WedgeLayout, key: int) -> tuple:
-    """Weight of a packed key in orthogonal coordinates: the sum of its digits'."""
-    eps = [0] * layout.n
-    for place, radix, weights in zip(layout.places, layout.radices, layout.epsilon):
-        for a, x in enumerate(weights[key // place % radix]):
-            eps[a] += x
+def _weight_of_code(layout: WedgeLayout, code: int) -> tuple:
+    """The orthogonal coordinates of a weight code: its balanced digits."""
+    base = layout.weight_base
+    half = base // 2
+    eps = []
+    for _ in range(layout.n):
+        x = (code + half) % base - half
+        eps.append(x)
+        code = (code - x) // base
     return tuple(eps)
 
 
 def _vector_offset(layout: WedgeLayout, lam, vec: dict) -> tuple:
-    """Weight offset of a weight vector; all keys must agree."""
-    weights = {_key_epsilon(layout, key) for key in vec}
-    if len(weights) != 1:
-        raise ValueError(
-            f"not a weight vector: its keys have weights {sorted(weights)}"
-        )
-    return epsilon_offset(lam, weights.pop())
+    """Weight offset of a weight vector; all keys must agree.
+
+    The weight code of every key is the sum of its digits' codes, summed here
+    factor by factor over all keys at once."""
+    codes = [0] * len(vec)
+    for place, radix, digit_codes in layout.weights:
+        codes = [c + digit_codes[key // place % radix] for c, key in zip(codes, vec)]
+    codes = set(codes)
+    if len(codes) != 1:
+        weights = sorted(_weight_of_code(layout, code) for code in codes)
+        raise ValueError(f"not a weight vector: its keys have weights {weights}")
+    return epsilon_offset(lam, _weight_of_code(layout, codes.pop()))
 
 
-def _lowered(offset: tuple, alpha, n: int) -> tuple:
-    """The weight offset of f_alpha applied to a vector of weight offset `offset`."""
-    return tuple(a + b for a, b in zip(offset, simple_coefficients(alpha, n)))
+def _lowering_steps(n: int) -> list:
+    """(alpha, its simple-root coefficients) for every positive root: the
+    weight offset that f_alpha adds."""
+    return [(alpha, simple_coefficients(alpha, n)) for alpha in positive_roots(n)]
 
 
 # ---------------------------------------------------------------------------
 # module construction
 # ---------------------------------------------------------------------------
 
-def _close(n: int, start: dict, act, check) -> tuple:
+def _close(n: int, start: dict, act, check, bound: dict | None = None) -> tuple:
     """Close start under act(alpha, vec) for every positive root, level by level.
 
     Each image is reduced once, in an untracked basis of the weight space it
     is expected in: the weight offset of its source lowered by alpha.  An
     image that enlarges that span is kept, once check(image, weight offset,
-    level) has passed it.  Returns the kept vectors, start first, with their
-    weight offsets and levels.
+    level) has passed it.  With a bound {weight offset: size}, a pair whose
+    target block already holds bound[target] vectors (0 for a target missing
+    from it) is skipped before act is called.  Returns the kept vectors,
+    start first, with their weight offsets and levels.
     """
     vectors, weights, levels = [start], [(0,) * n], [0]
     bases = defaultdict(IncrementalBasis)  # weight offset -> its span so far
     bases[weights[0]].add(start)
-    roots = positive_roots(n)
+    steps = _lowering_steps(n)
     frontier = range(1)
     level = 0
     while frontier:
         level += 1
         for j in frontier:
             vec, weight = vectors[j], weights[j]
-            for alpha in roots:
-                image = act(alpha, vec)
-                if not image:
+            for alpha, coeffs in steps:
+                target = tuple(map(add, weight, coeffs))
+                basis = bases[target]
+                if bound is not None and basis.rank >= bound.get(target, 0):
                     continue
-                target = _lowered(weight, alpha, n)
-                if bases[target].add(image):
+                image = act(alpha, vec)
+                if image and basis.add(image):
                     check(image, target, level)
                     vectors.append(image)
                     weights.append(target)
@@ -229,10 +268,21 @@ def _checked_layout(lam: tuple, cap: int) -> WedgeLayout:
 
 def build_module(lam, cap: int = 20000) -> RepresentationSpace:
     """Close the highest vector under all lowering operators, level by level,
-    checking that each new module vector has the expected weight."""
+    checking that each new module vector has the expected weight.
+
+    Weight block mu stops at m(mu) vectors, the multiplicity that
+    freudenthal_multiplicities gives: V(lambda) has no more, so every later
+    image into the block lies in its span and is neither computed nor
+    reduced.  The vectors, weight tags and level tags are those of the
+    unbounded closure.  The result is then certified without trusting the
+    table: RuntimeError unless every block holds exactly its table entry and
+    the total is weyl_dim(lam).  No block can exceed its true multiplicity,
+    so the two together prove the table exact and the closure complete.
+    """
     lam = validate_weight(lam)
     n = len(lam)
     layout = _checked_layout(lam, cap)
+    table = freudenthal_multiplicities(lam)
 
     def check(vec: dict, weight: tuple, level: int) -> None:
         found = _vector_offset(layout, lam, vec)
@@ -242,7 +292,19 @@ def build_module(lam, cap: int = 20000) -> RepresentationSpace:
             )
 
     vectors, weights, levels = _close(
-        n, {0: 1}, partial(apply_root_vector, layout), check)
+        n, {0: 1}, partial(apply_root_vector, layout), check, table)
+    blocks = Counter(weights)
+    for weight in dict.fromkeys([*table, *blocks]):
+        found, expected = blocks[weight], table.get(weight, 0)
+        if found != expected:
+            raise RuntimeError(
+                f"weight block {weight} holds {found} vectors where {expected} was expected"
+            )
+    dim = weyl_dim(lam)
+    if len(vectors) != dim:
+        raise RuntimeError(
+            f"module holds {len(vectors)} vectors where the Weyl dimension {dim} was expected"
+        )
     return RepresentationSpace(n, lam, vectors, weights, levels, layout)
 
 
@@ -273,13 +335,13 @@ def graded_action(space: RepresentationSpace) -> dict:
         members[weight].append(j)
         bases[weight].add(vec)
     action = {}
-    for alpha in positive_roots(n):
+    for alpha, coeffs in _lowering_steps(n):
         mat = {}
         for j, vec in enumerate(space.basis_vectors):
             image = apply_root_vector(layout, alpha, vec)
             if not image:
                 continue
-            weight = _lowered(space.weight_tags[j], alpha, n)
+            weight = tuple(map(add, space.weight_tags[j], coeffs))
             combo = bases[weight].combination(image)  # None off the module
             if combo is None:
                 raise RuntimeError(f"module is not closed under lowering by {alpha}")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
@@ -22,7 +22,7 @@ from sympbw.oracle import (
     tensor_cartan_dims,
 )
 from sympbw.polytope import graded_character, weyl_dim
-from sympbw.rootsys import chevalley_realization, positive_roots
+from sympbw.rootsys import chevalley_realization, positive_roots, simple_coefficients
 
 
 def apply_action(mat: dict, vec: dict) -> dict:
@@ -282,6 +282,28 @@ def test_vector_offset_raises_on_bad_weights():
     assert _vector_offset(layout, (1, 0), {two: Fraction(1)}) == (1, 0)
 
 
+def test_weight_codes_name_the_weight_of_every_key():
+    for n, sizes in sorted(_small_factor_sizes()):
+        layout = oracle._layout(n, sizes)
+        for key in range(math.prod(layout.radices)):
+            code = sum(codes[key // place % radix] for place, radix, codes in layout.weights)
+            assert oracle._weight_of_code(layout, code) == _key_weight(
+                _decode(layout, key), n), (sizes, key)
+
+
+def test_vector_offset_compares_every_key():
+    # one key of another weight, first, in the middle or last, is always seen
+    space = build_module((1, 1, 1))
+    j = max(range(space.dimension), key=lambda j: len(space.basis_vectors[j]))
+    items = list(space.basis_vectors[j].items())
+    assert len(items) >= 3 and 0 not in space.basis_vectors[j]
+    for pos in (0, len(items) // 2, len(items)):
+        stray = dict(items[:pos] + [(0, 1)] + items[pos:])  # key 0: the top weight
+        with pytest.raises(ValueError, match="not a weight vector"):
+            _vector_offset(space.layout, (1, 1, 1), stray)
+    assert _vector_offset(space.layout, (1, 1, 1), dict(items)) == space.weight_tags[j]
+
+
 def test_weight_blocks_match_the_character():
     for lam in ((1, 1, 1), (0, 1, 1)):
         space = build_module(lam)
@@ -301,10 +323,115 @@ def test_build_module_reduces_each_image_once(monkeypatch):
 
 
 def test_build_module_checks_the_expected_weight(monkeypatch):
-    # every image expected at the top weight: the first new vector is refused
+    # every image expected at the top weight, whose block is full at once:
+    # nothing is kept, and the block certificate refuses the empty blocks
     monkeypatch.setattr(oracle, "simple_coefficients", lambda alpha, n: (0,) * n)
     with pytest.raises(RuntimeError, match="was expected"):
         build_module((1, 0))
+
+
+def test_build_module_checks_the_weight_of_each_kept_vector(monkeypatch):
+    # f_alpha_1 and f_(alpha_1 + alpha_2) trade their weight shifts, so the
+    # first image lands in the empty block of the other root: the per-vector
+    # check must refuse it before any block certificate is reached
+    alpha_1, alpha_12 = (root for root in positive_roots(2)
+                         if simple_coefficients(root, 2) in ((1, 0), (1, 1)))
+    swap = {alpha_1: alpha_12, alpha_12: alpha_1}
+    monkeypatch.setattr(oracle, "simple_coefficients",
+                        lambda alpha, n: simple_coefficients(swap.get(alpha, alpha), n))
+    with pytest.raises(RuntimeError, match="module vector of weight offset .* was expected"):
+        build_module((1, 0))
+
+
+def _faulty_tables(lam) -> list:
+    """(fault, table) for every weight of lam: one more, one fewer, dropped."""
+    true = polytope.freudenthal_multiplicities(lam)
+    out = []
+    for weight, m in true.items():
+        out.append(("large", {**true, weight: m + 1}))
+        out.append(("small", {**true, weight: m - 1}))
+        out.append(("dropped", {w: x for w, x in true.items() if w != weight}))
+    return out
+
+
+@pytest.mark.parametrize("lam", [(1, 1), (0, 1, 0)])
+def test_build_module_refuses_a_wrong_multiplicity_table(monkeypatch, lam):
+    faults = Counter()
+    for fault, table in _faulty_tables(lam):
+        monkeypatch.setattr(oracle, "freudenthal_multiplicities", lambda lam, t=table: t)
+        with pytest.raises(RuntimeError, match="was expected"):
+            build_module(lam)
+        faults[fault] += 1
+    blocks = len(polytope.freudenthal_multiplicities(lam))
+    assert faults == {"large": blocks, "small": blocks, "dropped": blocks}
+
+
+def test_a_short_leaf_block_is_caught_by_the_weyl_dimension(monkeypatch):
+    # the lowest weight has no block below it, so a table one short there
+    # passes every block comparison; only the total can refuse it
+    table = dict(polytope.freudenthal_multiplicities((1, 1)))
+    lowest = list(table)[-1]
+    table[lowest] -= 1
+    monkeypatch.setattr(oracle, "freudenthal_multiplicities", lambda lam: table)
+    with pytest.raises(RuntimeError, match="module holds 15 vectors where the Weyl "
+                                           "dimension 16 was expected"):
+        build_module((1, 1))
+
+
+def _unbounded_closure(lam) -> tuple:
+    """The module closure with no bound on its weight blocks: every image is
+    computed and reduced.  Returns (vectors, weight offsets, levels)."""
+    n = len(lam)
+    layout = oracle._checked_layout(lam, 20000)
+    vectors, weights, levels = [{0: 1}], [(0,) * n], [0]
+    bases = defaultdict(IncrementalBasis)
+    bases[weights[0]].add(vectors[0])
+    frontier = range(1)
+    level = 0
+    while frontier:
+        level += 1
+        for j in frontier:
+            vec, weight = vectors[j], weights[j]
+            for alpha in positive_roots(n):
+                image = oracle.apply_root_vector(layout, alpha, vec)
+                if not image:
+                    continue
+                target = tuple(a + b for a, b in zip(weight, simple_coefficients(alpha, n)))
+                if bases[target].add(image):
+                    vectors.append(image)
+                    weights.append(target)
+                    levels.append(level)
+        frontier = range(frontier.stop, len(vectors))
+    return vectors, weights, levels
+
+
+EXACTNESS_WEIGHTS = [
+    lam for n in (1, 2, 3) for lam in itertools.product(range(3), repeat=n) if sum(lam) <= 2
+] + [(1, 1, 1), (0, 0, 1, 1), (1, 0, 0, 1), (0, 0, 0, 2)]
+
+
+@pytest.mark.parametrize("lam", EXACTNESS_WEIGHTS)
+def test_bounded_closure_equals_the_unbounded_one(lam):
+    space = build_module(lam)
+    vectors, weights, levels = _unbounded_closure(lam)
+    assert len(space.basis_vectors) == len(vectors) == weyl_dim(lam)
+    for k, (vec, weight, level) in enumerate(zip(vectors, weights, levels)):
+        assert space.basis_vectors[k] == vec, (lam, k)
+        assert space.weight_tags[k] == weight, (lam, k)
+        assert space.level_tags[k] == level, (lam, k)
+
+
+def test_full_blocks_spare_root_vector_calls(monkeypatch):
+    calls = Counter()
+    original = oracle.apply_root_vector
+
+    def counted(layout, alpha, vec):
+        calls["apply"] += 1
+        return original(layout, alpha, vec)
+
+    monkeypatch.setattr(oracle, "apply_root_vector", counted)
+    assert build_module((1, 1, 1)).dimension == 512
+    assert calls["apply"] < 4608  # 512 vectors x 9 roots without the bound
 
 
 def test_monomial_vectors_span():
