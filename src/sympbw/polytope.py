@@ -10,14 +10,28 @@ The polytope has one representation, the path table of a rank: one row per
 Dyck path, in path enumeration order, holding the path, its reading-order
 coordinate indices and the slice of lambda whose sum bounds it.  The table
 depends on the rank alone and is built once; the bounds of a weight are read
-off it on each use.  Membership is one scan of the rows that stops at the
-first broken path (first_broken), and every lattice-point enumeration is one
-depth-first walk over rows of (coordinates, bound) (lattice_points).  The
-walk first reduces the rows to those that can bind: coordinates on a row of
-bound 0 are fixed at 0, rows with the same remaining coordinates merge into
-the tightest, and a row implied by a tighter row over more coordinates is
-dropped.  It then assigns only the coordinates left on a kept row, and lists
-the values of the last of them in one bulk extend per branch.
+off it on each use.  Every lattice-point enumeration is one depth-first walk
+over rows of (coordinates, bound) (lattice_points).  The walk first reduces
+the rows to those that can bind: coordinates on a row of bound 0 are fixed
+at 0, rows with the same remaining coordinates merge into the tightest, and a
+row implied by a tighter row over more coordinates is dropped.  It then
+assigns only the coordinates left on a kept row, and lists the values of the
+last of them in one bulk extend per branch.
+
+Membership (first_broken, contains) evaluates every row at once in one
+packed int: row p owns the W-bit field at bit p*W, and the masks of a rank
+and width (_path_masks) put a 1 in field p for each coordinate and each
+weight entry on row p.  So slack = high + sum(lambda_k * weight_k) -
+sum(s_i * coord_i), where high holds the top bit of every field, has
+bound_p + 2^(W-1) - (path sum)_p in field p.  The width W is the least
+multiple of 8 with 2^(W-1) > n^2 * max|s_i| + sum(lambda).  No path has more
+than n^2 coordinates and 0 <= bound_p <= sum(lambda), so every field lies
+strictly between 0 and 2^W: no borrow or carry crosses a field, and the
+fields are exact for ints of any size and sign.  Row p is broken exactly when
+its top bit is clear, so the first broken row is the lowest set bit of
+high & ~slack, and only that row of the table is read.  Whole bytes per field
+let the masks be built from byte strings, and keep the widths, hence the
+cached masks, to one or two per rank for the small entries met in practice.
 
 Counts, characters, graded characters and the largest degree never list the
 points: one memoized walk (_graded_counts) takes the coordinates in the same
@@ -47,6 +61,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import NamedTuple
 
 from . import dyck
@@ -138,24 +153,69 @@ def inequalities(lam) -> list:
     ]
 
 
-def first_broken(lam, s):
-    """The first path inequality, in path order, that the multi-exponent s
-    breaks, or None when s satisfies all of them.  An entry of s whose type
-    is not int (bools included) raises ValueError."""
+@lru_cache(maxsize=32)
+def _path_masks(n: int, width: int) -> tuple:
+    """The masks (coord, weight, high) of the packed evaluation for rank n
+    and a field of width bits, a multiple of 8, per path-table row.
+
+    coord[i] has bit p*width set for every row p that holds coordinate i,
+    weight[k] has it for every row p with a <= k < b, and high has bit
+    p*width + width - 1 of every row p.  Each mask is read from one byte
+    string of whole fields, so a build takes time linear in its size.  The
+    width grows with the size of the inputs, so the cache is bounded.
+    """
+    table = _path_table(n)
+    zero = bytes(width // 8)
+    one = b"\x01" + zero[1:]
+
+    def mask(flags):
+        return int.from_bytes(b"".join(one if f else zero for f in flags), "little")
+
+    return (
+        tuple(mask(i in coords for _, coords, _, _ in table) for i in range(n * n)),
+        tuple(mask(a <= k < b for _, _, a, b in table) for k in range(n)),
+        int.from_bytes((zero[1:] + b"\x80") * len(table), "little"),
+    )
+
+
+def _first_broken_row(lam, s) -> tuple:
+    """Validate lambda and s once; return (lambda, min(s), p), where p is the
+    path-table index of the first broken row, or None when none is broken."""
     lam = validate_weight(lam)
     n = len(lam)
     s = validate_exponent(s, n)
-    for path, coords, a, b in _path_table(n):
-        bound = sum(lam[a:b])
-        if sum(map(s.__getitem__, coords)) > bound:
-            return PathInequality(path, bound)
-    return None
+    lo, hi = min(s), max(s)
+    # the least multiple of 8 with 2^(width-1) > n^2 * max|s_i| + sum(lam)
+    width = (n * n * max(hi, -lo) + sum(lam)).bit_length() // 8 * 8 + 8
+    coord, weight, high = _path_masks(n, width)
+    slack = high + sum(map(mul, lam, weight)) - sum(map(mul, s, coord))
+    broken = high & ~slack
+    if not broken:
+        return lam, lo, None
+    return lam, lo, (broken & -broken).bit_length() // width - 1
+
+
+def first_broken(lam, s):
+    """The first path inequality, in path order, that the multi-exponent s
+    breaks, or None when s satisfies all of them.  An entry of s whose type
+    is not int (bools included) raises ValueError.
+
+    All rows are evaluated at once in one packed int (see the module
+    docstring); only the row of the first broken path is read.
+    """
+    lam, _, p = _first_broken_row(lam, s)
+    if p is None:
+        return None
+    path, _, a, b = _path_table(len(lam))[p]
+    return PathInequality(path, sum(lam[a:b]))
 
 
 def contains(lam, s) -> bool:
     """Whether the multi-exponent s lies in P(lambda): no negative coordinate
-    and no broken path inequality."""
-    return first_broken(lam, s) is None and min(s) >= 0
+    and no broken path inequality, read from one packed evaluation of every
+    row.  s may be any iterable; it is read and validated once."""
+    _, lo, p = _first_broken_row(lam, s)
+    return p is None and lo >= 0
 
 
 def lattice_points(dim: int, rows) -> list:

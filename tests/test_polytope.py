@@ -32,6 +32,8 @@ from sympbw.rootsys import (
     positive_roots,
     root_index_map,
     simple_coefficients,
+    validate_exponent,
+    validate_weight,
 )
 
 
@@ -162,6 +164,144 @@ def test_contains_refuses_entries_that_are_not_ints():
     for bad in (0.5, True, Fraction(1)):
         with pytest.raises(ValueError, match=re.escape(f"got {bad!r} in")):
             contains((1, 0), (bad, 0, 0, 0))
+
+
+def _first_broken_by_scan(lam, s):
+    """The row scan that first_broken replaced, kept as the exact reference:
+    one bound and one path sum per row, stopping at the first broken row."""
+    lam = validate_weight(lam)
+    n = len(lam)
+    s = validate_exponent(s, n)
+    for path, coords, a, b in polytope._path_table(n):
+        bound = sum(lam[a:b])
+        if sum(map(s.__getitem__, coords)) > bound:
+            return polytope.PathInequality(path, bound)
+    return None
+
+
+def _broken_rows(lam, s):
+    """Indices of every row that s breaks, by the scan."""
+    return [
+        p for p, (_, coords, a, b) in enumerate(polytope._path_table(len(lam)))
+        if sum(s[i] for i in coords) > sum(lam[a:b])
+    ]
+
+
+def _random_case(rng, n):
+    """A weight and an exponent whose entries are drawn from a random subset
+    of the kinds 0, small and about 10^20 (weight) and 0, small, negative and
+    about +-10^30 (exponent); half the time one row is then moved to its
+    bound, or one off it.  The large entries span several bit lengths, so
+    the field width lands on each side of a byte boundary."""
+    def entries(kinds, count):
+        kinds = rng.sample(kinds, rng.randint(1, len(kinds)))
+        return [rng.choice(kinds)() for _ in range(count)]
+
+    lam = tuple(entries([lambda: 0, lambda: rng.randint(1, 3),
+                         lambda: rng.randint(10**19, 10**21)], n))
+    s = entries([lambda: 0, lambda: rng.randint(1, 3), lambda: rng.randint(-3, -1),
+                 lambda: rng.randint(10**29, 10**32),
+                 lambda: -rng.randint(10**29, 10**32)], n * n)
+    if rng.random() < 0.5:
+        _, coords, a, b = rng.choice(polytope._path_table(n))
+        i = rng.choice(coords)
+        s[i] += sum(lam[a:b]) + rng.randint(-1, 1) - sum(s[j] for j in coords)
+    return lam, tuple(s)
+
+
+def test_first_broken_matches_the_row_scan():
+    rng = random.Random(17)
+    seen = Counter()
+    for n in range(1, 7):
+        for _ in range(400):
+            lam, s = _random_case(rng, n)
+            expected = _first_broken_by_scan(lam, s)
+            assert polytope.first_broken(lam, s) == expected, (lam, s)
+            assert contains(lam, s) == (expected is None and min(s) >= 0)
+            seen[n, expected is None] += 1
+    assert len(seen) == 12 and min(seen.values()) >= 10, seen
+
+
+def test_first_broken_hand_cases():
+    table = polytope._path_table(3)
+    # rank 1, the one row broken: its field is the lowest one
+    assert polytope.first_broken((0,), (1,)) == (table[0][0], 0)
+    # a negative coordinate alone breaks no row
+    assert polytope.first_broken((0,), (-1,)) is None
+    assert not contains((0,), (-1,))
+    # n^2 * max|s_i| + sum(lambda) = 255 needs a field of 16 bits, not 8
+    assert polytope.first_broken((127,), (-128,)) is None
+    assert polytope.first_broken((0,), (255,)) == (table[0][0], 0)
+    # exactly on a bound, then one past it
+    on_bound = (0, 1, 0, 0, 0, 1, 0, 0, 0)  # row (0, 1, 5) at m_1 + m_2 = 2
+    assert polytope.first_broken((1, 1, 0), on_bound) is None
+    past = (0, 1, 0, 0, 0, 2, 0, 0, 0)
+    assert polytope.first_broken((1, 1, 0), past) == _first_broken_by_scan((1, 1, 0), past)
+    assert polytope.first_broken((1, 1, 0), past) is not None
+    # the all-zero weight: only the zero exponent is inside
+    assert polytope.first_broken((0, 0, 0), (0,) * 9) is None
+    for i in range(9):
+        e = tuple(int(j == i) for j in range(9))
+        assert polytope.first_broken((0, 0, 0), e) == _first_broken_by_scan((0, 0, 0), e)
+    # only the last row, (alpha_{3,3},) bounded by m_3 = 0, is broken
+    last = (0,) * 8 + (1,)
+    assert _broken_rows((1, 1, 0), last) == [len(table) - 1]
+    assert polytope.first_broken((1, 1, 0), last) == (table[-1][0], 0)
+    # rows 8, 9 and 10 are broken and the first of them is reported
+    several = (0,) * 5 + (1,) + (0,) * 3
+    assert _broken_rows((1, 0, 0), several) == [8, 9, 10]
+    assert polytope.first_broken((1, 0, 0), several) == (table[8][0], 0)
+
+
+def test_contains_reads_a_one_shot_iterable(monkeypatch):
+    calls = []
+    original = polytope.validate_exponent
+    monkeypatch.setattr(
+        polytope, "validate_exponent", lambda s, n: calls.append(n) or original(s, n)
+    )
+    for point, inside in (((0, 0, 2, 0), True), ((0, 0, 0, 2), False)):
+        for make in (list, tuple, iter):
+            assert contains((1, 1), make(point)) is inside
+            assert (polytope.first_broken((1, 1), make(point)) is None) is inside
+    assert calls == [2] * 12  # one validation per call
+
+
+class _RowsByIndexOnly(tuple):
+    """A path table that refuses iteration and counts reads by index."""
+    reads = 0
+
+    def __iter__(self):
+        raise AssertionError("first_broken iterated the path table")
+
+    def __getitem__(self, p):
+        type(self).reads += 1
+        return tuple.__getitem__(self, p)
+
+
+def test_first_broken_reads_at_most_one_row(monkeypatch):
+    lam = (1, 0, 0, 0, 0, 1)
+    rng = random.Random(23)
+    points = [tuple(rng.randint(0, 2) for _ in range(36)) for _ in range(50)]
+    points += [(0,) * 36, (0,) * 35 + (1,)]
+    expected = [_first_broken_by_scan(lam, s) for s in points]
+    assert any(e is None for e in expected) and any(e is not None for e in expected)
+    for s in points:
+        polytope.first_broken(lam, s)  # builds the masks of every width used
+    guarded = _RowsByIndexOnly(polytope._path_table(6))
+    monkeypatch.setattr(polytope, "_path_table", lambda n: guarded)
+    for s, e in zip(points, expected):
+        before = _RowsByIndexOnly.reads
+        assert polytope.first_broken(lam, s) == e
+        assert _RowsByIndexOnly.reads - before == (e is not None)
+
+
+def test_path_masks_stay_within_their_cache():
+    maxsize = polytope._path_masks.cache_info().maxsize
+    assert maxsize is not None
+    for k in range(4 * maxsize):
+        polytope.first_broken((1, 1), (2**k, 0, 0, 0))
+        polytope.first_broken((1, 1), (-(3**k), 0, 0, 0))
+    assert polytope._path_masks.cache_info().currsize <= maxsize
 
 
 def test_weyl_dim_known_values():
