@@ -289,21 +289,12 @@ def ideal_generators(lam) -> IdealGenerators:
     simples = [make_root(k, k, False, n) for k in range(1, n + 1)]
     rels = base_relations(lam)
     basis = IncrementalBasis()
-    closure = []
-    queue = []
-    for P in rels:
-        if basis.add(P.terms):
-            closure.append(P)
-            queue.append(P)
-    while queue:
-        P = queue.pop(0)
+    closure = [P for P in rels if basis.add(P.terms)]
+    for P in closure:  # grows while it is read: each kept element is derived once
         for beta in simples:
             Q = partial_op(beta, P)
-            if Q.is_zero():
-                continue
-            if basis.add(Q.terms):
+            if not Q.is_zero() and basis.add(Q.terms):
                 closure.append(Q)
-                queue.append(Q)
     return IdealGenerators(tuple(rels), tuple(closure))
 
 
@@ -530,9 +521,16 @@ def straightening_plan(lam, path, s) -> StraighteningPlan:
 
 
 def minimal_violations(lam, path):
-    """All exponents supported on the path with degree one past its bound."""
+    """All exponents supported on the path with degree one past its bound.
+
+    A sequence that is not a Dyck path of lam's rank raises ValueError
+    naming the clause it breaks."""
     lam = validate_weight(lam)
     n = len(lam)
+    path = tuple(path)
+    ok, why = dyck.is_dyck_path(path, n)
+    if not ok:
+        raise ValueError(why)
     idx = root_index_map(n)
     total = path_bound(lam, path[0], path[-1]) + 1
     row = ([idx[alpha] for alpha in path], total)
@@ -589,7 +587,10 @@ def straighten_step(P: SparsePolynomial, s, lam):
     return ineq.path, element, P
 
 
-def normal_form(P: SparsePolynomial, lam, step_cap: int = 10000):
+NORMAL_FORM_STEPS = 10000  # straightening steps before normal_form gives up
+
+
+def normal_form(P: SparsePolynomial, lam):
     """Rewrite P modulo the ideal into the span of polytope-point monomials.
 
     Repeatedly picks the earliest monomial (in the straightening order) lying
@@ -601,10 +602,10 @@ def normal_form(P: SparsePolynomial, lam, step_cap: int = 10000):
     n = len(lam)
     if P.n != n:
         raise ValueError(f"polynomial rank {P.n} does not match weight rank {n}")
-    for _ in range(step_cap):
+    for _ in range(NORMAL_FORM_STEPS):
         outside = [s for s in P.terms if not polytope.contains(lam, s)]
         if not outside:
             return P
         s = min(outside, key=lambda t: order_key(t, n))
         _, _, P = straighten_step(P, s, lam)
-    raise RuntimeError(f"normal form did not terminate within {step_cap} steps")
+    raise RuntimeError(f"normal form did not terminate within {NORMAL_FORM_STEPS} steps")

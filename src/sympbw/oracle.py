@@ -14,27 +14,28 @@ int of the digits, so the highest vector is key 0, and keys compare exactly
 as the tuples of their subsets do.  The pivot of a row, its smallest key, is
 therefore the same as with tuple keys, and with it the discovery order and
 every position in the graded action.  A ``WedgeLayout``, cached per rank and
-factor sizes, holds the radices, the weight code of every digit and, for each
-f_alpha and factor, the images of every digit as (key delta, coefficient)
-pairs.  A weight code packs the orthogonal coordinates of a weight as balanced
-digits in base 2F + 1, F the number of factors: each factor adds -1, 0 or 1
-to a coordinate, so the coordinates of a key stay within [-F, F], and the code
-of a key, the sum of its digits' codes, names its weight exactly.  A pair of
-graded-module positions (i, j) in a tensor product of two modules is packed
-the same way as a key, as i * dim(right) + j.
+factor sizes, holds the radices and, for each f_alpha and factor, the images
+of every digit as (key delta, coefficient) pairs.  A pair of graded-module
+positions (i, j) in a tensor product of two modules is packed the same way as
+a key, as i * dim(right) + j.
 
 The module closure stops at full weight blocks.  The cyclic span of the
 highest vector is V(lambda), so weight block mu never holds more than the
 multiplicity m(mu), read from Freudenthal's recursion; an image into a block
 that already holds m(mu) vectors lies in their span, so skipping it before
 it is computed drops nothing and keeps every vector and tag of the unbounded
-closure.  The result does not trust that table: ``build_module`` certifies
-that every block holds exactly its table entry and that the total is Weyl's
-dimension.  The kept vectors of a block are independent vectors of V(lambda)
-of that weight, so no block exceeds its true multiplicity; blocks that match
-the table and sum to the true dimension therefore match the true
-multiplicities, which makes the table exact and the closure complete.  Any
-wrong table, too large, too small or missing a weight, raises RuntimeError.
+closure.  The result does not trust that table.  ``build_module`` first
+checks the layout against the weight shifts that tag the closure: every
+image of every digit under f_alpha has the digit's weight lowered by alpha.
+Key 0 has weight lambda and an image key differs from its source in one
+digit, so every kept vector is a weight vector of exactly its tag, with no
+check per vector.  It then certifies that every block holds exactly its
+table entry and that the total is Weyl's dimension.  The kept vectors of a
+block are independent vectors of V(lambda) of that weight, so no block
+exceeds its true multiplicity; blocks that match the table and sum to the
+true dimension therefore match the true multiplicities, which makes the
+table exact and the closure complete.  Any wrong table, too large, too small
+or missing a weight, raises RuntimeError.
 The tensor-product closure of ``tensor_cartan_dims`` is not bounded: its
 block sizes are what the ``tensor-cartan`` check compares with the module of
 lambda + mu, and bounding them by that module's multiplicities would assume
@@ -55,7 +56,7 @@ from .linalg import IncrementalBasis, combine
 from .polytope import enumerate_points, freudenthal_multiplicities, weyl_dim
 from .rootsys import (
     chevalley_realization,
-    epsilon_offset,
+    epsilon_weight,
     positive_roots,
     root_index_map,
     simple_coefficients,
@@ -75,8 +76,6 @@ class WedgeLayout(NamedTuple):
     subsets: tuple  # per factor: its subsets of {1..2n}, in lexicographic order
     radices: tuple  # per factor: how many subsets it has
     places: tuple  # per factor: the key value of one unit of its digit
-    weight_base: int  # 2F + 1 for F factors: the base of the weight codes
-    weights: tuple  # per factor: (place, radix, per digit its weight code)
     lowering: dict  # alpha -> per factor: (place, radix, per digit ((delta, c), ...))
 
 
@@ -141,8 +140,8 @@ def _slot_epsilon(slot: tuple, n: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _layout(n: int, sizes: tuple) -> WedgeLayout:
-    """The packed keys of the tensor product of Lambda^i, i in sizes, with the
-    weight of each digit and f_alpha's images of each digit as key deltas."""
+    """The packed keys of the tensor product of Lambda^i, i in sizes, with
+    f_alpha's images of each digit as key deltas."""
     radices = tuple(comb(2 * n, i) for i in sizes)
     places = tuple(prod(radices[t + 1:]) for t in range(len(sizes)))
     subsets = tuple(tuple(combinations(range(1, 2 * n + 1), i)) for i in sizes)
@@ -158,12 +157,7 @@ def _layout(n: int, sizes: tuple) -> WedgeLayout:
                      for subs, place, radix in zip(subsets, places, radices))
         for alpha in positive_roots(n)
     }
-    base = 2 * len(sizes) + 1
-    weights = tuple(
-        (place, radix, tuple(sum(x * base ** a for a, x in enumerate(_slot_epsilon(slot, n)))
-                             for slot in subs))
-        for subs, place, radix in zip(subsets, places, radices))
-    return WedgeLayout(n, subsets, radices, places, base, weights, lowering)
+    return WedgeLayout(n, subsets, radices, places, lowering)
 
 
 def apply_root_vector(layout: WedgeLayout, alpha, vec: dict) -> dict:
@@ -180,53 +174,48 @@ def apply_root_vector(layout: WedgeLayout, alpha, vec: dict) -> dict:
 # weights
 # ---------------------------------------------------------------------------
 
-def _weight_of_code(layout: WedgeLayout, code: int) -> tuple:
-    """The orthogonal coordinates of a weight code: its balanced digits."""
-    base = layout.weight_base
-    half = base // 2
-    eps = []
-    for _ in range(layout.n):
-        x = (code + half) % base - half
-        eps.append(x)
-        code = (code - x) // base
-    return tuple(eps)
-
-
-def _vector_offset(layout: WedgeLayout, lam, vec: dict) -> tuple:
-    """Weight offset of a weight vector; all keys must agree.
-
-    The weight code of every key is the sum of its digits' codes, summed here
-    factor by factor over all keys at once."""
-    codes = [0] * len(vec)
-    for place, radix, digit_codes in layout.weights:
-        codes = [c + digit_codes[key // place % radix] for c, key in zip(codes, vec)]
-    codes = set(codes)
-    if len(codes) != 1:
-        weights = sorted(_weight_of_code(layout, code) for code in codes)
-        raise ValueError(f"not a weight vector: its keys have weights {weights}")
-    return epsilon_offset(lam, _weight_of_code(layout, codes.pop()))
-
-
 def _lowering_steps(n: int) -> list:
     """(alpha, its simple-root coefficients) for every positive root: the
     weight offset that f_alpha adds."""
     return [(alpha, simple_coefficients(alpha, n)) for alpha in positive_roots(n)]
 
 
+def _check_lowering(layout: WedgeLayout) -> None:
+    """RuntimeError unless f_alpha takes every digit of every factor to digits
+    of the digit's weight lowered by alpha, alpha's shift read from the
+    _lowering_steps table that tags the closure."""
+    n = layout.n
+    eps = [[_slot_epsilon(slot, n) for slot in subs] for subs in layout.subsets]
+    for alpha, coeffs in _lowering_steps(n):
+        shift = epsilon_weight((0,) * n, coeffs)  # -alpha in orthogonal coordinates
+        for digit_eps, (place, radix, images) in zip(eps, layout.lowering[alpha]):
+            for d, pairs in enumerate(images):
+                expected = tuple(map(add, digit_eps[d], shift))
+                for delta, _ in pairs:
+                    image = d + delta // place
+                    found = digit_eps[image] if 0 <= image < radix else None
+                    if found != expected:
+                        raise RuntimeError(
+                            f"f_{alpha} takes digit {d} of weight {digit_eps[d]} to "
+                            f"weight {found} where {expected} was expected"
+                        )
+
+
 # ---------------------------------------------------------------------------
 # module construction
 # ---------------------------------------------------------------------------
 
-def _close(n: int, start: dict, act, check, bound: dict | None = None) -> tuple:
+def _close(n: int, start: dict, act, bound: dict | None = None) -> tuple:
     """Close start under act(alpha, vec) for every positive root, level by level.
 
     Each image is reduced once, in an untracked basis of the weight space it
     is expected in: the weight offset of its source lowered by alpha.  An
-    image that enlarges that span is kept, once check(image, weight offset,
-    level) has passed it.  With a bound {weight offset: size}, a pair whose
-    target block already holds bound[target] vectors (0 for a target missing
-    from it) is skipped before act is called.  Returns the kept vectors,
-    start first, with their weight offsets and levels.
+    image that enlarges that span is kept and tagged with that offset and
+    the level; that it has that weight is for the caller to certify, once,
+    on the operators behind act.  With a bound {weight offset: size}, a pair
+    whose target block already holds bound[target] vectors (0 for a target
+    missing from it) is skipped before act is called.  Returns the kept
+    vectors, start first, with their weight offsets and levels.
     """
     vectors, weights, levels = [start], [(0,) * n], [0]
     bases = defaultdict(IncrementalBasis)  # weight offset -> its span so far
@@ -245,7 +234,6 @@ def _close(n: int, start: dict, act, check, bound: dict | None = None) -> tuple:
                     continue
                 image = act(alpha, vec)
                 if image and basis.add(image):
-                    check(image, target, level)
                     vectors.append(image)
                     weights.append(target)
                     levels.append(level)
@@ -267,9 +255,12 @@ def _checked_layout(lam: tuple, cap: int) -> WedgeLayout:
 
 
 def build_module(lam, cap: int = 20000) -> RepresentationSpace:
-    """Close the highest vector under all lowering operators, level by level,
-    checking that each new module vector has the expected weight.
+    """Close the highest vector under all lowering operators, level by level.
 
+    The layout is checked first: every f_alpha image of every digit must
+    have the digit's weight lowered by alpha, or RuntimeError.  The highest
+    vector, key 0, has weight lambda and every image key differs from its
+    source in one digit, so every kept vector is a weight vector of its tag.
     Weight block mu stops at m(mu) vectors, the multiplicity that
     freudenthal_multiplicities gives: V(lambda) has no more, so every later
     image into the block lies in its span and is neither computed nor
@@ -282,17 +273,9 @@ def build_module(lam, cap: int = 20000) -> RepresentationSpace:
     lam = validate_weight(lam)
     n = len(lam)
     layout = _checked_layout(lam, cap)
+    _check_lowering(layout)
     table = freudenthal_multiplicities(lam)
-
-    def check(vec: dict, weight: tuple, level: int) -> None:
-        found = _vector_offset(layout, lam, vec)
-        if found != weight:
-            raise RuntimeError(
-                f"module vector of weight offset {found} where {weight} was expected"
-            )
-
-    vectors, weights, levels = _close(
-        n, {0: 1}, partial(apply_root_vector, layout), check, table)
+    vectors, weights, levels = _close(n, {0: 1}, partial(apply_root_vector, layout), table)
     blocks = Counter(weights)
     for weight in dict.fromkeys([*table, *blocks]):
         found, expected = blocks[weight], table.get(weight, 0)
@@ -419,6 +402,14 @@ def tensor_cartan_dims(lam, mu, cap: int = 20000) -> dict:
 
     Keys are (weight offset, degree) with offsets measured from lam + mu,
     so the table is directly comparable with pbw_filtration_dims(lam + mu).
+
+    Every pair the closure keeps has the weight and degree it is tagged
+    with, by construction.  The factors' tags are certified by build_module.
+    graded_action solves every column in the basis of the target weight and
+    raises "module is not closed" when the image is not in that span, and it
+    keeps only the entries of level one higher, raising on a larger jump.  So
+    f_alpha takes a pair of weight w and degree d only to pairs of weight w
+    lowered by alpha and degree d + 1, the tag that _close records.
     """
     lam = validate_weight(lam)
     mu = validate_weight(mu)
@@ -434,20 +425,7 @@ def tensor_cartan_dims(lam, mu, cap: int = 20000) -> dict:
         act_right = graded_action(right)
 
     width = right.dimension
-
-    def check(vec: dict, weight: tuple, level: int) -> None:
-        for key in vec:
-            i, j = divmod(key, width)
-            if left.level_tags[i] + right.level_tags[j] != level:
-                raise RuntimeError(f"pair {(i, j)} is not of degree {level}")
-            pair = tuple(a + b for a, b in zip(left.weight_tags[i], right.weight_tags[j]))
-            if pair != weight:
-                raise RuntimeError(
-                    f"image at degree {level} is not a weight vector of offset {weight}"
-                )
-
     _, weights, levels = _close(
         n, {0: 1},
-        lambda alpha, vec: _apply_pair(act_left[alpha], act_right[alpha], width, vec),
-        check)
+        lambda alpha, vec: _apply_pair(act_left[alpha], act_right[alpha], width, vec))
     return dict(Counter(zip(weights, levels)))

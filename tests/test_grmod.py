@@ -470,6 +470,28 @@ def test_minimal_violations_counts():
             assert sum(s) == bound
 
 
+def test_minimal_violations_refuse_a_non_path():
+    a11, a22 = make_root(1, 1, False, 2), make_root(2, 2, False, 2)
+    with pytest.raises(ValueError, match=r"clause \(c\): .* is not a successor of"):
+        minimal_violations((1, 1), (a11, a22))
+
+
+def test_minimal_violations_refuse_a_root_of_another_rank():
+    with pytest.raises(ValueError, match="is not a positive root for rank 2"):
+        minimal_violations((1, 1), (make_root(3, 3, False, 3),))
+
+
+def test_minimal_violations_refuse_the_empty_path():
+    with pytest.raises(ValueError, match="empty sequence"):
+        minimal_violations((1, 1), ())
+
+
+def test_normal_form_stops_at_its_step_limit(monkeypatch):
+    monkeypatch.setattr(grmod, "NORMAL_FORM_STEPS", 0)
+    with pytest.raises(RuntimeError, match="normal form did not terminate within 0 steps"):
+        normal_form(SparsePolynomial.monomial(2, (1, 1, 0, 0)), (1, 0))
+
+
 def test_straightening_frozen_constants():
     n2 = 2
     a11 = make_root(1, 1, False, n2)

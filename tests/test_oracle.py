@@ -13,7 +13,6 @@ from sympbw import oracle, polytope
 from sympbw.grmod import base_relations
 from sympbw.linalg import IncrementalBasis, combine
 from sympbw.oracle import (
-    _vector_offset,
     build_module,
     graded_action,
     monomial_rank,
@@ -22,7 +21,12 @@ from sympbw.oracle import (
     tensor_cartan_dims,
 )
 from sympbw.polytope import graded_character, weyl_dim
-from sympbw.rootsys import chevalley_realization, positive_roots, simple_coefficients
+from sympbw.rootsys import (
+    chevalley_realization,
+    epsilon_weight,
+    positive_roots,
+    simple_coefficients,
+)
 
 
 def apply_action(mat: dict, vec: dict) -> dict:
@@ -190,13 +194,18 @@ def test_filtration_dims_refuse_the_module_of_another_weight():
 
 
 def test_graded_action_raises_level_by_one():
-    lam = (0, 1)
-    space = build_module(lam)
-    mats = graded_action(space)
-    for alpha, mat in mats.items():
-        for src, col in mat.items():
-            for dst in col:
-                assert space.level_tags[dst] == space.level_tags[src] + 1
+    # and lowers the weight by alpha: tensor_cartan_dims tags its pairs by both
+    for lam in ((0, 1), (1, 1), (1, 0, 0), (0, 1, 0)):
+        n = len(lam)
+        space = build_module(lam)
+        mats = graded_action(space)
+        for alpha, mat in mats.items():
+            coeffs = simple_coefficients(alpha, n)
+            for src, col in mat.items():
+                for dst in col:
+                    assert space.level_tags[dst] == space.level_tags[src] + 1
+                    assert space.weight_tags[dst] == tuple(
+                        a + b for a, b in zip(space.weight_tags[src], coeffs)), (lam, alpha)
 
 
 def _key_weight(key: tuple, n: int) -> tuple:
@@ -270,46 +279,45 @@ def test_base_relation_powers_annihilate_highest_vector():
             assert not vec, (lam, s)
 
 
-def test_vector_offset_raises_on_bad_weights():
-    off_lattice = ((1, 2),) * 5  # weight (5, 5) against lambda = (1, 0)
-    layout = oracle._layout(2, (2,) * 5)
-    with pytest.raises(ValueError, match="off the root lattice"):
-        _vector_offset(layout, (1, 0), {_encode(layout, off_lattice): Fraction(1)})
-    layout = oracle._layout(2, (1,))
-    one, two = _encode(layout, ((1,),)), _encode(layout, ((2,),))
-    with pytest.raises(ValueError, match="not a weight vector"):
-        _vector_offset(layout, (1, 0), {one: Fraction(1), two: Fraction(1)})
-    assert _vector_offset(layout, (1, 0), {two: Fraction(1)}) == (1, 0)
-
-
-def test_weight_codes_name_the_weight_of_every_key():
+def test_lowering_check_passes_on_every_small_layout():
     for n, sizes in sorted(_small_factor_sizes()):
-        layout = oracle._layout(n, sizes)
-        for key in range(math.prod(layout.radices)):
-            code = sum(codes[key // place % radix] for place, radix, codes in layout.weights)
-            assert oracle._weight_of_code(layout, code) == _key_weight(
-                _decode(layout, key), n), (sizes, key)
+        oracle._check_lowering(oracle._layout(n, sizes))
 
 
-def test_vector_offset_compares_every_key():
-    # one key of another weight, first, in the middle or last, is always seen
-    space = build_module((1, 1, 1))
-    j = max(range(space.dimension), key=lambda j: len(space.basis_vectors[j]))
-    items = list(space.basis_vectors[j].items())
-    assert len(items) >= 3 and 0 not in space.basis_vectors[j]
-    for pos in (0, len(items) // 2, len(items)):
-        stray = dict(items[:pos] + [(0, 1)] + items[pos:])  # key 0: the top weight
-        with pytest.raises(ValueError, match="not a weight vector"):
-            _vector_offset(space.layout, (1, 1, 1), stray)
-    assert _vector_offset(space.layout, (1, 1, 1), dict(items)) == space.weight_tags[j]
+def _refuse_images(monkeypatch):
+    def refuse(layout, alpha, vec):
+        raise AssertionError("an image was computed")
+
+    monkeypatch.setattr(oracle, "apply_root_vector", refuse)
+
+
+def test_lowering_check_refuses_a_redirected_image(monkeypatch):
+    # f_alpha_1 takes e_1 (digit 0) to e_2 (digit 1); sent to e_3 (digit 2)
+    # instead, its image has weight -e_2 where e_2 was expected
+    layout = oracle._layout(2, (1,))
+    alpha_1 = next(root for root in positive_roots(2)
+                   if simple_coefficients(root, 2) == (1, 0))
+    (place, radix, images), = layout.lowering[alpha_1]
+    assert images[0] == ((place, 1),)
+    redirected = {**layout.lowering,
+                  alpha_1: ((place, radix, (((2 * place, 1),),) + images[1:]),)}
+    bad = layout._replace(lowering=redirected)
+    with pytest.raises(RuntimeError, match=r"takes digit 0 of weight \(1, 0\) to weight "
+                                           r"\(0, -1\) where \(0, 1\) was expected"):
+        oracle._check_lowering(bad)
+    monkeypatch.setattr(oracle, "_layout", lambda n, sizes: bad)
+    _refuse_images(monkeypatch)
+    with pytest.raises(RuntimeError, match="f_.* takes digit .* was expected"):
+        build_module((1, 0))
 
 
 def test_weight_blocks_match_the_character():
     for lam in ((1, 1, 1), (0, 1, 1)):
         space = build_module(lam)
         assert Counter(space.weight_tags) == polytope.character(lam), lam
-        assert [_vector_offset(space.layout, lam, vec)
-                for vec in space.basis_vectors] == space.weight_tags, lam
+        for vec, weight in zip(space.basis_vectors, space.weight_tags):
+            assert {_key_weight(_decode(space.layout, key), len(lam))
+                    for key in vec} == {epsilon_weight(lam, weight)}, (lam, weight)
         assert all(type(x) is int
                    for vec in space.basis_vectors for x in vec.values()), lam
 
@@ -323,23 +331,25 @@ def test_build_module_reduces_each_image_once(monkeypatch):
 
 
 def test_build_module_checks_the_expected_weight(monkeypatch):
-    # every image expected at the top weight, whose block is full at once:
-    # nothing is kept, and the block certificate refuses the empty blocks
+    # every image expected at the top weight: the layout check refuses the
+    # first digit image before any image of a vector is computed
     monkeypatch.setattr(oracle, "simple_coefficients", lambda alpha, n: (0,) * n)
-    with pytest.raises(RuntimeError, match="was expected"):
+    _refuse_images(monkeypatch)
+    with pytest.raises(RuntimeError, match="f_.* takes digit .* was expected"):
         build_module((1, 0))
 
 
 def test_build_module_checks_the_weight_of_each_kept_vector(monkeypatch):
     # f_alpha_1 and f_(alpha_1 + alpha_2) trade their weight shifts, so the
-    # first image lands in the empty block of the other root: the per-vector
-    # check must refuse it before any block certificate is reached
+    # first image would land in the empty block of the other root: the layout
+    # check must refuse the shift before any image is computed
     alpha_1, alpha_12 = (root for root in positive_roots(2)
                          if simple_coefficients(root, 2) in ((1, 0), (1, 1)))
     swap = {alpha_1: alpha_12, alpha_12: alpha_1}
     monkeypatch.setattr(oracle, "simple_coefficients",
                         lambda alpha, n: simple_coefficients(swap.get(alpha, alpha), n))
-    with pytest.raises(RuntimeError, match="module vector of weight offset .* was expected"):
+    _refuse_images(monkeypatch)
+    with pytest.raises(RuntimeError, match="f_.* takes digit .* was expected"):
         build_module((1, 0))
 
 
