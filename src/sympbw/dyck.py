@@ -17,7 +17,6 @@ from .rootsys import (
     root_successors,
     simple_root,
     validate_rank,
-    variable_key,
 )
 
 
@@ -39,7 +38,7 @@ def enumerate_paths(n: int) -> tuple:
     for i in range(1, n + 1):
         extend([simple_root(i)])
     del extend  # the closure holds itself through its cell: free it with the call
-    found.sort(key=lambda p: tuple(variable_key(alpha, n) for alpha in p))
+    # sorted already: the right step (same row) is tried before the down step
     return tuple(found)
 
 

@@ -33,10 +33,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import NamedTuple
 
 from . import dyck, polytope
 from .linalg import IncrementalBasis, combine, exact_quotient, vec_add, vec_scale
+from .polytope import _pack, _unpack, _variable_steps
 from .rootsys import (
     PositiveRoot,
     bound_slice,
@@ -51,7 +53,6 @@ from .rootsys import (
     simple_coefficients,
     validate_exponent,
     validate_weight,
-    variable_key,
 )
 
 
@@ -177,30 +178,16 @@ def d_vector(s, n: int) -> tuple:
     return tuple(reversed(sums))
 
 
-@lru_cache(maxsize=None)
-def _variables_descending(n: int) -> tuple:
-    """Indices of the reading-order coordinates, largest variable first."""
-    order = sorted(
-        range(n * n),
-        key=lambda i: variable_key(positive_roots(n)[i], n),
-        reverse=True,
-    )
-    return tuple(order)
-
-
 def order_key(s, n: int) -> tuple:
     """Sort key realizing the straightening order: ascending key = earlier.
 
     A monomial precedes another when its total degree is larger; on equal
     degree when its bottom-up row-sum vector is lexicographically smaller;
     and on ties when it is larger in the homogeneous lexicographic order
-    taken along the variables from the largest downward.
+    taken along the variables from the largest downward, which is s read
+    backwards: the reading order is the variable order.
     """
-    return (
-        -sum(s),
-        d_vector(s, n),
-        tuple(-s[i] for i in _variables_descending(n)),
-    )
+    return (-sum(s), d_vector(s, n), tuple([-x for x in reversed(s)]))
 
 
 def monomial_compare(s, t) -> str:
@@ -266,7 +253,7 @@ def apply_partial_power(beta, P, exponent: int):
 
 class IdealGenerators(NamedTuple):
     base_relations: tuple  # the defining powers, reading order of their roots
-    closure: tuple  # reduced basis of their span under the simple derivations
+    closure: tuple  # the powers, then each derivative that enlarged the span, unreduced
 
 
 def base_relations(lam) -> list:
@@ -298,27 +285,6 @@ def ideal_generators(lam) -> IdealGenerators:
     return IdealGenerators(tuple(rels), tuple(closure))
 
 
-def _pack(s, base: int) -> int:
-    """The int whose base-`base` digits are s, first coordinate most
-    significant.  For digits below the base, packed ints compare as the
-    tuples do, and adding two packed ints adds the vectors when no digit sum
-    reaches the base."""
-    key = 0
-    for x in s:
-        key = key * base + x
-    return key
-
-
-def _unpack(key: int, base: int, length: int) -> tuple:
-    """The `length` base-`base` digits of key, first coordinate most
-    significant: the inverse of ``_pack``."""
-    digits = []
-    for _ in range(length):
-        key, x = divmod(key, base)
-        digits.append(x)
-    return tuple(reversed(digits))
-
-
 def _standard_monomials(n: int, max_degree: int, forbidden, cap: int) -> dict:
     """The standard monomials of degree <= max_degree, grouped by cell: the
     exponents that no exponent in `forbidden` divides.
@@ -327,7 +293,7 @@ def _standard_monomials(n: int, max_degree: int, forbidden, cap: int) -> dict:
     degree) in base 4 * max_degree + 1, each cell digit raised by
     2 * max_degree (see ``quotient_graded_dims``); the dict maps packed cell
     -> packed exponents.  The walk goes degree by degree, and a variable
-    steps the exponent by its place and the cell by one precomputed int.  A
+    steps the exponent by its place and the cell by its packed step.  A
     candidate of the next degree is kept when it is not forbidden and it was
     reached from as many standard monomials as it has variables in its
     support, i.e. when each of its divisors of one degree less is standard;
@@ -338,10 +304,8 @@ def _standard_monomials(n: int, max_degree: int, forbidden, cap: int) -> dict:
     base, cell_base = max_degree + 1, 4 * max_degree + 1
     lift = _pack([2 * max_degree] * (n + 1), cell_base)
     steps = [
-        (base ** (dim - 1 - i),
-         _pack((*simple_coefficients(alpha, n), 1), cell_base),
-         1 << i)
-        for i, alpha in enumerate(positive_roots(n))
+        (base ** (dim - 1 - i), step, 1 << i)
+        for i, step in enumerate(_variable_steps(n, cell_base))
     ]
     cells = {lift: [0]}
     level = {0: (lift, 0)}  # exponent -> (cell, bitmask of its support)
@@ -405,6 +369,7 @@ def quotient_graded_dims(lam, max_degree=None, cap: int = 200000):
     if type(cap) is not int or cap < 1:
         raise ValueError(f"cap must be an int >= 1, got {cap!r}")
     base, cell_base = max_degree + 1, 4 * max_degree + 1
+    steps = _variable_steps(n, cell_base)
     forbidden = set()
     by_bidegree = {}  # packed cell -> closure elements of several terms
     for g in ideal_generators(lam).closure:
@@ -415,7 +380,7 @@ def quotient_graded_dims(lam, max_degree=None, cap: int = 200000):
         if len(g.terms) == 1:
             forbidden.add(_pack(mono, base))
         else:
-            key = _pack((*polytope.weight_of(mono, n), d), cell_base)
+            key = sum(map(mul, mono, steps))
             by_bidegree.setdefault(key, []).append(
                 [(_pack(s, base), c) for s, c in g.terms.items()]
             )

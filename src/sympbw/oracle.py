@@ -58,10 +58,8 @@ from .rootsys import (
     chevalley_realization,
     epsilon_weight,
     positive_roots,
-    root_index_map,
     simple_coefficients,
     validate_weight,
-    variable_key,
 )
 
 
@@ -291,12 +289,14 @@ def build_module(lam, cap: int = 20000) -> RepresentationSpace:
     return RepresentationSpace(n, lam, vectors, weights, levels, layout)
 
 
-def pbw_filtration_dims(lam, cap: int = 20000, space: RepresentationSpace | None = None) -> dict:
+def pbw_filtration_dims(lam, *, space: RepresentationSpace | None = None) -> dict:
     """Graded dimensions {(weight offset, level): dim} of the PBW filtration.
 
+    Without a space the module is built at build_module's default cap; for
+    another cap build it with build_module(lam, cap) and pass it as space=.
     A given space must be the module of lam; another raises ValueError."""
     if space is None:
-        space = build_module(lam, cap)
+        space = build_module(lam)
     elif space.lam != validate_weight(lam):
         raise ValueError(f"space is the module of {space.lam}, not of {tuple(lam)}")
     return dict(Counter(zip(space.weight_tags, space.level_tags)))
@@ -353,13 +353,11 @@ def monomial_vector(layout: WedgeLayout, vec: dict, s, reverse: bool = False) ->
     reverse=True applies the opposite order, as a witness that spanning
     ranks do not depend on the chosen order of factors.
     """
-    n = layout.n
-    order = sorted(positive_roots(n), key=lambda alpha: variable_key(alpha, n))
+    order = list(enumerate(positive_roots(layout.n)))  # increasing variables
     if reverse:
         order.reverse()
-    index = root_index_map(n)
-    for alpha in order:  # rightmost (smallest) factor acts first
-        for _ in range(s[index[alpha]]):
+    for i, alpha in order:  # rightmost (smallest) factor acts first
+        for _ in range(s[i]):
             vec = apply_root_vector(layout, alpha, vec)
             if not vec:
                 return {}

@@ -32,6 +32,13 @@ its top bit is clear, so the first broken row is the lowest set bit of
 high & ~slack, and only that row of the table is read.  Whole bytes per field
 let the masks be built from byte strings, and keep the widths, hence the
 cached masks, to one or two per rank for the small entries met in practice.
+With no negative entry, an entry above sum(lambda) is lowered to
+sum(lambda) + 1 first: the rows that hold it are broken either way, so a
+huge entry does not widen the masks.
+
+A (weight, degree) cell is one packed int (_pack), and a monomial's cell is
+the sum of its exponents times its variables' cells (_variable_steps): the
+counting walk and the ideal side (grmod) both read cells this way.
 
 Counts, characters, graded characters and the largest degree never list the
 points: one memoized walk (_graded_counts) takes the coordinates in the same
@@ -178,21 +185,22 @@ def _path_masks(n: int, width: int) -> tuple:
     )
 
 
-def _first_broken_row(lam, s) -> tuple:
-    """Validate lambda and s once; return (lambda, min(s), p), where p is the
-    path-table index of the first broken row, or None when none is broken."""
-    lam = validate_weight(lam)
-    n = len(lam)
-    s = validate_exponent(s, n)
-    lo, hi = min(s), max(s)
+def _first_broken_row(lam: tuple, s: tuple, lo: int):
+    """The path-table index of the first row that the validated s breaks
+    under the validated lambda, or None when none is broken; lo is min(s)."""
+    n, total, hi = len(lam), sum(lam), max(s)
+    if lo >= 0 and hi > total:
+        # exact: a row holding an entry above sum(lam) is broken either way
+        hi = total + 1
+        s = [min(x, hi) for x in s]
     # the least multiple of 8 with 2^(width-1) > n^2 * max|s_i| + sum(lam)
-    width = (n * n * max(hi, -lo) + sum(lam)).bit_length() // 8 * 8 + 8
+    width = (n * n * max(hi, -lo) + total).bit_length() // 8 * 8 + 8
     coord, weight, high = _path_masks(n, width)
     slack = high + sum(map(mul, lam, weight)) - sum(map(mul, s, coord))
     broken = high & ~slack
     if not broken:
-        return lam, lo, None
-    return lam, lo, (broken & -broken).bit_length() // width - 1
+        return None
+    return (broken & -broken).bit_length() // width - 1
 
 
 def first_broken(lam, s):
@@ -201,9 +209,13 @@ def first_broken(lam, s):
     is not int (bools included) raises ValueError.
 
     All rows are evaluated at once in one packed int (see the module
-    docstring); only the row of the first broken path is read.
+    docstring); only the row of the first broken path is read.  With a
+    negative entry the evaluation stays exact, so the masks are as wide as
+    the largest entry's bit length and cost time and memory in proportion.
     """
-    lam, _, p = _first_broken_row(lam, s)
+    lam = validate_weight(lam)
+    s = validate_exponent(s, len(lam))
+    p = _first_broken_row(lam, s, min(s))
     if p is None:
         return None
     path, _, a, b = _path_table(len(lam))[p]
@@ -213,9 +225,12 @@ def first_broken(lam, s):
 def contains(lam, s) -> bool:
     """Whether the multi-exponent s lies in P(lambda): no negative coordinate
     and no broken path inequality, read from one packed evaluation of every
-    row.  s may be any iterable; it is read and validated once."""
-    _, lo, p = _first_broken_row(lam, s)
-    return p is None and lo >= 0
+    row.  s may be any iterable; it is read and validated once.  A negative
+    entry answers False before any mask is built."""
+    lam = validate_weight(lam)
+    s = validate_exponent(s, len(lam))
+    lo = min(s)
+    return lo >= 0 and _first_broken_row(lam, s, lo) is None
 
 
 def lattice_points(dim: int, rows) -> list:
@@ -305,6 +320,37 @@ def enumerate_points(lam) -> list:
     )
 
 
+def _pack(digits, base: int) -> int:
+    """The int whose base-`base` digits are the given ones, first most
+    significant.  For digits below the base, packed ints compare as the
+    tuples do, and adding two packed ints adds the vectors when no digit sum
+    reaches the base."""
+    key = 0
+    for x in digits:
+        key = key * base + x
+    return key
+
+
+def _unpack(key: int, base: int, length: int) -> tuple:
+    """The `length` base-`base` digits of key, first most significant: the
+    inverse of ``_pack``."""
+    digits = []
+    for _ in range(length):
+        key, x = divmod(key, base)
+        digits.append(x)
+    digits.reverse()
+    return tuple(digits)
+
+
+def _variable_steps(n: int, base: int) -> list:
+    """Per variable, in reading order, its packed cell in base `base`: the
+    digits (simple coefficients of its root, degree 1).  A multi-exponent s
+    has the cell sum(s_i * step_i) while no digit of it reaches the base."""
+    return [
+        _pack((*simple_coefficients(alpha, n), 1), base) for alpha in positive_roots(n)
+    ]
+
+
 def weight_of(s, n: int) -> tuple:
     """wt(s) = sum of s_alpha * alpha, expanded over the simple roots."""
     coeffs = [0] * n
@@ -325,9 +371,8 @@ def _graded_counts(lam, graded: bool = True) -> GradedDimensionTable:
     A depth-first walk of every coordinate, in increasing order, over the
     path table, memoized on each suffix: the counts below coordinate i depend
     only on i and, for each group of _walk_groups, the smallest slack of its
-    rows.  A cell is packed into one int, base ``base`` digits (degree,
-    weight_1, ..., weight_n), so that setting coordinate i to v shifts every
-    cell below it by v * step[i].
+    rows.  A cell is packed into one int in base ``base`` (_pack), so that
+    setting coordinate i to v shifts every cell below it by v * step[i].
     With ``graded`` false every step is 0, and the one cell (0, 0) holds
     |S(lambda)|.
     """
@@ -339,11 +384,7 @@ def _graded_counts(lam, graded: bool = True) -> GradedDimensionTable:
     # every coordinate lies on a row and a root's simple coefficients are at
     # most 2, so base exceeds any degree, weight coordinate or slack
     base = 2 * sum(bounds) + 1
-    step = [0] * dim
-    if graded:
-        for i, alpha in enumerate(positive_roots(n)):
-            coeffs = simple_coefficients(alpha, n)
-            step[i] = 1 + sum(c * base ** (t + 1) for t, c in enumerate(coeffs))
+    step = _variable_steps(n, base) if graded else [0] * dim
     memo = [{} for _ in range(dim)]
     empty = {0: 1}
 
@@ -378,12 +419,8 @@ def _graded_counts(lam, graded: bool = True) -> GradedDimensionTable:
     del walk  # the closure holds itself and the memo through its cell
     counts = {}
     for cell, count in table.items():
-        cell, deg = divmod(cell, base)
-        wt = []
-        for _ in range(n):
-            cell, c = divmod(cell, base)
-            wt.append(c)
-        counts[(tuple(wt), deg)] = count
+        cell = _unpack(cell, base, n + 1)
+        counts[(cell[:-1], cell[-1])] = count
     return counts
 
 

@@ -365,10 +365,8 @@ class ChevalleyRealization:
             self.h[k] = _bracket(self.e[k], self.f[k])
         self._e_root = {}
         self._f_root = {}
-        by_height = sorted(
-            positive_roots(n),
-            key=lambda a: (sum(simple_coefficients(a, n)), root_index_map(n)[a]),
-        )
+        # a stable sort: reading order within each height
+        by_height = sorted(positive_roots(n), key=lambda a: sum(simple_coefficients(a, n)))
         coeff_map = coefficient_root_map(n)
         for alpha in by_height:
             if is_simple_root(alpha):

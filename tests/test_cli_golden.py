@@ -9,7 +9,10 @@ loops with tracked bases; both now share one untracked closure.  A match
 shows each switch left the output byte-identical, and it keeps later changes
 to these paths honest.  The verify digests, taken with the benchmark's
 arguments and the default seed, were recorded while the ideal side still
-kept a second, unit-coefficient derivation beside the Chevalley one.
+kept a second, unit-coefficient derivation beside the Chevalley one.  The
+roots, paths, points and straighten digests were recorded while the variable
+order was still re-sorted by its key in several modules and the polytope and
+the ideal side each packed a (weight, degree) cell in a format of their own.
 """
 
 from __future__ import annotations
@@ -30,6 +33,15 @@ TENSOR_PAIRS = (
     ((1, 0), (1, 0)), ((1, 0), (0, 1)), ((0, 1), (1, 0)), ((0, 1), (0, 1)),
     ((1, 1), (1, 0)), ((1, 0, 0), (1, 0, 0)), ((0, 1, 0), (1, 0, 0)),
 )
+# (weight, exponent): inside the polytope, then outside it, at each rank
+STRAIGHTEN_CASES = (
+    ((3,), (2,)), ((3,), (4,)),
+    ((1, 0), (1, 0, 0, 0)), ((1, 0), (2, 0, 0, 0)),
+    ((1, 1), (0, 2, 1, 0)), ((0, 1), (0, 1, 1, 0)),
+    ((1, 0, 1), (0, 0, 0, 0, 2, 0, 0, 0, 1)),
+    ((0, 1, 0), (0, 1, 0, 1, 0, 0, 0, 0, 0)),
+    ((1, 1, 0), (1, 1, 1, 0, 0, 0, 0, 0, 0)),
+)
 
 
 def _csv(weight) -> str:
@@ -41,6 +53,13 @@ def _runs(argv, weights):
 
 
 COMMANDS = {
+    "roots": [["roots", "--n", str(n)] for n in range(1, 5)],
+    "paths": [["paths", "--n", str(n)] for n in range(1, 5)],
+    "points": _runs(["points"], WEIGHTS),
+    "straighten": [
+        _runs(["straighten", "--exponent", _csv(s)], [lam])[0]
+        for lam, s in STRAIGHTEN_CASES
+    ],
     "char": _runs(["char"], WEIGHTS + LARGE),
     "graded-char": _runs(["graded-char"], WEIGHTS + LARGE),
     "dim": _runs(["dim"], WEIGHTS + LARGE),
@@ -96,12 +115,36 @@ DIGESTS = {
         "fcfe1cc3175caaeafc49d3ba753fc6513c30e38304c4fe9b364fa7e44568683b",
     ("oracle-filtration", "text"):
         "d54c8fbffb55f03c6d162fe9559d753a974b3352a493c65a4f92e34a677029af",
+    ("paths", "json"):
+        "4045134f451e0a8c90bf620a83eb0baa3ae90db4bb10663cf4d6c983d628db77",
+    ("paths", "csv"):
+        "94f399f7b859088c29dfe049b3a123fc92e25f63af1b4f4a368ecabe4b9a6fa6",
+    ("paths", "text"):
+        "6f18a07aa8f57153205e08faac204e27f246852edc5bc1ed1593fa78de1b3da6",
+    ("points", "json"):
+        "caec1eb533c55f36aab0b206c554ac7832f6877521985efa37cb4a41699b6884",
+    ("points", "csv"):
+        "d627cdbfa8a1511a333b68b8a244ed6052cdd925888b5391b5a0bb238f950ebc",
+    ("points", "text"):
+        "150c45d898d995cddf9d233b48f93674874fa1a11bc0709ca0474c58d70d8eee",
     ("points-count", "json"):
         "41307212229ae06b00d0bcda2f4f489160ea8f64001d2635b811ef5603567c56",
     ("points-count", "csv"):
         "6af4faf9379ac9acc3c2ff1ec9342a68cf6c6680eac2f14ad9457467a86007e9",
     ("points-count", "text"):
         "f9f4d89d241428f00c64a1115c44ea382f899a55fb32c23abefa8363ed69cf9b",
+    ("roots", "json"):
+        "434ce751b2bd8cbdd6bbdca07782f919799b6b8853fd73138613df938c7502eb",
+    ("roots", "csv"):
+        "ff526c301daf18243f0019aac0b2e37dba8174884ecf226ba7524c64340e5150",
+    ("roots", "text"):
+        "c7c4d971f5be9ed5e2c97a4be415bc0a790e52a6d06e29f29fd4bf790005b6ce",
+    ("straighten", "json"):
+        "f18f2d7a13d354c42ff68ddc683f9555558acfe458671e8ebef91fcba7058ba5",
+    ("straighten", "csv"):
+        "65e787c57310e2041f840db00a082cbcb63aa4715c100664558b37089ec0e539",
+    ("straighten", "text"):
+        "b17f74abf097da96db7c3706be4611b980dd6ffdea85cf37235193a412a2f69e",
     ("tensor", "json"):
         "f45344f72145603fffea1e2e54f0778463b6fe356578dab2291ede2c833cade7",
     ("tensor", "csv"):

@@ -40,6 +40,12 @@ def test_path_counts():
 
 def test_enumeration_is_deterministic():
     assert enumerate_paths(3) == enumerate_paths(3)
+    # the search emits the paths sorted by their variable keys, the order
+    # that first_broken and the paths output report in
+    for n in range(1, 7):
+        keys = [tuple(variable_key(alpha, n) for alpha in path)
+                for path in enumerate_paths(n)]
+        assert keys == sorted(keys), n
 
 
 def test_every_path_validates():

@@ -304,6 +304,28 @@ def test_path_masks_stay_within_their_cache():
     assert polytope._path_masks.cache_info().currsize <= maxsize
 
 
+def test_huge_entries_build_narrow_masks(monkeypatch):
+    # an entry above sum(lambda) breaks every row holding it, so it is
+    # lowered before the field width is chosen; a negative one is refused
+    lam = (1,) * 6
+    widths = []
+    original = polytope._path_masks
+    monkeypatch.setattr(
+        polytope, "_path_masks", lambda n, w: widths.append(w) or original(n, w)
+    )
+    for k in (0, 7, 35):
+        s = [0] * 36
+        s[k] = 10 ** 4000
+        assert polytope.first_broken(lam, s) == _first_broken_by_scan(lam, s)
+        assert not contains(lam, s)
+    assert widths and max(widths) <= 16
+    widths.clear()
+    s = [0] * 36
+    s[3] = -10 ** 4000
+    assert not contains(lam, s)
+    assert widths == []
+
+
 def test_weyl_dim_known_values():
     assert weyl_dim((1, 0)) == 4
     assert weyl_dim((0, 1)) == 5

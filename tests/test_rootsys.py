@@ -106,10 +106,11 @@ def test_positive_roots_reading_order():
     assert [str(a) for a in roots] == ["a[1,1]", "a[1,2]", "a[1,1~]", "a[2,2]"]
     for n in range(1, 7):
         assert len(positive_roots(n)) == n * n
-    # row i spans positions i..2n-i, ascending
-    n = 4
-    for alpha, beta in zip(positive_roots(n), positive_roots(n)[1:]):
-        assert variable_key(alpha, n) < variable_key(beta, n)
+    # row i spans positions i..2n-i, ascending: the reading order is the
+    # variable order, which the package reads without sorting
+    for n in range(1, 9):
+        for alpha, beta in zip(positive_roots(n), positive_roots(n)[1:]):
+            assert variable_key(alpha, n) < variable_key(beta, n)
 
 
 def test_simple_and_hook_classification():
