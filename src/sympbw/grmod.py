@@ -17,9 +17,11 @@ Coefficients follow the number rule of ``linalg``: an int stays an int, a
 Fraction stays a Fraction, a float or any other number is refused with
 TypeError, and a Fraction is made only of a quotient that is not an integer
 (``linalg.exact_quotient``).  The closure of the defining powers is integral,
-so the quotient dimensions row-reduce int vectors, keyed by exponents packed
-into one int each, and a Fraction appears only where a pivot does not divide
-an entry.
+and ``linalg`` reduces without division, so the quotient dimensions
+row-reduce int vectors, keyed by exponents packed into one int each, into
+int rows: no Fraction is made there at all.  Fractions appear only in normal
+forms, where an element's leading coefficient does not divide the
+coefficient it must cancel.
 
 A path that starts on row a lives in the corner sp_{2(n-a+1)}: for k >= a,
 e_k and f_k act on the letters a..2n+1-a as the rank n-a+1 generators do,
@@ -527,6 +529,15 @@ def straightening_element(lam, path, s):
     return P, lead
 
 
+@lru_cache(maxsize=1024)
+def _cached_element(lam: tuple, path: tuple, s: tuple):
+    """straightening_element(lam, path, s), built once per argument triple
+    for straighten_step, which only reads it: normal forms meet the same
+    element again and again.  The call goes through the module global, so
+    the element passed its leading-term checks when it was built."""
+    return straightening_element(lam, path, s)
+
+
 def violated_inequality(lam, s):
     """First Dyck-path inequality that s breaks, or None."""
     return polytope.first_broken(lam, s)
@@ -537,14 +548,16 @@ def straighten_step(P: SparsePolynomial, s, lam):
 
     Splits s along the first path inequality it breaks and returns that
     path, the straightening element of the part of s on it, and P minus the
-    multiple of the element times the rest of s that removes f^s.
+    multiple of the element times the rest of s that removes f^s.  The
+    element comes from a cache shared by every later step, so it is only
+    read, never changed.
     """
     ineq = violated_inequality(lam, s)
     if ineq is None:
         raise RuntimeError(f"{s} is outside the polytope but breaks nothing")
     on_path = {root_index_map(P.n)[alpha] for alpha in ineq.path}
     s1 = tuple(x if i in on_path else 0 for i, x in enumerate(s))
-    element, lead = straightening_element(lam, ineq.path, s1)
+    element, lead = _cached_element(tuple(lam), ineq.path, s1)
     rest = tuple(a - b for a, b in zip(s, s1))
     P = P - element.shift(rest).scale(exact_quotient(P.terms[s], lead))
     if P.coefficient(s):

@@ -5,25 +5,32 @@ Vectors are sparse dicts mapping hashable, orderable keys to exact numbers
 a sparse vector and zeros are dropped; every sparse sum in the package goes
 through it.
 
-Numbers stay ints where the arithmetic is exact and become Fractions only
-where it is not; no float is ever made.  A row normalized by an int pivot
-keeps every entry that the pivot divides as an int and makes a Fraction only
-of a non-integral quotient; a row with a Fraction pivot is scaled by the
-pivot's exact inverse (both in ``_divide``).  ``exact_quotient`` divides two
-numbers by the same rule, and no other module divides.
+No float is ever made.  ``_divide`` and its scalar form ``exact_quotient``
+are the only divisions, and no other module divides: a quotient is an int
+where it is integral and a Fraction where not.  The basis itself reduces
+without division, in the manner of Bareiss: its rows are int vectors, a
+vector with a Fraction entry has its denominators cleared, and a vector is
+scaled where subtracting a row would otherwise divide.  Fractions appear only
+in what the basis reports (coordinates, combinations, the residual), never in
+its rows.
 
-The basis keeps its rows fully reduced: each row owns its pivot key (the
-smallest key of the row) with entry 1 there, and no other row has an entry at
-that key.  Hence the coefficient of row r in any vector of the span is simply
-the vector's entry at the pivot of r, and one pass over the input's pivot keys
-gives the coordinates and the residual together (``_reduce``).  Membership
-tests and coordinates are deterministic and independent of insertion history.
+The basis keeps its rows fully reduced and primitive: each row owns its
+pivot key (the smallest key of the row) with a positive int entry d_r there,
+no other row has an entry at that key, and the gcd of the row's entries is
+1.  Hence the coefficient of row r in any vector of the span is the vector's
+entry x_r at the pivot of r over d_r, and one pass over the input's pivot
+keys gives the coordinates and the residual together (``_reduce``): the
+input is scaled by the lcm of d_r / gcd(x_r, d_r) over the rows it meets,
+which keeps every multiple of a row integral, and the multiples are
+subtracted.  A pivot entry of 1, by far the most common, costs neither that
+lcm nor the gcd that makes a new row primitive.  Membership tests and
+coordinates are deterministic and independent of insertion history.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-
+from math import gcd, lcm
 
 def combine(terms, start=()) -> dict:
     """A copy of start plus every (key, coefficient) pair of terms, summed by
@@ -59,13 +66,39 @@ def vec_scale(u: dict, scale) -> dict:
     return {k: scale * x for k, x in u.items()}
 
 
-def _divide(u: dict, p) -> dict:
-    """u / p exactly.  For an int p an entry stays an int where p divides it
-    and becomes a Fraction where not; any other p scales by its inverse."""
+def _integral(vec: dict) -> tuple:
+    """(den * vec with int entries, den), den the lcm of the denominators of
+    vec's entries, for a vector with an entry that is not an int: one whose
+    sum is not an int, since int + Fraction is a Fraction."""
+    for x in vec.values():
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"entry {x!r} is neither an int nor a Fraction")
+    den = lcm(*(x.denominator for x in vec.values()))
+    return {k: x.numerator * (den // x.denominator) for k, x in vec.items()}, den
+
+
+def _primitive(vec: dict, lead: int) -> tuple:
+    """(vec / g, g), g the gcd of vec's entries signed like the entry lead,
+    so that lead / g > 0; no gcd is taken when lead is 1 or -1."""
+    if lead == 1:
+        return vec, 1
+    if lead == -1:
+        return {k: -x for k, x in vec.items()}, -1
+    g = gcd(*vec.values())
+    if lead < 0:
+        g = -g
+    return (vec, 1) if g == 1 else ({k: x // g for k, x in vec.items()}, g)
+
+
+def _divide(vec: dict, p) -> dict:
+    """vec / p exactly: for an int p an entry stays an int where p divides
+    it and becomes a Fraction where not; any other p divides as a Fraction."""
     if type(p) is not int:
-        return vec_scale(u, Fraction(1, 1) / p)
+        return {k: Fraction(x) / p for k, x in vec.items()}
+    if p == 1:
+        return vec
     out = {}
-    for k, x in u.items():
+    for k, x in vec.items():
         if type(x) is int:
             q, r = divmod(x, p)
             out[k] = Fraction(x, p) if r else q
@@ -84,8 +117,9 @@ class IncrementalBasis:
     """A growing reduced basis supporting rank, membership, and coordinates."""
 
     def __init__(self, track_combinations: bool = False):
-        self.rows = []  # list of (pivot, vector) with vector[pivot] == 1
+        self.rows = []  # list of (pivot, vector): int entries, gcd 1, vector[pivot] > 0
         self.pivots = {}  # pivot key -> row index
+        self.wide = {}  # row index -> its pivot entry, for the entries above 1
         self.track = track_combinations
         self.combos = []  # per row: dict add-index -> int or Fraction
         self.added = 0  # count of add() calls, successful or not
@@ -95,24 +129,40 @@ class IncrementalBasis:
         return len(self.rows)
 
     def _reduce(self, vec: dict):
-        """(residual, coordinates) of vec against the stored rows.
+        """(residual, scale, factors) of vec.
 
-        The coordinates map row index -> the entry of vec at that row's pivot;
-        the residual is vec minus that combination of rows, which is empty
-        exactly when vec lies in the span.  Mutates nothing stored.
+        factors maps row index -> a number, and the residual is scale*vec
+        minus that combination of rows; it is empty exactly when vec lies in
+        the span.  scale is 1 unless vec meets a row whose pivot entry is
+        not 1: then vec is made integral and scaled by the least int that
+        lets every such row be subtracted in ints.  Mutates nothing stored.
         """
-        pivots = self.pivots
-        rows = self.rows
-        coords = {pivots[k]: x for k, x in vec.items() if x and k in pivots}
-        residual = combine(chain(
-            vec.items(),
-            *(_scaled(rows[r][1], -c) for r, c in coords.items()),
-        ))
-        return residual, coords
+        pivots, rows, wide = self.pivots, self.rows, self.wide
+        factors = {pivots[k]: x for k, x in vec.items() if x and k in pivots}
+        scale = 1
+        if wide and not wide.keys().isdisjoint(factors):
+            if type(sum(vec.values())) is not int:
+                vec, scale = _integral(vec)
+                factors = {pivots[k]: x for k, x in vec.items() if x and k in pivots}
+            lift = 1
+            for r, x in factors.items():
+                d = wide.get(r)
+                if d:
+                    lift = lcm(lift, d // gcd(x, d))
+            factors = {r: lift * x // wide.get(r, 1) for r, x in factors.items()}
+            if lift != 1:
+                scale *= lift
+                vec = vec_scale(vec, lift)
+        residual = combine(
+            chain.from_iterable(_scaled(rows[r][1], -f) for r, f in factors.items()),
+            {k: x for k, x in vec.items() if x},
+        )
+        return residual, scale, factors
 
     def residual(self, vec: dict) -> dict:
         """vec minus its projection onto the span; empty iff vec is in it."""
-        return self._reduce(vec)[0]
+        residual, scale, _ = self._reduce(vec)
+        return _divide(residual, scale)
 
     def contains(self, vec: dict) -> bool:
         return not self._reduce(vec)[0]
@@ -121,25 +171,46 @@ class IncrementalBasis:
         """Insert vec; True when it enlarged the span."""
         index = self.added
         self.added += 1
-        vec, coords = self._reduce(vec)
+        vec, scale, factors = self._reduce(vec)
         if not vec:
             return False
+        den = 1
+        if type(sum(vec.values())) is not int:
+            vec, den = _integral(vec)
         pivot = min(vec)
-        lead = vec[pivot]
-        vec = _divide(vec, lead)
+        new, g = _primitive(vec, vec[pivot])
+        lead = new[pivot]
         if self.track:
             combo = _divide(combine(chain(
-                ((index, 1),),
-                *(_scaled(self.combos[r], -c) for r, c in coords.items()),
-            )), lead)
+                ((index, scale * den),),
+                *(_scaled(self.combos[r], -den * f) for r, f in factors.items()),
+            )), g)
         for r, (p, row) in enumerate(self.rows):
             c = row.get(pivot)
-            if c:
-                self.rows[r] = (p, vec_add(row, vec, -c))
-                if self.track:
-                    self.combos[r] = vec_add(self.combos[r], combo, -c)
+            if not c:
+                continue
+            h = gcd(c, lead)
+            a, b = lead // h, c // h  # a*row - b*new has no entry at pivot
+            row = vec_add(row if a == 1 else vec_scale(row, a), new, -b)
+            content = 1
+            d = row[p]
+            if d != 1:  # else the pivot entry was 1 and stays 1
+                row, content = _primitive(row, d)
+                d = row[p]
+                if d == 1:
+                    self.wide.pop(r, None)
+                else:
+                    self.wide[r] = d
+            self.rows[r] = (p, row)
+            if self.track:
+                combo_r = self.combos[r]
+                self.combos[r] = _divide(
+                    vec_add(combo_r if a == 1 else vec_scale(combo_r, a), combo, -b),
+                    content)
+        if lead != 1:
+            self.wide[len(self.rows)] = lead
         self.pivots[pivot] = len(self.rows)
-        self.rows.append((pivot, vec))
+        self.rows.append((pivot, new))
         if self.track:
             self.combos.append(combo)
         return True
@@ -147,10 +218,13 @@ class IncrementalBasis:
     def coordinates(self, vec: dict):
         """Coefficients over the stored rows (row index -> number), or None.
 
-        Well-defined because the rows are linearly independent.
+        Well-defined because the rows are linearly independent.  The
+        coefficient of row r is the entry of vec at its pivot over d_r.
         """
-        residual, coords = self._reduce(vec)
-        return None if residual else coords
+        residual, scale, factors = self._reduce(vec)
+        if residual:
+            return None
+        return factors if scale == 1 else _divide(factors, scale)
 
     def combination(self, vec: dict):
         """Express vec over the original add() inputs (add index -> number)."""

@@ -34,7 +34,10 @@ let the masks be built from byte strings, and keep the widths, hence the
 cached masks, to one or two per rank for the small entries met in practice.
 With no negative entry, an entry above sum(lambda) is lowered to
 sum(lambda) + 1 first: the rows that hold it are broken either way, so a
-huge entry does not widen the masks.
+huge entry does not widen the masks.  Likewise an entry below
+-((n^2 - 1) * max(max(s), 0) + 1) is raised to that value: a row that holds
+it sums to at most -1 either way, so it holds, and a huge negative entry
+does not widen the masks either.
 
 A (weight, degree) cell is one packed int (_pack), and a monomial's cell is
 the sum of its exponents times its variables' cells (_variable_steps): the
@@ -193,6 +196,12 @@ def _first_broken_row(lam: tuple, s: tuple, lo: int):
         # exact: a row holding an entry above sum(lam) is broken either way
         hi = total + 1
         s = [min(x, hi) for x in s]
+    floor = -((n * n - 1) * max(hi, 0) + 1)
+    if lo < floor:
+        # exact: a row holding an entry at or below floor sums to at most -1
+        # either way, so it holds, and the width follows the positive entries
+        lo = floor
+        s = [max(x, floor) for x in s]
     # the least multiple of 8 with 2^(width-1) > n^2 * max|s_i| + sum(lam)
     width = (n * n * max(hi, -lo) + total).bit_length() // 8 * 8 + 8
     coord, weight, high = _path_masks(n, width)
@@ -209,9 +218,10 @@ def first_broken(lam, s):
     is not int (bools included) raises ValueError.
 
     All rows are evaluated at once in one packed int (see the module
-    docstring); only the row of the first broken path is read.  With a
-    negative entry the evaluation stays exact, so the masks are as wide as
-    the largest entry's bit length and cost time and memory in proportion.
+    docstring); only the row of the first broken path is read.  An entry
+    below -((n^2 - 1) * max(max(s), 0) + 1) is raised to that value first,
+    which leaves every row's answer as it was, so the masks are as wide as
+    the positive entries need.
     """
     lam = validate_weight(lam)
     s = validate_exponent(s, len(lam))

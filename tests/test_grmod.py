@@ -674,6 +674,58 @@ def test_normal_form_coefficients_are_exact():
     assert kinds == {int, Fraction}
 
 
+def _violations(lam) -> list:
+    return [s for path in enumerate_paths(len(lam)) for s in minimal_violations(lam, path)]
+
+
+def _terms(P) -> list:
+    return [(s, c, type(c)) for s, c in P.terms.items()]
+
+
+def test_normal_forms_agree_with_a_cold_and_a_warm_element_cache():
+    # straighten_step takes each element from a cache; a normal form reads
+    # the same, term for term and in item order, whether every element it
+    # needs is built afresh or every one is found in the cache
+    for lam in ((1, 1, 1), (0, 1, 1)):
+        n = len(lam)
+        cold = []
+        for s in _violations(lam):
+            grmod._cached_element.cache_clear()
+            cold.append(_terms(normal_form(mono(n, s), lam)))
+        for s in _violations(lam):  # fill the cache
+            normal_form(mono(n, s), lam)
+        warm_start = grmod._cached_element.cache_info()
+        warm = [_terms(normal_form(mono(n, s), lam)) for s in _violations(lam)]
+        warm_end = grmod._cached_element.cache_info()
+        assert warm == cold, lam
+        assert warm_end.hits > warm_start.hits, lam
+        assert warm_end.misses == warm_start.misses, lam
+
+
+def test_cached_elements_equal_fresh_ones_after_use(monkeypatch):
+    # each element is built once, and what the cache returns after every
+    # normal form has used it is what straightening_element computes anew
+    built = []
+    original = grmod.straightening_element
+
+    def recorded(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(grmod, "straightening_element", recorded)
+    grmod._cached_element.cache_clear()
+    lam, n = (1, 1, 1), 3
+    for s in _violations(lam):
+        normal_form(mono(n, s, 3), lam)
+    assert built and len(built) == len(set(built))
+    for args in list(built):
+        element, lead = grmod._cached_element(*args)
+        fresh, fresh_lead = original(*args)
+        assert lead == fresh_lead and _terms(element) == _terms(fresh), args
+    assert len(built) == len(set(built))  # every lookup was a hit
+    grmod._cached_element.cache_clear()
+
+
 def test_violated_inequality_detects_breaks():
     lam = (1, 0)
     assert violated_inequality(lam, (0, 0, 0, 0)) is None

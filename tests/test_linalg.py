@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -154,10 +155,10 @@ def _dense_rank(rows: list) -> int:
 
 def test_reduction_matches_dense_elimination():
     # pins the one-pass reduction against a plain dense elimination; every
-    # other trial feeds plain ints, which must stay ints wherever the pivot
-    # divides them and never become floats
+    # other trial feeds plain ints, the rest Fractions, and every row stays
+    # an int vector that is primitive and fully reduced, with no float made
     rng = random.Random(2024)
-    divisible = fractional = 0
+    unit = wide = 0
     for trial in range(40):
         dim = rng.randint(1, 7)
         integral = trial % 2 == 1
@@ -185,23 +186,27 @@ def test_reduction_matches_dense_elimination():
                     vec = vec_add(vec, prev, number(-3, 3, 3))
             else:
                 vec = sample(-4, 4, 2) if integral else sample(-3, 3, 2)
-            residual = basis.residual(vec)
             before = _dense_rank([dense(v) for v in inputs])
             grew = basis.add(vec)
             inputs.append(vec)
             after = _dense_rank([dense(v) for v in inputs])
             assert grew == (after > before), trial
             assert basis.rank == after, trial
-            assert no_float(*(row for _, row in basis.rows), *basis.combos), trial
-            if grew and all(type(x) is int for x in residual.values()):
-                lead = residual[min(residual)]
-                row = basis.rows[-1][1]
-                if all(x % lead == 0 for x in residual.values()):
-                    divisible += 1
-                    assert all(type(x) is int for x in row.values()), trial
+            assert no_float(*basis.combos), trial
+            for pivot, row in basis.rows:
+                assert all(type(x) is int for x in row.values()), trial
+                assert math.gcd(*row.values()) == 1, trial
+                assert row[pivot] > 0 and pivot == min(row), trial
+                assert not any(pivot in other for p, other in basis.rows
+                               if p != pivot), trial
+            assert basis.wide == {r: row[p] for r, (p, row) in enumerate(basis.rows)
+                                  if row[p] != 1}, trial
+            if grew and integral:
+                pivot, row = basis.rows[-1]
+                if row[pivot] == 1:
+                    unit += 1
                 else:
-                    fractional += 1
-                    assert any(type(x) is Fraction for x in row.values()), trial
+                    wide += 1
         for _ in range(10):
             probe = sample(-2, 2, 1)
             inside = _dense_rank([dense(v) for v in inputs + [probe]]) == basis.rank
@@ -217,5 +222,5 @@ def test_reduction_matches_dense_elimination():
                 for k, x in inputs[index].items():
                     rebuilt[k] += c * x
             assert rebuilt == dense(probe), trial
-    # int trials reach both pivots that divide their row and pivots that do not
-    assert divisible and fractional, (divisible, fractional)
+    # int trials reach both pivot entry 1 and pivot entries above 1
+    assert unit and wide, (unit, wide)

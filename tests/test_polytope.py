@@ -326,6 +326,30 @@ def test_huge_entries_build_narrow_masks(monkeypatch):
     assert widths == []
 
 
+def test_huge_negative_entries_build_narrow_masks(monkeypatch):
+    # an entry far below zero satisfies every row holding it, so it is raised
+    # before the field width is chosen, and the answer stays the scan's
+    lam = (1, 0, 2, 0, 0, 1, 1)
+    rng = random.Random(31)
+    widths = []
+    original = polytope._path_masks
+    monkeypatch.setattr(
+        polytope, "_path_masks", lambda n, w: widths.append(w) or original(n, w)
+    )
+    cases = []
+    for k in (0, 13, 48):
+        for hi in (0, 1, 3, 9):
+            s = [rng.randint(0, hi) for _ in range(49)]
+            s[k] = -10 ** 4000
+            cases.append(s)
+    cases.append([-(10 ** 4000)] * 49)
+    cases.append([-(10 ** 4000), 5] + [0] * 47)
+    for s in cases:
+        assert polytope.first_broken(lam, s) == _first_broken_by_scan(lam, s)
+    assert any(polytope.first_broken(lam, s) for s in cases)
+    assert widths and max(widths) <= 64
+
+
 def test_weyl_dim_known_values():
     assert weyl_dim((1, 0)) == 4
     assert weyl_dim((0, 1)) == 5
