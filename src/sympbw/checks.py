@@ -224,9 +224,10 @@ SUITES = {
 def run(suite: str, max_n: int, max_weight: int, seed: int) -> list:
     """Run one suite, or every suite for ``"all"``; one record per check.
 
-    A record holds the check's name, parameters, the expected (0) and actual
-    failure count, and its status.  A check that examined no case fails, and
-    says so on standard error: an empty comparison proves nothing.
+    A record holds the check's name, its status, the expected (0) and actual
+    failure count, and its parameters, in the order of the CLI's columns.  A
+    check that examined no case fails, and says so on standard error: an
+    empty comparison proves nothing.
     """
     if suite == "all":
         checks = {name: fn for table in SUITES.values() for name, fn in table.items()}
@@ -242,7 +243,7 @@ def run(suite: str, max_n: int, max_weight: int, seed: int) -> list:
         if not cases:
             print(f"{name}: examined no cases", file=sys.stderr)
         records.append({
-            "name": name, "parameters": parameters, "expected": 0,
-            "actual": actual, "status": "pass" if cases and not actual else "fail",
+            "name": name, "status": "pass" if cases and not actual else "fail",
+            "expected": 0, "actual": actual, "parameters": parameters,
         })
     return records

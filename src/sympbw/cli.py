@@ -1,9 +1,17 @@
 """Command-line front-end: structured reports over every library module.
 
-Subcommands emit JSON (canonical: sorted keys, deterministic array orders),
-CSV (tables flattened row-wise), or plain text on standard output; all
-diagnostics go to standard error.  Exit codes: 0 success, 1 verification
-failure or a reader that closed standard output early, 2 usage error.
+Every subcommand builds one report: a JSON payload, plus either fields (the
+names of scalar payload entries) or records (one dict per table row, keys in
+column order).  JSON is the payload, canonical: sorted keys, deterministic
+array orders.  CSV and text are derived from the report.  Fields give one CSV
+row and one ``name=value`` text line each, bools lowercased.  Records give
+one CSV row each, list values spread over columns and dict values written as
+canonical JSON; their text lines keep each subcommand's own format.
+
+All diagnostics go to standard error.  Usage errors, the rank and the
+lengths of --lambda, --mu and --exponent included, exit 2 before anything is
+allocated or computed.  Exit codes: 0 success, 1 verification failure or a
+reader that closed standard output early, 2 usage error.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from .rootsys import (
     is_simple_root,
     positive_roots,
     root_to_json,
-    validate_weight,
+    validate_rank,
     variable_key,
 )
 
@@ -32,29 +40,16 @@ SCHEMA = "sympbw/1"
 # parsing and rendering
 # ---------------------------------------------------------------------------
 
-def _parse_weight(parser: argparse.ArgumentParser, text: str, n: int) -> tuple:
+def _parse_ints(parser: argparse.ArgumentParser, flag: str, text: str, length: int) -> tuple:
+    """The value of flag: exactly length comma-separated non-negative ints."""
     try:
         parts = tuple(int(x) for x in text.split(","))
     except ValueError:
-        parser.error(f"--lambda/--mu must be comma-separated integers, got {text!r}")
-    if len(parts) != n:
-        parser.error(f"weight {text!r} needs exactly {n} entries for rank {n}")
+        parser.error(f"{flag} must be comma-separated integers, got {text!r}")
+    if len(parts) != length:
+        parser.error(f"{flag} needs exactly {length} entries, got {text!r}")
     if any(x < 0 for x in parts):
-        parser.error(f"weight entries must be non-negative, got {text!r}")
-    return parts
-
-
-def _parse_exponent(parser: argparse.ArgumentParser, text: str, n: int) -> tuple:
-    try:
-        parts = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        parser.error(f"--exponent must be comma-separated integers, got {text!r}")
-    if len(parts) != n * n:
-        parser.error(
-            f"--exponent needs {n * n} entries (triangle reading order) for rank {n}"
-        )
-    if any(x < 0 for x in parts):
-        parser.error(f"exponent entries must be non-negative, got {text!r}")
+        parser.error(f"{flag} entries must be non-negative, got {text!r}")
     return parts
 
 
@@ -74,7 +69,7 @@ def render_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
-def render_csv(columns: list, rows: list) -> str:
+def render_csv(columns: list, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -83,227 +78,174 @@ def render_csv(columns: list, rows: list) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def _emit(args, payload: dict, columns: list, rows: list, text_lines: list) -> None:
+def _scalar(value) -> str:
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+def _field_lines(payload: dict, names) -> list:
+    """One ``name=value`` text line per named payload field."""
+    return [f"{name}={_scalar(payload[name])}" for name in names]
+
+
+def _csv_row(record: dict) -> list:
+    """A record's values in order, lists spread out and dicts as canonical JSON."""
+    row = []
+    for value in record.values():
+        if isinstance(value, list):
+            row.extend(value)
+        elif isinstance(value, dict):
+            row.append(json.dumps(value, sort_keys=True))
+        else:
+            row.append(value)
+    return row
+
+
+def _report(args, payload: dict, columns: list, records=None, text=None) -> int:
+    """Print a report in args.format and return the exit status 0.
+
+    Without records, columns name scalar fields of the payload; with them,
+    columns head the CSV rows of the records and text holds the text lines.
+    """
+    if records is None:
+        records = [{name: _scalar(payload[name]) for name in columns}]
+        text = _field_lines(payload, columns)
     if args.format == "json":
         print(render_json(payload))
     elif args.format == "csv":
-        print(render_csv(columns, rows))
+        print(render_csv(columns, map(_csv_row, records)))
     else:
-        print("\n".join(text_lines))
+        print("\n".join(text))
+    return 0
+
+
+def _payload(args, **fields) -> dict:
+    """A report's JSON: the schema, the rank and weight it was given, then fields."""
+    payload = {"schema": SCHEMA, "n": args.n}
+    if "lam" in args:
+        payload["lambda"] = list(args.lam)
+    payload.update(fields)
+    return payload
+
+
+def _numbered(prefix: str, count: int) -> list:
+    return [f"{prefix}{i + 1}" for i in range(count)]
 
 
 def _term_list(poly) -> list:
-    """Terms of a polynomial as JSON records, earliest in the order first."""
+    """Terms of a polynomial as records, keys in CSV column order, earliest first."""
     n = poly.n
     terms = sorted(poly.terms, key=lambda s: grmod.order_key(s, n))
-    return [{"s": list(s), "coeff": str(poly.terms[s])} for s in terms]
+    return [{"coeff": str(poly.terms[s]), "s": list(s)} for s in terms]
+
+
+def _term_text(terms) -> str:
+    if terms is None:
+        return "n/a"
+    return " + ".join(f"({t['coeff']})*f^{tuple(t['s'])}" for t in terms) or "0"
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def cmd_roots(args, parser) -> int:
+def cmd_roots(args) -> int:
     n = args.n
     roots = positive_roots(n)
-    records = []
-    for index, alpha in enumerate(roots):
-        rec = root_to_json(alpha)
-        rec["index"] = index
-        rec["position"] = variable_key(alpha, n)[1]
-        rec["simple"] = is_simple_root(alpha)
-        records.append(rec)
-    payload = {"schema": SCHEMA, "n": n, "count": len(records), "roots": records}
+    records = [
+        {"index": index, **root_to_json(alpha), "position": variable_key(alpha, n)[1],
+         "simple": is_simple_root(alpha)}
+        for index, alpha in enumerate(roots)
+    ]
+    text = [f"{index:3d}  {alpha}" for index, alpha in enumerate(roots)]
     columns = ["index", "row", "col", "barred", "position", "simple"]
-    rows = [[r[c] for c in columns] for r in records]
-    text = [f"{r['index']:3d}  {alpha}" for r, alpha in zip(records, roots)]
-    _emit(args, payload, columns, rows, text)
-    return 0
+    return _report(args, _payload(args, count=len(roots), roots=records), columns, records, text)
 
 
-def cmd_paths(args, parser) -> int:
-    n = args.n
-    paths = dyck.enumerate_paths(n)
+def cmd_paths(args) -> int:
+    paths = dyck.enumerate_paths(args.n)
     if args.count_only:
-        payload = {"schema": SCHEMA, "n": n, "count": len(paths)}
-        _emit(args, payload, ["count"], [[len(paths)]], [f"count={len(paths)}"])
-        return 0
+        return _report(args, _payload(args, count=len(paths)), ["count"])
     records = [[root_to_json(alpha) for alpha in path] for path in paths]
-    payload = {"schema": SCHEMA, "n": n, "count": len(paths), "paths": records}
-    columns = ["path", "step", "row", "col", "barred"]
-    rows = [
-        [p, t, rec["row"], rec["col"], rec["barred"]]
+    steps = [
+        {"path": p, "step": t, **rec}
         for p, path in enumerate(records)
         for t, rec in enumerate(path)
     ]
     text = [" -> ".join(map(str, path)) for path in paths]
-    _emit(args, payload, columns, rows, text)
-    return 0
+    payload = _payload(args, count=len(paths), paths=records)
+    return _report(args, payload, ["path", "step", "row", "col", "barred"], steps, text)
 
 
-def cmd_points(args, parser) -> int:
+def cmd_points(args) -> int:
     n, lam = args.n, args.lam
     if args.count_only:
-        count = polytope.point_count(lam)
-        payload = {"schema": SCHEMA, "n": n, "lambda": list(lam), "count": count}
-        _emit(args, payload, ["count"], [[count]], [f"count={count}"])
-        return 0
-    points = polytope.enumerate_points(lam)
+        return _report(args, _payload(args, count=polytope.point_count(lam)), ["count"])
     records = [
-        {
-            "s": list(s),
-            "deg": polytope.degree_of(s),
-            "wt": list(polytope.weight_of(s, n)),
-        }
-        for s in points
+        {"s": list(s), "deg": polytope.degree_of(s), "wt": list(polytope.weight_of(s, n))}
+        for s in polytope.enumerate_points(lam)
     ]
-    payload = {
-        "schema": SCHEMA, "n": n, "lambda": list(lam),
-        "count": len(points), "points": records,
-    }
-    columns = [f"s{i + 1}" for i in range(n * n)] + ["deg"] + [
-        f"wt{i + 1}" for i in range(n)
-    ]
-    rows = [r["s"] + [r["deg"]] + r["wt"] for r in records]
-    text = [
-        f"s={tuple(r['s'])} deg={r['deg']} wt={tuple(r['wt'])}" for r in records
-    ]
-    _emit(args, payload, columns, rows, text)
-    return 0
+    columns = _numbered("s", n * n) + ["deg"] + _numbered("wt", n)
+    text = [f"s={tuple(r['s'])} deg={r['deg']} wt={tuple(r['wt'])}" for r in records]
+    payload = _payload(args, count=len(records), points=records)
+    return _report(args, payload, columns, records, text)
 
 
-def cmd_dim(args, parser) -> int:
-    lam = args.lam
-    count = polytope.point_count(lam)
-    weyl = polytope.weyl_dim(lam)
-    payload = {
-        "schema": SCHEMA, "n": args.n, "lambda": list(lam),
-        "count": count, "weyl": weyl, "match": count == weyl,
-    }
-    columns = ["count", "weyl", "match"]
-    rows = [[count, weyl, str(count == weyl).lower()]]
-    text = [f"count={count}", f"weyl={weyl}", f"match={str(count == weyl).lower()}"]
-    _emit(args, payload, columns, rows, text)
-    return 0
+def cmd_dim(args) -> int:
+    count, weyl = polytope.point_count(args.lam), polytope.weyl_dim(args.lam)
+    payload = _payload(args, count=count, weyl=weyl, match=count == weyl)
+    return _report(args, payload, ["count", "weyl", "match"])
 
 
-def _table_output(args, table: dict, extra: dict | None = None) -> None:
-    n, lam = args.n, args.lam
-    cells = sorted(table.items())
+def _table_output(args, table: dict, **extra) -> int:
     records = [
-        {"wt": list(wt), "deg": deg, "dim": count} for (wt, deg), count in cells
+        {"wt": list(wt), "deg": deg, "dim": count} for (wt, deg), count in sorted(table.items())
     ]
-    payload = {
-        "schema": SCHEMA, "n": n, "lambda": list(lam),
-        "total": sum(table.values()), "table": records,
-    }
-    if extra:
-        payload.update(extra)
-    columns = [f"mu{i + 1}" for i in range(n)] + ["degree", "dim"]
-    rows = [r["wt"] + [r["deg"], r["dim"]] for r in records]
-    text = [
-        f"wt={tuple(r['wt'])} deg={r['deg']} dim={r['dim']}" for r in records
-    ] + [f"total={payload['total']}"]
-    _emit(args, payload, columns, rows, text)
+    payload = _payload(args, total=sum(table.values()), table=records, **extra)
+    text = [f"wt={tuple(r['wt'])} deg={r['deg']} dim={r['dim']}" for r in records]
+    columns = _numbered("mu", args.n) + ["degree", "dim"]
+    return _report(args, payload, columns, records, text + _field_lines(payload, ["total"]))
 
 
-def cmd_char(args, parser) -> int:
-    n, lam = args.n, args.lam
-    char = polytope.character(lam)
-    records = [
-        {"wt": list(wt), "mult": mult} for wt, mult in sorted(char.items())
-    ]
-    payload = {
-        "schema": SCHEMA, "n": n, "lambda": list(lam),
-        "total": sum(char.values()), "character": records,
-    }
-    columns = [f"mu{i + 1}" for i in range(n)] + ["mult"]
-    rows = [r["wt"] + [r["mult"]] for r in records]
+def cmd_char(args) -> int:
+    char = polytope.character(args.lam)
+    records = [{"wt": list(wt), "mult": mult} for wt, mult in sorted(char.items())]
+    payload = _payload(args, total=sum(char.values()), character=records)
     text = [f"wt={tuple(r['wt'])} mult={r['mult']}" for r in records]
-    _emit(args, payload, columns, rows, text)
-    return 0
+    return _report(args, payload, _numbered("mu", args.n) + ["mult"], records, text)
 
 
-def cmd_graded_char(args, parser) -> int:
-    _table_output(args, polytope.graded_character(args.lam))
-    return 0
-
-
-def cmd_ideal_dims(args, parser) -> int:
-    table = grmod.quotient_graded_dims(
-        args.lam, max_degree=args.max_degree, cap=args.cap
-    )
-    _table_output(args, table)
-    return 0
-
-
-def cmd_straighten(args, parser) -> int:
-    n, lam = args.n, args.lam
-    s = _parse_exponent(parser, args.exponent, n)
+def cmd_straighten(args) -> int:
+    n, lam, s = args.n, args.lam, args.exponent
     contained = polytope.contains(lam, s)
-    payload = {
-        "schema": SCHEMA, "n": n, "lambda": list(lam), "exponent": list(s),
-        "contained": contained,
-    }
+    payload = _payload(args, exponent=list(s), contained=contained, path=None, element=None)
     monomial = grmod.SparsePolynomial.monomial(n, s)
     if contained:
-        payload["path"] = None
-        payload["element"] = None
         payload["normal_form"] = _term_list(monomial)
     else:
         path, element, first_step = grmod.straighten_step(monomial, s, lam)
         payload["path"] = [root_to_json(alpha) for alpha in path]
         payload["element"] = _term_list(element)
         payload["normal_form"] = _term_list(grmod.normal_form(first_step, lam))
-    columns = ["part", "coeff"] + [f"s{i + 1}" for i in range(n * n)]
-    rows, text = [], [f"contained={str(contained).lower()}"]
-    for part in ("element", "normal_form"):
-        terms = payload[part]
-        for term in terms or []:
-            rows.append([part, term["coeff"]] + term["s"])
-        if terms is None:
-            shown = "n/a"
-        else:
-            shown = " + ".join(
-                f"({t['coeff']})*f^{tuple(t['s'])}" for t in terms
-            ) or "0"
-        text.append(f"{part}: {shown}")
-    _emit(args, payload, columns, rows, text)
-    return 0
+    parts = ("element", "normal_form")
+    records = [{"part": part, **term} for part in parts for term in payload[part] or ()]
+    text = _field_lines(payload, ["contained"]) + [
+        f"{part}: {_term_text(payload[part])}" for part in parts
+    ]
+    columns = ["part", "coeff"] + _numbered("s", n * n)
+    return _report(args, payload, columns, records, text)
 
 
-def cmd_oracle(args, parser) -> int:
+def cmd_oracle(args) -> int:
     lam = args.lam
     space = oracle.build_module(lam, cap=args.cap)
     weyl = polytope.weyl_dim(lam)
-    extra = {
-        "dimension": space.dimension, "weyl": weyl,
-        "match": space.dimension == weyl,
-    }
+    summary = {"dimension": space.dimension, "weyl": weyl, "match": space.dimension == weyl}
     if args.filtration:
-        table = oracle.pbw_filtration_dims(lam, space=space)
-        _table_output(args, table, extra)
-        return 0
-    payload = {"schema": SCHEMA, "n": args.n, "lambda": list(lam)}
-    payload.update(extra)
-    columns = ["dimension", "weyl", "match"]
-    rows = [[space.dimension, weyl, str(extra["match"]).lower()]]
-    text = [f"{k}={str(extra[k]).lower()}" for k in columns]
-    _emit(args, payload, columns, rows, text)
-    return 0
+        return _table_output(args, oracle.pbw_filtration_dims(lam, space=space), **summary)
+    return _report(args, _payload(args, **summary), list(summary))
 
 
-def cmd_tensor(args, parser) -> int:
-    table = oracle.tensor_cartan_dims(args.lam, args.mu, cap=args.cap)
-    _table_output(args, table, {"mu": list(args.mu)})
-    return 0
-
-
-def cmd_verify(args, parser) -> int:
-    if args.suite != "all" and args.suite not in SUITES:
-        parser.error(
-            f"unknown suite {args.suite!r}; choose from all, {', '.join(SUITES)}"
-        )
+def cmd_verify(args) -> int:
     records = checks.run(args.suite, args.max_n, args.max_weight, args.seed)
     passed = sum(c["status"] == "pass" for c in records)
     payload = {
@@ -312,18 +254,13 @@ def cmd_verify(args, parser) -> int:
         "passed": passed, "failed": len(records) - passed,
         "checks": records,
     }
-    columns = ["name", "status", "expected", "actual", "parameters"]
-    rows = [
-        [c["name"], c["status"], c["expected"], c["actual"],
-         json.dumps(c["parameters"], sort_keys=True)]
-        for c in records
-    ]
     text = [
         f"{c['status'].upper():4s} {c['name']}: expected {c['expected']}, "
         f"actual {c['actual']} {json.dumps(c['parameters'], sort_keys=True)}"
         for c in records
     ] + [f"{passed}/{len(records)} checks passed"]
-    _emit(args, payload, columns, rows, text)
+    columns = ["name", "status", "expected", "actual", "parameters"]
+    _report(args, payload, columns, records, text)
     return 0 if passed == len(records) else 1
 
 
@@ -343,8 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, rank=True, weight=True):
+    def add(name, help_text, handler, rank=True, weight=True):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument(
             "--format", choices=("json", "csv", "text"), default="json",
             help="output format (default json)",
@@ -356,52 +294,44 @@ def build_parser() -> argparse.ArgumentParser:
                            help="dominant weight m1,...,mn")
         return p
 
-    p = add("roots", "positive roots in triangle reading order", weight=False)
-    p.set_defaults(handler=cmd_roots)
-
-    p = add("paths", "all symplectic Dyck paths", weight=False)
+    add("roots", "positive roots in triangle reading order", cmd_roots, weight=False)
+    p = add("paths", "all symplectic Dyck paths", cmd_paths, weight=False)
     p.add_argument("--count-only", action="store_true", help="emit only the count")
-    p.set_defaults(handler=cmd_paths)
-
-    p = add("points", "integral points of the path polytope")
+    p = add("points", "integral points of the path polytope", cmd_points)
     p.add_argument("--count-only", action="store_true", help="emit only the count")
-    p.set_defaults(handler=cmd_points)
+    add("dim", "point count against the Weyl dimension formula", cmd_dim)
+    add("char", "weight multiplicities of the point set", cmd_char)
+    add("graded-char", "points per (weight, degree) cell",
+        lambda args: _table_output(args, polytope.graded_character(args.lam)))
 
-    p = add("dim", "point count against the Weyl dimension formula")
-    p.set_defaults(handler=cmd_dim)
-
-    p = add("char", "weight multiplicities of the point set")
-    p.set_defaults(handler=cmd_char)
-
-    p = add("graded-char", "points per (weight, degree) cell")
-    p.set_defaults(handler=cmd_graded_char)
-
-    p = add("ideal-dims", "graded dimensions of the polynomial ring modulo the ideal")
+    p = add("ideal-dims", "graded dimensions of the polynomial ring modulo the ideal",
+            lambda args: _table_output(args, grmod.quotient_graded_dims(
+                args.lam, max_degree=args.max_degree, cap=args.cap)))
     p.add_argument("--max-degree", type=_int_at_least(0), default=None,
                    help="truncate the table at this total degree")
     p.add_argument("--cap", type=_int_at_least(1), default=200000,
                    help="abort if a cell has more standard monomials than this")
-    p.set_defaults(handler=cmd_ideal_dims)
 
-    p = add("straighten", "straightening element and normal form of a monomial")
+    p = add("straighten", "straightening element and normal form of a monomial",
+            cmd_straighten)
     p.add_argument("--exponent", required=True,
                    help="multi-exponent c1,...,c_{n*n} in triangle reading order")
-    p.set_defaults(handler=cmd_straighten)
 
-    p = add("oracle", "module dimension in the tensor-space realization")
+    p = add("oracle", "module dimension in the tensor-space realization", cmd_oracle)
     p.add_argument("--filtration", action="store_true",
                    help="also emit the graded filtration table")
     p.add_argument("--cap", type=_int_at_least(1), default=20000,
                    help="largest allowed ambient dimension")
-    p.set_defaults(handler=cmd_oracle)
 
-    p = add("tensor", "graded dimensions of a tensor-product Cartan component")
+    p = add("tensor", "graded dimensions of a tensor-product Cartan component",
+            lambda args: _table_output(args, oracle.tensor_cartan_dims(
+                args.lam, args.mu, cap=args.cap), mu=list(args.mu)))
     p.add_argument("--mu", required=True, help="second dominant weight m1,...,mn")
     p.add_argument("--cap", type=_int_at_least(1), default=20000,
                    help="largest allowed ambient dimension")
-    p.set_defaults(handler=cmd_tensor)
 
-    p = add("verify", "cross-module verification battery", rank=False, weight=False)
+    p = add("verify", "cross-module verification battery", cmd_verify,
+            rank=False, weight=False)
     p.add_argument("--suite", default="all",
                    help="all or one of: " + ", ".join(SUITES))
     p.add_argument("--max-n", type=_int_at_least(1), default=2,
@@ -410,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest total weight to test")
     p.add_argument("--seed", type=int, default=20260821,
                    help="seed for randomized property sampling")
-    p.set_defaults(handler=cmd_verify)
 
     return parser
 
@@ -418,17 +347,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    n = getattr(args, "n", None)
-    if n is not None:
+    if "n" in args:
         try:
-            validate_weight((0,) * n)
+            validate_rank(args.n)
         except ValueError as err:
             parser.error(str(err))
-        for name in ("lam", "mu"):
+        for flag, name, length in (
+            ("--lambda", "lam", args.n), ("--mu", "mu", args.n),
+            ("--exponent", "exponent", args.n * args.n),
+        ):
             if name in args:
-                setattr(args, name, _parse_weight(parser, getattr(args, name), n))
+                setattr(args, name, _parse_ints(parser, flag, getattr(args, name), length))
+    if args.command == "verify" and args.suite not in ("all", *SUITES):
+        parser.error(f"unknown suite {args.suite!r}; choose from all, {', '.join(SUITES)}")
     try:
-        status = args.handler(args, parser)
+        status = args.handler(args)
         sys.stdout.flush()
         return status
     except ValueError as err:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 
@@ -264,6 +265,44 @@ def test_bad_weight_exits_two(capsys):
         cli.main(["dim", "--n", "0", "--lambda", ""])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_bad_exponent_and_mu_exit_two(capsys):
+    straighten = ["straighten", "--n", "2", "--lambda", "1,0", "--exponent"]
+    for argv, message in (
+        (straighten + ["1,0,0"], "--exponent needs exactly 4 entries"),
+        (straighten + ["1,0,-1,0"], "--exponent entries must be non-negative"),
+        (straighten + ["1,0,x,0"], "--exponent must be comma-separated integers"),
+        (["tensor", "--n", "2", "--lambda", "1,0", "--mu", "1,0,0"],
+         "--mu needs exactly 2 entries"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err, argv
+
+
+def _cap_address_space():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_huge_rank_is_a_usage_error_before_any_allocation():
+    # a rank of 10^9 must be refused by the length of --lambda, not by
+    # building anything of that size; the address-space cap makes a
+    # regression fail fast with a MemoryError instead of exhausting the host
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "sympbw.cli", "dim", "--n", "1000000000", "--lambda", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)), preexec_fn=_cap_address_space,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "--lambda needs exactly 1000000000 entries" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_library_error_exits_two(capsys):
