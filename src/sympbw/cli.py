@@ -10,8 +10,9 @@ canonical JSON; their text lines keep each subcommand's own format.
 
 All diagnostics go to standard error.  Usage errors, the rank and the
 lengths of --lambda, --mu and --exponent included, exit 2 before anything is
-allocated or computed.  Exit codes: 0 success, 1 verification failure or a
-reader that closed standard output early, 2 usage error.
+allocated or computed, and so do roots and paths listings above ROOT_LIMIT
+or PATH_LIMIT.  Exit codes: 0 success, 1 verification failure or a reader
+that closed standard output early, 2 usage error.
 """
 
 from __future__ import annotations
@@ -34,6 +35,14 @@ from .rootsys import (
 )
 
 SCHEMA = "sympbw/1"
+
+# Largest listings that roots and paths print.  A report holds all its records
+# at once, about 2 kB per root and 20 kB per path of rank 9 in JSON, so these
+# keep one to a few hundred MB: roots up to rank 316, paths up to rank 9.
+# paths --count-only walks the n^2 roots without listing a path, so it is
+# bounded by ROOT_LIMIT alone.
+ROOT_LIMIT = 100_000
+PATH_LIMIT = 20_000
 
 
 # ---------------------------------------------------------------------------
@@ -144,12 +153,19 @@ def _term_text(terms) -> str:
     return " + ".join(f"({t['coeff']})*f^{tuple(t['s'])}" for t in terms) or "0"
 
 
+def _check_size(what: str, size: int, limit: int, n: int) -> None:
+    """Refuse, before anything is allocated, a listing above its limit."""
+    if size > limit:
+        raise ValueError(f"rank {n} has {size} {what}, above the limit {limit}")
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
 def cmd_roots(args) -> int:
     n = args.n
+    _check_size("positive roots", n * n, ROOT_LIMIT, n)
     roots = positive_roots(n)
     records = [
         {"index": index, **root_to_json(alpha), "position": variable_key(alpha, n)[1],
@@ -162,9 +178,13 @@ def cmd_roots(args) -> int:
 
 
 def cmd_paths(args) -> int:
-    paths = dyck.enumerate_paths(args.n)
+    n = args.n
+    _check_size("positive roots", n * n, ROOT_LIMIT, n)
+    count = dyck.count_paths(n)
     if args.count_only:
-        return _report(args, _payload(args, count=len(paths)), ["count"])
+        return _report(args, _payload(args, count=count), ["count"])
+    _check_size("Dyck paths", count, PATH_LIMIT, n)
+    paths = dyck.enumerate_paths(n)
     records = [[root_to_json(alpha) for alpha in path] for path in paths]
     steps = [
         {"path": p, "step": t, **rec}

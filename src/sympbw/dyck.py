@@ -14,6 +14,7 @@ from .rootsys import (
     is_hook_root,
     is_simple_root,
     is_valid_root,
+    positive_roots,
     root_successors,
     simple_root,
     validate_rank,
@@ -40,6 +41,24 @@ def enumerate_paths(n: int) -> tuple:
     del extend  # the closure holds itself through its cell: free it with the call
     # sorted already: the right step (same row) is tried before the down step
     return tuple(found)
+
+
+def count_paths(n: int) -> int:
+    """len(enumerate_paths(n)), counted without listing a path.
+
+    A path from alpha stops at alpha, when alpha may end a path, or goes on
+    through one of its successors, so the paths from alpha number that stop
+    plus the paths from each successor.  A successor comes later in reading
+    order, so one pass over the roots in reverse reading order counts each
+    root's paths once; the paths start at the simple roots.
+    """
+    validate_rank(n)
+    below = {}
+    for alpha in reversed(positive_roots(n)):
+        below[alpha] = (is_simple_root(alpha) or is_hook_root(alpha, n)) + sum(
+            below[beta] for beta in root_successors(alpha, n)
+        )
+    return sum(below[simple_root(i)] for i in range(1, n + 1))
 
 
 def is_dyck_path(seq, n: int):

@@ -16,7 +16,12 @@ the rows to those that can bind: coordinates on a row of bound 0 are fixed
 at 0, rows with the same remaining coordinates merge into the tightest, and a
 row implied by a tighter row over more coordinates is dropped.  It then
 assigns only the coordinates left on a kept row, and lists the values of the
-last of them in one bulk extend per branch.
+last of them in one bulk extend per branch.  What lies below a walked
+coordinate depends only on a small key: for each group of still-open rows
+that share their remaining coordinates, the smallest slack in the group.  The
+walk records, per coordinate, the span of its output that each key's first
+visit listed, and lists a repeated key by copying that span under the new
+prefix instead of walking again: the output is its own memo.
 
 Membership (first_broken, contains) evaluates every row at once in one
 packed int: row p owns the W-bit field at bit p*W, and the masks of a rank
@@ -52,8 +57,11 @@ out by those rows alone, rows sharing a remaining set bind only as tightly as
 the tightest of them, and a row with no coordinate left binds nothing.  Which
 rows share a set depends on the rank alone, so the grouping is built once per
 rank (_walk_groups) and only the bounds are read per weight; the memo lives
-for one call.  enumerate_points lists the points for the callers that need
-them, and refuses a list longer than POINT_LIMIT before allocating it.
+for one call.  Setting coordinate i to 0 shifts no cell, so the table from
+below for 0 starts the table of i: it is shared as is when i has no headroom,
+since a stored table is never changed, and copied otherwise.  enumerate_points
+lists the points for the callers that need them, and refuses a list longer
+than POINT_LIMIT before allocating it.
 
 Two classical oracles are included for independent verification, both in
 exact arithmetic: the Weyl dimension formula and Freudenthal's recursion for
@@ -71,7 +79,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from . import dyck
@@ -258,6 +266,22 @@ def lattice_points(dim: int, rows) -> list:
     running slack per kept row; every other coordinate stays 0.  At the last
     walked coordinate every later one is 0, so each branch lists all its
     points in one extend over precomputed tails (v, 0, ..., 0).
+
+    Above the last walked coordinate the walk lists each subtree once.  The
+    points below walked coordinate t depend only on its key: for each group
+    of kept rows still open at t (holding a coordinate >= walked[t]) with the
+    same coordinates from walked[t] on, the smallest slack in the group.
+    This is exact.  A row whose coordinates all lie below walked[t] is
+    settled, its slack >= 0 whatever follows; an open row bounds only the sum
+    of its remaining coordinates; rows with the same remaining coordinates
+    bind only as tightly as the smallest of their slacks; and every row of
+    on[t] lies in some group.  So equal keys at t have the same completions,
+    in the same lexicographic order.  The first visit of a key records the
+    span (start, end) of the output it listed; a repeat extends the output
+    with prefix + x[len(prefix):] for the points x of that span and does not
+    recurse.  No suffix list is kept: the output is its own memo.  The groups
+    come from one int mask per kept row (bit t for walked[t]), grouped by
+    mask >> t.
     """
     if any(bound < 0 and coords for coords, bound in rows):
         return []
@@ -279,6 +303,25 @@ def lattice_points(dim: int, rows) -> list:
     on = [[r for r, (live, _) in enumerate(kept) if i in live] for i in walked]
     # a row without a later coordinate needs no update once its last is set
     ahead = [[r for r in on[t] if max(kept[r][0]) > i] for t, i in enumerate(walked)]
+    # keys[t] reads the key of level t: the slacks of one-row groups through
+    # one itemgetter, then the rows of each larger group to take its minimum
+    bit = {i: 1 << t for t, i in enumerate(walked)}
+    rest = {}
+    for r, (live, _) in enumerate(kept):
+        rest.setdefault(sum(map(bit.__getitem__, live)), []).append(r)
+    keys = []
+    for _ in range(last):
+        singles = [g[0] for g in rest.values() if len(g) == 1]
+        keys.append((
+            itemgetter(*singles) if singles else (lambda _: ()),
+            [g for g in rest.values() if len(g) > 1],
+        ))
+        shifted = {}
+        for mask, rows_m in rest.items():
+            if mask > 1:
+                shifted.setdefault(mask >> 1, []).extend(rows_m)
+        rest = shifted
+    spans = [{} for _ in range(last)]  # per level: key -> span of out it listed
     # pieces[t][v]: the zeros after the previous walked coordinate, then v
     gaps = [(0,) * (i - j - 1) for j, i in zip([-1] + walked, walked)]
     pieces = [
@@ -294,6 +337,14 @@ def lattice_points(dim: int, rows) -> list:
         if t == last:
             out.extend(map(prefix.__add__, tails[:headroom + 1]))
             return
+        pick, merged = keys[t]
+        key = (pick(slack), *[min(map(get, group)) for group in merged])
+        span = spans[t].get(key)
+        if span is not None:
+            k = len(prefix)
+            out.extend([prefix + x[k:] for x in out[span[0]:span[1]]])
+            return
+        start = len(out)
         piece = pieces[t]
         assign(t + 1, prefix + piece[0])
         if headroom:
@@ -304,6 +355,7 @@ def lattice_points(dim: int, rows) -> list:
                 assign(t + 1, prefix + piece[v])
             for r in rows_t:
                 slack[r] += headroom
+        spans[t][key] = (start, len(out))
 
     assign(0, ())
     del assign  # the closure holds itself through its cell: free it with the call
@@ -381,10 +433,16 @@ def _graded_counts(lam, graded: bool = True) -> GradedDimensionTable:
     A depth-first walk of every coordinate, in increasing order, over the
     path table, memoized on each suffix: the counts below coordinate i depend
     only on i and, for each group of _walk_groups, the smallest slack of its
-    rows.  A cell is packed into one int in base ``base`` (_pack), so that
-    setting coordinate i to v shifts every cell below it by v * step[i].
-    With ``graded`` false every step is 0, and the one cell (0, 0) holds
-    |S(lambda)|.
+    rows.  The key is exact: a row with no coordinate >= i binds nothing
+    below i, and rows with the same coordinates >= i bind only as tightly as
+    the smallest of their slacks.  A cell is packed into one int in base
+    ``base`` (_pack), so that setting coordinate i to v shifts every cell
+    below it by v * step[i].  With v = 0 nothing shifts, so the table from
+    below for 0 starts the table of i: with no headroom it is the table of i,
+    shared as is, and otherwise it is copied with dict() before the shifted
+    tables are added.  No stored table is ever changed, and the caller's
+    result is a new dict.  With ``graded`` false every step is 0, and the one
+    cell (0, 0) holds |S(lambda)|.
     """
     lam = validate_weight(lam)
     n = len(lam)
@@ -413,8 +471,12 @@ def _graded_counts(lam, graded: bool = True) -> GradedDimensionTable:
              min((slack[g] for g in with_i), default=base))
             for without, with_i in merged
         ]
-        out = {}
-        for v in range(headroom + 1):
+        # v = 0 shifts nothing; a stored table is never changed, so copy it
+        # before the shifted tables are added
+        out = walk(i + 1, fixed + tuple(cuts + [min(k, c) for k, c in sides]))
+        if headroom:
+            out = dict(out)
+        for v in range(1, headroom + 1):
             shift = v * step[i]
             below = walk(i + 1, fixed + tuple(
                 [x - v for x in cuts] + [min(k, c - v) for k, c in sides]

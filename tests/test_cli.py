@@ -305,6 +305,40 @@ def test_huge_rank_is_a_usage_error_before_any_allocation():
     assert "Traceback" not in proc.stderr
 
 
+def test_huge_listings_are_refused_before_any_allocation():
+    # roots and paths name the size of a listing above their limit and exit 2;
+    # the address-space cap makes a regression fail fast, as above
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    for argv, message in (
+        (["roots", "--n", "3000", "--format", "csv"],
+         f"rank 3000 has 9000000 positive roots, above the limit {cli.ROOT_LIMIT}"),
+        (["paths", "--n", "3000", "--count-only"], "rank 3000 has 9000000 positive roots"),
+        (["paths", "--n", "16"],
+         f"rank 16 has 214443152 Dyck paths, above the limit {cli.PATH_LIMIT}"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sympbw.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(src)), preexec_fn=_cap_address_space,
+        )
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: {message}"), (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr
+
+
+def test_paths_count_only_lists_no_path(capsys, monkeypatch):
+    def refuse(n):
+        raise RuntimeError("listed the paths")
+
+    monkeypatch.setattr(cli.dyck, "enumerate_paths", refuse)
+    code, payload = run_json(capsys, ["paths", "--n", "16", "--count-only"])
+    assert code == 0
+    assert payload["count"] == 214443152
+    code, out = run(capsys, ["paths", "--n", "2", "--count-only", "--format", "text"])
+    assert (code, out) == (0, "count=4\n")
+
+
 def test_library_error_exits_two(capsys):
     for argv, message in (
         (["oracle", "--n", "2", "--lambda", "1,1", "--cap", "2"], "exceeds cap"),

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import gc
 
-from sympbw.dyck import enumerate_paths, is_dyck_path
+from sympbw.dyck import count_paths, enumerate_paths, is_dyck_path
 from sympbw.rootsys import (
     index_position,
     make_root,
@@ -36,6 +36,13 @@ def test_path_counts():
     assert len(enumerate_paths(2)) == 4
     assert len(enumerate_paths(3)) == 12
     assert len(enumerate_paths(4)) == 36
+
+
+def test_count_paths_matches_the_listing():
+    for n in range(1, 9):
+        assert count_paths(n) == len(enumerate_paths(n)), n
+    # beyond the listing, the counts go on growing about fourfold per rank
+    assert [count_paths(n) for n in (10, 12, 16)] == [69180, 990000, 214443152]
 
 
 def test_enumeration_is_deterministic():

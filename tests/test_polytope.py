@@ -121,6 +121,12 @@ def test_lattice_points_match_brute_force():
         (6, [(range(6), 3)]),  # one row over every coordinate
         (0, []),
         (2, []),
+        # the walk lists a repeated key's subtree by copying an earlier span of
+        # its output under a new prefix; in each case below a key recurs
+        (5, [([0], 1), ([2], 1), ([3, 4], 1)]),  # free coordinate 1 between walked 0 and 2
+        (5, [([0], 2), ([1, 3], 2)]),  # repeat just above the last walked coordinate
+        (5, [([0, 2, 3], 2), ([1, 2, 3], 1), ([4], 1)]),  # one remaining set, two slacks
+        (3, [([0, 2], 1), ([1], 1)]),  # an open row that misses the next coordinate
     ]
     cases += [(dim, _random_rows(rng, dim)) for dim in (rng.randint(1, 6) for _ in range(300))]
     seen = Counter()
@@ -501,14 +507,15 @@ def test_rejects_bad_weights():
 
 
 # the counting walk against the listed points, on every weight with n <= 3 and
-# total <= 3, the weights of the benchmark's enumerate workload, and (2,1,1,0)
+# total <= 3, the weights of the benchmark's enumerate workload, (2,1,1,0), and
+# two zero-heavy weights whose walks share many tables unshifted
 WALK_WEIGHTS = [
     lam
     for n in (1, 2, 3)
     for lam in itertools.product(range(4), repeat=n)
     if sum(lam) <= 3
 ] + [(2, 2, 2), (1, 1, 1, 1), (0, 2, 0, 1), (0, 0, 0, 1, 1), (0, 0, 0, 0, 0, 1),
-     (1, 0, 0, 0, 0, 1), (2, 1, 1, 0)]
+     (1, 0, 0, 0, 0, 1), (2, 1, 1, 0), (1, 0, 0, 1, 0), (0, 1, 0, 0, 0, 0)]
 
 
 @pytest.mark.parametrize("lam", WALK_WEIGHTS, ids=str)
@@ -518,6 +525,18 @@ def test_walk_matches_listed_points(lam):
     assert graded_character(lam) == table
     assert max_point_degree(lam) == max(map(sum, points))
     assert point_count(lam) == len(points) == weyl_dim(lam)
+
+
+def test_graded_character_is_fresh_on_every_call():
+    # the counting walk shares its stored tables, so each result is a new dict
+    for lam in ((1, 0, 0, 1, 0), (0, 1, 0, 0, 0, 0), (1, 1)):
+        first = graded_character(lam)
+        expected = dict(first)
+        for cell in list(first):
+            first[cell] += 1
+        first[((99,) * len(lam), 99)] = 1
+        assert graded_character(lam) == expected
+        assert point_count(lam) == sum(expected.values())
 
 
 def test_counts_never_list_points(monkeypatch, capsys):
