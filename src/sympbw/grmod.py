@@ -49,6 +49,7 @@ from .rootsys import (
     is_hook_root,
     make_index,
     make_root,
+    order_key,
     path_bound,
     positive_roots,
     root_index_map,
@@ -170,26 +171,6 @@ def column_sum(s, value: int, barred: bool, n: int) -> int:
 def row_sum(s, r: int, n: int) -> int:
     """Sum of s over row r."""
     return sum(x for alpha, x in zip(positive_roots(n), s) if alpha.row == r)
-
-
-def d_vector(s, n: int) -> tuple:
-    """Row sums read bottom row first: (s_{n,*}, ..., s_{1,*})."""
-    sums = [0] * n
-    for alpha, x in zip(positive_roots(n), s):
-        sums[alpha.row - 1] += x
-    return tuple(reversed(sums))
-
-
-def order_key(s, n: int) -> tuple:
-    """Sort key realizing the straightening order: ascending key = earlier.
-
-    A monomial precedes another when its total degree is larger; on equal
-    degree when its bottom-up row-sum vector is lexicographically smaller;
-    and on ties when it is larger in the homogeneous lexicographic order
-    taken along the variables from the largest downward, which is s read
-    backwards: the reading order is the variable order.
-    """
-    return (-sum(s), d_vector(s, n), tuple([-x for x in reversed(s)]))
 
 
 def monomial_compare(s, t) -> str:

@@ -19,27 +19,43 @@ of every digit as (key delta, coefficient) pairs.  A pair of graded-module
 positions (i, j) in a tensor product of two modules is packed the same way as
 a key, as i * dim(right) + j.
 
-The module closure stops at full weight blocks.  The cyclic span of the
-highest vector is V(lambda), so weight block mu never holds more than the
-multiplicity m(mu), read from Freudenthal's recursion; an image into a block
-that already holds m(mu) vectors lies in their span, so skipping it before
-it is computed drops nothing and keeps every vector and tag of the unbounded
-closure.  The result does not trust that table.  ``build_module`` first
-checks the layout against the weight shifts that tag the closure: every
-image of every digit under f_alpha has the digit's weight lowered by alpha.
-Key 0 has weight lambda and an image key differs from its source in one
-digit, so every kept vector is a weight vector of exactly its tag, with no
-check per vector.  It then certifies that every block holds exactly its
-table entry and that the total is Weyl's dimension.  The kept vectors of a
-block are independent vectors of V(lambda) of that weight, so no block
-exceeds its true multiplicity; blocks that match the table and sum to the
-true dimension therefore match the true multiplicities, which makes the
-table exact and the closure complete.  Any wrong table, too large, too small
-or missing a weight, raises RuntimeError.
-The tensor-product closure of ``tensor_cartan_dims`` is not bounded: its
-block sizes are what the ``tensor-cartan`` check compares with the module of
-lambda + mu, and bounding them by that module's multiplicities would assume
-the result.
+The module closure runs over essential monomials (Feigin, Fourier and
+Littelmann's favourable modules).  Read the exponents s latest-first in the
+straightening order of ``order_key``, which is homogeneous and
+multiplicative, and call s of degree d essential when f^s v_lambda lies
+outside F_{d-1} plus the span of the f^t v_lambda, |t| = d, read before s.
+The essential s index a basis of gr V(lambda); for this order the paper's
+theorem amounts to their being S(lambda).  A divisor of an essential s is
+essential, so s is t + e_alpha with t essential of degree d - 1 and alpha
+the outermost variable of s, and only those pairs (t, alpha) are imaged.
+Every kept vector is therefore f_alpha of an earlier kept vector, the
+ordered monomial f^s v_lambda, tagged with its exponent s.  The closure also stops each
+weight block mu at the multiplicity m(mu) from Freudenthal's recursion:
+V(lambda) has no more, so an image into a full block lies in its span and
+is skipped before it is computed.
+
+Each part of the result is certified apart.  The weights: ``build_module``
+first checks the layout against the weight shifts that tag the closure:
+every image of every digit under f_alpha has the digit's weight lowered by
+alpha.  Key 0 has weight lambda and an image key differs from its source in
+one digit, so every kept vector is a weight vector of exactly its tag, with
+no check per vector.  Completeness: it then certifies that every block holds
+exactly its table entry and that the total is Weyl's dimension.  The kept
+vectors of a block are independent vectors of V(lambda) of that weight, so
+no block exceeds its true multiplicity; blocks that match the table and sum
+to the true dimension therefore match the true multiplicities, which makes
+the table exact and the closure complete.  Any wrong table, too large, too
+small or missing a weight, raises RuntimeError.  The levels: a vector kept
+at level d is a product of d lowering operators on v_lambda, so it lies in
+F_d; that it lies outside F_{d-1} rests on the essential-monomial theorem.
+``graded_action`` certifies the level tags whenever it runs: it raises when
+f_alpha takes a vector of level d to a component of level above d + 1, and
+with that the tagged filtration contains the true one, which contains it by
+construction.
+The tensor-product closure of ``tensor_cartan_dims`` is the same closure on
+the commuting graded action, without a bound: its block sizes are what the
+``tensor-cartan`` check compares with the module of lambda + mu, and
+bounding them by that module's multiplicities would assume the result.
 """
 
 from __future__ import annotations
@@ -57,6 +73,7 @@ from .polytope import enumerate_points, freudenthal_multiplicities, weyl_dim
 from .rootsys import (
     chevalley_realization,
     epsilon_weight,
+    order_key,
     positive_roots,
     simple_coefficients,
     validate_weight,
@@ -86,6 +103,7 @@ class RepresentationSpace(NamedTuple):
     weight_tags: list  # weight offset of each basis vector (simple-root coords)
     level_tags: list  # minimal number of lowering operators reaching it
     layout: WedgeLayout  # the keys of basis_vectors
+    exponents: list  # the essential exponent s of each basis vector: f^s v_lambda
 
     @property
     def dimension(self) -> int:
@@ -203,40 +221,70 @@ def _check_lowering(layout: WedgeLayout) -> None:
 # module construction
 # ---------------------------------------------------------------------------
 
-def _close(n: int, start: dict, act, bound: dict | None = None) -> tuple:
-    """Close start under act(alpha, vec) for every positive root, level by level.
+def _outermost(s: tuple) -> int:
+    """Index of the last nonzero entry of s: the outermost variable of f^s,
+    the one applied last.  0 for s = 0, so every variable may follow it."""
+    return max((i for i, x in enumerate(s) if x), default=0)
 
-    Each image is reduced once, in an untracked basis of the weight space it
-    is expected in: the weight offset of its source lowered by alpha.  An
-    image that enlarges that span is kept and tagged with that offset and
-    the level; that it has that weight is for the caller to certify, once,
-    on the operators behind act.  With a bound {weight offset: size}, a pair
+
+def _close(n: int, start: dict, act, bound: dict | None = None) -> tuple:
+    """Close start under act(alpha, vec) over its essential monomials, level by level.
+
+    F_d is the span of the products of at most d operators act(alpha, .)
+    applied to start.  Their action on the associated graded module
+    commutes, and ``order_key`` is homogeneous and multiplicative.  Call s
+    of degree d essential when f^s start lies outside F_{d-1} plus the span
+    of the f^t start, |t| = d, that come later in that order.  A relation
+    for t multiplies by f^u into one for t + u, so the divisors of an
+    essential s are essential, and s is t + e_alpha with t essential of
+    degree d - 1 and alpha the outermost variable of s.  Level d therefore
+    takes as candidates only the pairs (t, alpha) with t kept at level
+    d - 1 and alpha at or after t's outermost variable: each pair names a
+    distinct exponent.  The candidates of one target weight are reduced latest-first
+    by order_key, each once, into an untracked basis of that weight: the
+    weight offset of its source lowered by alpha.  The kept vectors of lower
+    levels span F_{d-1} there, so an image that enlarges the span is the
+    next essential s; it is kept and tagged with s, that offset and d.
+    That it has that weight is for the caller to certify, once, on the
+    operators behind act.  With a bound {weight offset: size}, a candidate
     whose target block already holds bound[target] vectors (0 for a target
     missing from it) is skipped before act is called.  Returns the kept
-    vectors, start first, with their weight offsets and levels.
+    vectors, start first, with their exponents, weight offsets and levels.
     """
-    vectors, weights, levels = [start], [(0,) * n], [0]
+    steps = _lowering_steps(n)
+    vectors, exponents, weights, levels = [start], [(0,) * len(steps)], [(0,) * n], [0]
     bases = defaultdict(IncrementalBasis)  # weight offset -> its span so far
     bases[weights[0]].add(start)
-    steps = _lowering_steps(n)
+
+    def full(target) -> bool:
+        basis = bases.get(target)
+        return bound is not None and (basis.rank if basis else 0) >= bound.get(target, 0)
+
     frontier = range(1)
     level = 0
     while frontier:
         level += 1
+        blocks = defaultdict(list)  # target weight -> [(exponent, source, root index)]
         for j in frontier:
-            vec, weight = vectors[j], weights[j]
-            for alpha, coeffs in steps:
-                target = tuple(map(add, weight, coeffs))
-                basis = bases[target]
-                if bound is not None and basis.rank >= bound.get(target, 0):
-                    continue
-                image = act(alpha, vec)
-                if image and basis.add(image):
+            t, weight = exponents[j], weights[j]
+            for i in range(_outermost(t), len(steps)):
+                target = tuple(map(add, weight, steps[i][1]))
+                if not full(target):
+                    blocks[target].append((t[:i] + (t[i] + 1,) + t[i + 1:], j, i))
+        for target, candidates in blocks.items():
+            if len(candidates) > 1:
+                candidates.sort(key=lambda c: order_key(c[0], n), reverse=True)
+            for s, j, i in candidates:
+                if full(target):
+                    break
+                image = act(steps[i][0], vectors[j])
+                if image and bases[target].add(image):
                     vectors.append(image)
+                    exponents.append(s)
                     weights.append(target)
                     levels.append(level)
         frontier = range(frontier.stop, len(vectors))  # the vectors of this level
-    return vectors, weights, levels
+    return vectors, exponents, weights, levels
 
 
 def _checked_layout(lam: tuple, cap: int) -> WedgeLayout:
@@ -253,27 +301,30 @@ def _checked_layout(lam: tuple, cap: int) -> WedgeLayout:
 
 
 def build_module(lam, cap: int = 20000) -> RepresentationSpace:
-    """Close the highest vector under all lowering operators, level by level.
+    """Close the highest vector over its essential monomials, level by level.
 
     The layout is checked first: every f_alpha image of every digit must
     have the digit's weight lowered by alpha, or RuntimeError.  The highest
     vector, key 0, has weight lambda and every image key differs from its
     source in one digit, so every kept vector is a weight vector of its tag.
-    Weight block mu stops at m(mu) vectors, the multiplicity that
-    freudenthal_multiplicities gives: V(lambda) has no more, so every later
-    image into the block lies in its span and is neither computed nor
-    reduced.  The vectors, weight tags and level tags are those of the
-    unbounded closure.  The result is then certified without trusting the
-    table: RuntimeError unless every block holds exactly its table entry and
-    the total is weyl_dim(lam).  No block can exceed its true multiplicity,
-    so the two together prove the table exact and the closure complete.
+    The closure (_close) images only the pairs (t, alpha) that can give an
+    essential exponent, and stops weight block mu at m(mu) vectors, the
+    multiplicity that freudenthal_multiplicities gives: V(lambda) has no
+    more, so every later image into the block lies in its span and is
+    neither computed nor reduced.  The result is then certified without
+    trusting the table: RuntimeError unless every block holds exactly its
+    table entry and the total is weyl_dim(lam).  No block can exceed its
+    true multiplicity, so the two together prove the table exact and the
+    closure complete.  The level tags rest on the essential-monomial
+    theorem; graded_action checks them.
     """
     lam = validate_weight(lam)
     n = len(lam)
     layout = _checked_layout(lam, cap)
     _check_lowering(layout)
     table = freudenthal_multiplicities(lam)
-    vectors, weights, levels = _close(n, {0: 1}, partial(apply_root_vector, layout), table)
+    vectors, exponents, weights, levels = _close(
+        n, {0: 1}, partial(apply_root_vector, layout), table)
     blocks = Counter(weights)
     for weight in dict.fromkeys([*table, *blocks]):
         found, expected = blocks[weight], table.get(weight, 0)
@@ -286,7 +337,7 @@ def build_module(lam, cap: int = 20000) -> RepresentationSpace:
         raise RuntimeError(
             f"module holds {len(vectors)} vectors where the Weyl dimension {dim} was expected"
         )
-    return RepresentationSpace(n, lam, vectors, weights, levels, layout)
+    return RepresentationSpace(n, lam, vectors, weights, levels, layout, exponents)
 
 
 def pbw_filtration_dims(lam, *, space: RepresentationSpace | None = None) -> dict:
@@ -306,21 +357,33 @@ def graded_action(space: RepresentationSpace) -> dict:
     """Matrices {alpha: {src: {dst: c}}} of the f_alpha on the associated graded module.
 
     Basis vector j of level d maps into the level d+1 slice; components of
-    lower level project away in the graded quotient.  Coordinates come from
-    one tracked basis per weight space, fed that weight's module vectors in
+    lower level project away in the graded quotient.  Every kept vector k > 0
+    is f_alpha applied to the vector of exponents[k] - e_alpha, alpha the
+    outermost variable of exponents[k], so that column is {k: 1} with no
+    image computed.  The other columns are solved: coordinates come from one
+    tracked basis per weight space, fed that weight's module vectors in
     position order, so add index k is the k-th module vector of its weight.
     """
     n, layout = space.n, space.layout
     levels = space.level_tags
+    position = {s: k for k, s in enumerate(space.exponents)}
+    free = {}  # (root index, source position) -> the kept vector that is its image
+    for k, s in enumerate(space.exponents[1:], start=1):
+        r = _outermost(s)
+        free[r, position[s[:r] + (s[r] - 1,) + s[r + 1:]]] = k
     members = defaultdict(list)  # weight offset -> module positions, in order
     bases = defaultdict(lambda: IncrementalBasis(track_combinations=True))
     for j, (vec, weight) in enumerate(zip(space.basis_vectors, space.weight_tags)):
         members[weight].append(j)
         bases[weight].add(vec)
     action = {}
-    for alpha, coeffs in _lowering_steps(n):
+    for r, (alpha, coeffs) in enumerate(_lowering_steps(n)):
         mat = {}
         for j, vec in enumerate(space.basis_vectors):
+            k = free.get((r, j))
+            if k is not None:
+                mat[j] = {k: 1}
+                continue
             image = apply_root_vector(layout, alpha, vec)
             if not image:
                 continue
@@ -402,12 +465,15 @@ def tensor_cartan_dims(lam, mu, cap: int = 20000) -> dict:
     so the table is directly comparable with pbw_filtration_dims(lam + mu).
 
     Every pair the closure keeps has the weight and degree it is tagged
-    with, by construction.  The factors' tags are certified by build_module.
-    graded_action solves every column in the basis of the target weight and
-    raises "module is not closed" when the image is not in that span, and it
-    keeps only the entries of level one higher, raising on a larger jump.  So
-    f_alpha takes a pair of weight w and degree d only to pairs of weight w
-    lowered by alpha and degree d + 1, the tag that _close records.
+    with, by construction.  The factors' weights and completeness are
+    certified by build_module.  graded_action takes a column either as a
+    kept vector of level one higher, when that vector is the image itself,
+    or solves it in the basis of the target weight, raising "module is not
+    closed" when the image is not in that span; it keeps only the entries of
+    level one higher and raises on a larger jump, which certifies the
+    factors' level tags.  So f_alpha takes a pair of weight w and degree d
+    only to pairs of weight w lowered by alpha and degree d + 1, the tag
+    that _close records.
     """
     lam = validate_weight(lam)
     mu = validate_weight(mu)
@@ -423,7 +489,7 @@ def tensor_cartan_dims(lam, mu, cap: int = 20000) -> dict:
         act_right = graded_action(right)
 
     width = right.dimension
-    _, weights, levels = _close(
+    *_, weights, levels = _close(
         n, {0: 1},
         lambda alpha, vec: _apply_pair(act_left[alpha], act_right[alpha], width, vec))
     return dict(Counter(zip(weights, levels)))

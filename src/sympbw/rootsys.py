@@ -12,6 +12,10 @@ never carries the value n.  For fixed n there are exactly n^2 positive roots,
 arranged in a triangle whose i-th row has the 2(n-i)+1 roots
 alpha_{i,i}, ..., alpha_{i,n}, alpha_{i,bar(n-1)}, ..., alpha_{i,bar(i)}.
 
+Multi-exponents s, one entry per positive root in reading order, are
+ordered by ``order_key``, the straightening order that both the ideal side
+and the module closure read.
+
 The module also provides an explicit 2n x 2n matrix realization of sp_{2n},
 its matrices stored sparse and multiplied on the linalg kernel, supplying
 root vectors and the integer constants by which the raising operators act
@@ -186,6 +190,26 @@ def variable_key(alpha: PositiveRoot, n: int) -> tuple:
     so row n holds the largest variable and row 1 starts with the smallest.
     """
     return (alpha.row, index_position(alpha.col, n))
+
+
+def d_vector(s, n: int) -> tuple:
+    """Row sums read bottom row first: (s_{n,*}, ..., s_{1,*})."""
+    sums = [0] * n
+    for alpha, x in zip(positive_roots(n), s):
+        sums[alpha.row - 1] += x
+    return tuple(reversed(sums))
+
+
+def order_key(s, n: int) -> tuple:
+    """Sort key realizing the straightening order: ascending key = earlier.
+
+    A monomial precedes another when its total degree is larger; on equal
+    degree when its bottom-up row-sum vector is lexicographically smaller;
+    and on ties when it is larger in the homogeneous lexicographic order
+    taken along the variables from the largest downward, which is s read
+    backwards: the reading order is the variable order.
+    """
+    return (-sum(s), d_vector(s, n), tuple([-x for x in reversed(s)]))
 
 
 @lru_cache(maxsize=None)

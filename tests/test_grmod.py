@@ -16,7 +16,6 @@ from sympbw.grmod import (
     apply_partial_power,
     base_relations,
     column_sum,
-    d_vector,
     ideal_generators,
     minimal_violations,
     monomial_compare,
@@ -32,6 +31,7 @@ from sympbw.grmod import (
 from sympbw.linalg import IncrementalBasis
 from sympbw.rootsys import (
     chevalley_realization,
+    d_vector,
     epsilon_coords,
     epsilon_weight,
     make_root,

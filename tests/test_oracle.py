@@ -389,8 +389,10 @@ def test_a_short_leaf_block_is_caught_by_the_weyl_dimension(monkeypatch):
 
 
 def _unbounded_closure(lam) -> tuple:
-    """The module closure with no bound on its weight blocks: every image is
-    computed and reduced.  Returns (vectors, weight offsets, levels)."""
+    """The greedy module closure: every f_alpha applied to every kept vector,
+    with no bound on weight blocks and no restriction to essential pairs;
+    every image is computed and reduced.  Returns (vectors, weight offsets,
+    levels)."""
     n = len(lam)
     layout = oracle._checked_layout(lam, 20000)
     vectors, weights, levels = [{0: 1}], [(0,) * n], [0]
@@ -420,18 +422,88 @@ EXACTNESS_WEIGHTS = [
 ] + [(1, 1, 1), (0, 0, 1, 1), (1, 0, 0, 1), (0, 0, 0, 2)]
 
 
+def _level_blocks(weights, levels) -> dict:
+    """{weight offset: {level: positions of that weight and level}}."""
+    out = defaultdict(lambda: defaultdict(list))
+    for k, (weight, level) in enumerate(zip(weights, levels)):
+        out[weight][level].append(k)
+    return out
+
+
 @pytest.mark.parametrize("lam", EXACTNESS_WEIGHTS)
 def test_bounded_closure_equals_the_unbounded_one(lam):
+    # every step of the filtration, weight by weight: the kept vectors of
+    # weight mu and level <= d span what the greedy closure's vectors of
+    # weight mu and level <= d span, which certifies every level tag
     space = build_module(lam)
     vectors, weights, levels = _unbounded_closure(lam)
     assert len(space.basis_vectors) == len(vectors) == weyl_dim(lam)
-    for k, (vec, weight, level) in enumerate(zip(vectors, weights, levels)):
-        assert space.basis_vectors[k] == vec, (lam, k)
-        assert space.weight_tags[k] == weight, (lam, k)
-        assert space.level_tags[k] == level, (lam, k)
+    kept = _level_blocks(space.weight_tags, space.level_tags)
+    greedy = _level_blocks(weights, levels)
+    assert kept.keys() == greedy.keys(), lam
+    for weight in greedy:
+        ours, theirs = IncrementalBasis(), IncrementalBasis()
+        for d in range(max([*kept[weight], *greedy[weight]]) + 1):
+            for k in kept[weight].get(d, ()):
+                assert ours.add(space.basis_vectors[k]), (lam, weight, d)
+            for k in greedy[weight].get(d, ()):
+                theirs.add(vectors[k])
+            assert ours.rank == theirs.rank, (lam, weight, d)
+            assert all(theirs.contains(space.basis_vectors[k])
+                       for k in kept[weight].get(d, ())), (lam, weight, d)
 
 
-def test_full_blocks_spare_root_vector_calls(monkeypatch):
+ESSENTIAL_WEIGHTS = [
+    lam for n in (1, 2, 3, 4) for lam in itertools.product(range(3), repeat=n) if sum(lam) <= 2
+] + [(1, 1, 1), (2, 1, 0), (0, 2, 1), (1, 0, 2)]
+
+
+@pytest.mark.parametrize("lam", ESSENTIAL_WEIGHTS)
+def test_kept_exponents_are_the_polytope_points(lam):
+    # the essential exponents of the paper's order are S(lambda)
+    exponents = build_module(lam).exponents
+    assert all(polytope.contains(lam, s) for s in exponents), lam
+    assert len(exponents) == polytope.point_count(lam), lam
+    assert set(exponents) == set(polytope.enumerate_points(lam)), lam
+
+
+def test_kept_vectors_are_their_monomials():
+    # vector k is f_alpha of the vector of exponents[k] - e_alpha, alpha the
+    # outermost variable: the ordered monomial f^s v_lambda, largest factor last
+    space = build_module((1, 1, 1))
+    for vec, s in zip(space.basis_vectors, space.exponents):
+        assert monomial_vector(space.layout, {0: 1}, s) == vec, s
+
+
+def _greedy_tensor_closure(lam, mu) -> dict:
+    """tensor_cartan_dims by the closure that applies every f_alpha to every
+    kept pair vector and keeps each image that enlarges its weight's span."""
+    n = len(lam)
+    left, right = build_module(lam), build_module(mu)
+    act_left, act_right = graded_action(left), graded_action(right)
+    vectors, weights, levels = [{0: 1}], [(0,) * n], [0]
+    bases = defaultdict(IncrementalBasis)
+    bases[weights[0]].add(vectors[0])
+    for j, vec in enumerate(vectors):  # grows while it is read
+        for alpha in positive_roots(n):
+            image = oracle._apply_pair(act_left[alpha], act_right[alpha], right.dimension, vec)
+            target = tuple(a + b for a, b in zip(weights[j], simple_coefficients(alpha, n)))
+            if image and bases[target].add(image):
+                vectors.append(image)
+                weights.append(target)
+                levels.append(levels[j] + 1)
+    return dict(Counter(zip(weights, levels)))
+
+
+@pytest.mark.parametrize("lam, mu", [
+    *itertools.product([(1, 0), (0, 1)], repeat=2),
+    ((1, 0, 0), (1, 0, 0)),
+])
+def test_tensor_closure_equals_the_greedy_one(lam, mu):
+    assert tensor_cartan_dims(lam, mu) == _greedy_tensor_closure(lam, mu)
+
+
+def _count_images(monkeypatch) -> Counter:
     calls = Counter()
     original = oracle.apply_root_vector
 
@@ -440,8 +512,21 @@ def test_full_blocks_spare_root_vector_calls(monkeypatch):
         return original(layout, alpha, vec)
 
     monkeypatch.setattr(oracle, "apply_root_vector", counted)
+    return calls
+
+
+def test_full_blocks_spare_root_vector_calls(monkeypatch):
+    calls = _count_images(monkeypatch)
     assert build_module((1, 1, 1)).dimension == 512
-    assert calls["apply"] < 4608  # 512 vectors x 9 roots without the bound
+    # 1709 calls image every kept vector under every root, bounded blocks aside
+    assert calls["apply"] < 1709
+
+
+def test_graded_action_reads_kept_images_without_computing_them(monkeypatch):
+    space = build_module((1, 1, 1))
+    calls = _count_images(monkeypatch)
+    graded_action(space)
+    assert calls["apply"] <= 4608 - 511  # 512 vectors x 9 roots, less the kept images
 
 
 def test_monomial_vectors_span():
