@@ -114,6 +114,7 @@ def _report(args, payload: dict, columns: list, records=None, text=None) -> int:
 
     Without records, columns name scalar fields of the payload; with them,
     columns head the CSV rows of the records and text holds the text lines.
+    Records and text may be generators: only the chosen format reads its own.
     """
     if records is None:
         records = [{name: _scalar(payload[name]) for name in columns}]
@@ -186,12 +187,13 @@ def cmd_paths(args) -> int:
     _check_size("Dyck paths", count, PATH_LIMIT, n)
     paths = dyck.enumerate_paths(n)
     records = [[root_to_json(alpha) for alpha in path] for path in paths]
-    steps = [
+    # generators: each format builds only the rows it prints
+    steps = (
         {"path": p, "step": t, **rec}
         for p, path in enumerate(records)
         for t, rec in enumerate(path)
-    ]
-    text = [" -> ".join(map(str, path)) for path in paths]
+    )
+    text = (" -> ".join(map(str, path)) for path in paths)
     payload = _payload(args, count=len(paths), paths=records)
     return _report(args, payload, ["path", "step", "row", "col", "barred"], steps, text)
 

@@ -10,18 +10,32 @@ The polytope has one representation, the path table of a rank: one row per
 Dyck path, in path enumeration order, holding the path, its reading-order
 coordinate indices and the slice of lambda whose sum bounds it.  The table
 depends on the rank alone and is built once; the bounds of a weight are read
-off it on each use.  Every lattice-point enumeration is one depth-first walk
-over rows of (coordinates, bound) (lattice_points).  The walk first reduces
-the rows to those that can bind: coordinates on a row of bound 0 are fixed
-at 0, rows with the same remaining coordinates merge into the tightest, and a
-row implied by a tighter row over more coordinates is dropped.  It then
-assigns only the coordinates left on a kept row, and lists the values of the
-last of them in one bulk extend per branch.  What lies below a walked
-coordinate depends only on a small key: for each group of still-open rows
-that share their remaining coordinates, the smallest slack in the group.  The
-walk records, per coordinate, the span of its output that each key's first
-visit listed, and lists a repeated key by copying that span under the new
-prefix instead of walking again: the output is its own memo.
+off it on each use.
+
+S(lambda) is listed (lattice_points) and counted (_graded_counts) by one
+depth-first walk over rows of (coordinates, bound), and one plan (_plan)
+drives both.  The plan first reduces the rows, exactly, to those that can
+bind: a row with a negative bound and a coordinate leaves no point; every
+coordinate of a row with bound 0 is fixed at 0; rows with the same remaining
+("live") coordinates merge into one with the smallest bound; and a row is
+dropped when another row holds all its live coordinates with a bound no
+larger.  The walk then assigns only the coordinates left on a kept row, the
+walked coordinates, in increasing order, with one running slack per kept
+row; every other coordinate is 0.
+
+What lies below walked coordinate t depends only on its key: for each group
+of kept rows still open at t (holding a coordinate >= walked[t]) with the
+same coordinates from walked[t] on, the smallest slack in the group.  The
+key is exact.  A row whose coordinates all lie below walked[t] is settled,
+its slack >= 0 whatever follows; an open row bounds only the sum of its
+remaining coordinates; rows with the same remaining coordinates bind only as
+tightly as the smallest of their slacks; and every row holding walked[t] lies
+in some group, so the key fixes the headroom at t.  So equal keys at t have
+the same completions, in the same lexicographic order, and each walk does
+the work below a key once, on its first visit: the listing records the span
+of output that the visit listed and copies it under the prefix of each
+repeat, and the counting walk stores the table of cells below.  The groups come from one
+int mask per kept row (bit t for walked[t]), grouped by mask >> t.
 
 Membership (first_broken, contains) evaluates every row at once in one
 packed int: row p owns the W-bit field at bit p*W, and the masks of a rank
@@ -49,19 +63,9 @@ the sum of its exponents times its variables' cells (_variable_steps): the
 counting walk and the ideal side (grmod) both read cells this way.
 
 Counts, characters, graded characters and the largest degree never list the
-points: one memoized walk (_graded_counts) takes the coordinates in the same
-order and counts each suffix once.  Its memo key at coordinate i holds, for
-each distinct set of path coordinates >= i, the smallest slack among the rows
-with that set.  The key is exact: what remains of S(lambda) below i is cut
-out by those rows alone, rows sharing a remaining set bind only as tightly as
-the tightest of them, and a row with no coordinate left binds nothing.  Which
-rows share a set depends on the rank alone, so the grouping is built once per
-rank (_walk_groups) and only the bounds are read per weight; the memo lives
-for one call.  Setting coordinate i to 0 shifts no cell, so the table from
-below for 0 starts the table of i: it is shared as is when i has no headroom,
-since a stored table is never changed, and copied otherwise.  enumerate_points
-lists the points for the callers that need them, and refuses a list longer
-than POINT_LIMIT before allocating it.
+points: they read the counting walk.  enumerate_points lists the points for
+the callers that need them, and refuses a list longer than POINT_LIMIT
+before allocating it.
 
 Two classical oracles are included for independent verification, both in
 exact arithmetic: the Weyl dimension formula and Freudenthal's recursion for
@@ -123,43 +127,6 @@ def _path_table(n: int) -> tuple:
         + bound_slice(path[0].row, path[-1], n)
         for path in dyck.enumerate_paths(n)
     )
-
-
-@lru_cache(maxsize=None)
-def _walk_groups(n: int) -> tuple:
-    """The row grouping of the counting walk for rank n.
-
-    At coordinate i a row is grouped by the set of its coordinates >= i, and
-    rows with no such coordinate are gone.  Returns the level-0 groups, as
-    tuples of path-table rows, and one entry (on, kept, cut, merged) per
-    coordinate i.  ``on`` lists the groups of level i that hold i.  The
-    groups of level i + 1 come in three runs: those fed by one group of level
-    i without i (``kept`` lists it), by one group with i (``cut``), and by
-    several (``merged`` lists their pairs (feeders without i, feeders with i)).
-    """
-    rows = [frozenset(coords) for _, coords, _, _ in _path_table(n)]
-    level = list(dict.fromkeys(rows))
-    starts = tuple(
-        tuple(r for r, coords in enumerate(rows) if coords == group)
-        for group in level
-    )
-    steps = []
-    for i in range(n * n):
-        feed = {}
-        for g, group in enumerate(level):
-            if group - {i}:
-                feed.setdefault(group - {i}, ([], []))[i in group].append(g)
-        runs = ([], [], [])
-        for rest, (without, with_i) in feed.items():
-            runs[2 if len(without) + len(with_i) > 1 else bool(with_i)].append(rest)
-        steps.append((
-            tuple(g for g, group in enumerate(level) if i in group),
-            tuple(feed[rest][0][0] for rest in runs[0]),
-            tuple(feed[rest][1][0] for rest in runs[1]),
-            tuple(tuple(map(tuple, feed[rest])) for rest in runs[2]),
-        ))
-        level = runs[0] + runs[1] + runs[2]
-    return starts, tuple(steps)
 
 
 def inequalities(lam) -> list:
@@ -251,40 +218,20 @@ def contains(lam, s) -> bool:
     return lo >= 0 and _first_broken_row(lam, s, lo) is None
 
 
-def lattice_points(dim: int, rows) -> list:
-    """All non-negative integer points of length dim, in lexicographic order,
-    whose coordinates summed over each row's indices stay within its bound.
+def _plan(rows):
+    """The walk plan (walked, slack, on, ahead, keys) of rows of (coordinate
+    indices, bound), or None when a row with a coordinate has a negative bound.
 
-    The rows are a list of (coordinate indices, bound) pairs; the indices
-    within a row are distinct.  The rows are first reduced, exactly, to those
-    that can bind: a row with a negative bound and a coordinate leaves no
-    point; every coordinate of a row with bound 0 is fixed at 0; rows with the
-    same remaining ("live") coordinates merge into one with the smallest
-    bound; and a row is dropped when another row holds all its live
-    coordinates with a bound no larger.  The depth-first walk then assigns
-    only the coordinates left on a kept row, in increasing order, with one
-    running slack per kept row; every other coordinate stays 0.  At the last
-    walked coordinate every later one is 0, so each branch lists all its
-    points in one extend over precomputed tails (v, 0, ..., 0).
-
-    Above the last walked coordinate the walk lists each subtree once.  The
-    points below walked coordinate t depend only on its key: for each group
-    of kept rows still open at t (holding a coordinate >= walked[t]) with the
-    same coordinates from walked[t] on, the smallest slack in the group.
-    This is exact.  A row whose coordinates all lie below walked[t] is
-    settled, its slack >= 0 whatever follows; an open row bounds only the sum
-    of its remaining coordinates; rows with the same remaining coordinates
-    bind only as tightly as the smallest of their slacks; and every row of
-    on[t] lies in some group.  So equal keys at t have the same completions,
-    in the same lexicographic order.  The first visit of a key records the
-    span (start, end) of the output it listed; a repeat extends the output
-    with prefix + x[len(prefix):] for the points x of that span and does not
-    recurse.  No suffix list is kept: the output is its own memo.  The groups
-    come from one int mask per kept row (bit t for walked[t]), grouped by
-    mask >> t.
+    The rows are reduced as the module docstring says.  walked lists the
+    walked coordinates in increasing order and slack the bound of each kept
+    row.  For walked coordinate t, on[t] lists the kept rows that hold it,
+    ahead[t] those of them with a later coordinate, and keys[t] = (pick,
+    merged) reads its key: pick(slack) gives the slacks of the one-row groups,
+    and each getter of merged the slacks of one larger group, to take their
+    minimum.
     """
     if any(bound < 0 and coords for coords, bound in rows):
-        return []
+        return None
     zero = {i for coords, bound in rows if bound == 0 for i in coords}
     tightest = {}  # live coordinates -> smallest bound
     for coords, bound in rows:
@@ -296,31 +243,49 @@ def lattice_points(dim: int, rows) -> list:
         if not any(b <= bound and other > live for other, b in tightest.items())
     ]
     walked = sorted({i for live, _ in kept for i in live})
-    if not walked:
-        return [(0,) * dim]
-    last = len(walked) - 1
     slack = [bound for _, bound in kept]
     on = [[r for r, (live, _) in enumerate(kept) if i in live] for i in walked]
     # a row without a later coordinate needs no update once its last is set
     ahead = [[r for r in on[t] if max(kept[r][0]) > i] for t, i in enumerate(walked)]
-    # keys[t] reads the key of level t: the slacks of one-row groups through
-    # one itemgetter, then the rows of each larger group to take its minimum
     bit = {i: 1 << t for t, i in enumerate(walked)}
     rest = {}
     for r, (live, _) in enumerate(kept):
         rest.setdefault(sum(map(bit.__getitem__, live)), []).append(r)
     keys = []
-    for _ in range(last):
+    for _ in walked:
         singles = [g[0] for g in rest.values() if len(g) == 1]
         keys.append((
             itemgetter(*singles) if singles else (lambda _: ()),
-            [g for g in rest.values() if len(g) > 1],
+            [itemgetter(*g) for g in rest.values() if len(g) > 1],
         ))
         shifted = {}
         for mask, rows_m in rest.items():
             if mask > 1:
                 shifted.setdefault(mask >> 1, []).extend(rows_m)
         rest = shifted
+    return walked, slack, on, ahead, keys
+
+
+def lattice_points(dim: int, rows) -> list:
+    """All non-negative integer points of length dim, in lexicographic order,
+    whose coordinates summed over each row's indices stay within its bound.
+
+    The rows are a list of (coordinate indices, bound) pairs; the indices
+    within a row are distinct, and a coordinate on no row stays 0.  The walk
+    follows _plan.  The first visit of a key at walked coordinate t records
+    the span (start, end) of the output it listed; a repeat extends the output
+    with prefix + x[len(prefix):] for the points x of that span and does not
+    recurse.  No suffix list is kept: the output is its own memo.  At the last
+    walked coordinate every later one is 0, so each branch lists all its
+    points in one extend over precomputed tails (v, 0, ..., 0).
+    """
+    plan = _plan(rows)
+    if plan is None:
+        return []
+    walked, slack, on, ahead, keys = plan
+    if not walked:
+        return [(0,) * dim]
+    last = len(walked) - 1
     spans = [{} for _ in range(last)]  # per level: key -> span of out it listed
     # pieces[t][v]: the zeros after the previous walked coordinate, then v
     gaps = [(0,) * (i - j - 1) for j, i in zip([-1] + walked, walked)]
@@ -338,7 +303,7 @@ def lattice_points(dim: int, rows) -> list:
             out.extend(map(prefix.__add__, tails[:headroom + 1]))
             return
         pick, merged = keys[t]
-        key = (pick(slack), *[min(map(get, group)) for group in merged])
+        key = (pick(slack), *[min(group(slack)) for group in merged])
         span = spans[t].get(key)
         if span is not None:
             k = len(prefix)
@@ -430,64 +395,55 @@ def degree_of(s) -> int:
 def _graded_counts(lam, graded: bool = True) -> GradedDimensionTable:
     """Counts of S(lambda) per (weight offset, degree), no point built.
 
-    A depth-first walk of every coordinate, in increasing order, over the
-    path table, memoized on each suffix: the counts below coordinate i depend
-    only on i and, for each group of _walk_groups, the smallest slack of its
-    rows.  The key is exact: a row with no coordinate >= i binds nothing
-    below i, and rows with the same coordinates >= i bind only as tightly as
-    the smallest of their slacks.  A cell is packed into one int in base
-    ``base`` (_pack), so that setting coordinate i to v shifts every cell
-    below it by v * step[i].  With v = 0 nothing shifts, so the table from
-    below for 0 starts the table of i: with no headroom it is the table of i,
-    shared as is, and otherwise it is copied with dict() before the shifted
-    tables are added.  No stored table is ever changed, and the caller's
-    result is a new dict.  With ``graded`` false every step is 0, and the one
-    cell (0, 0) holds |S(lambda)|.
+    The walk follows _plan over the path-table rows, and stores the table of
+    cells below each key at walked coordinate t.  A cell is packed into one
+    int in base ``base`` (_pack), so setting walked[t] to v shifts every cell
+    below it by v * step[walked[t]]; a coordinate that is not walked is 0.
+    With v = 0 nothing shifts, so the table from below for 0 starts the table
+    at t: with no headroom it is shared as is, and otherwise it is copied with
+    dict() before the shifted tables are added.  No stored table is ever
+    changed, and the caller's result is a new dict.  With ``graded`` false
+    every step is 0, and the one cell (0, 0) holds |S(lambda)|.
     """
     lam = validate_weight(lam)
     n = len(lam)
-    dim = n * n
-    starts, steps = _walk_groups(n)
-    bounds = [sum(lam[a:b]) for _, _, a, b in _path_table(n)]
+    rows = [(coords, sum(lam[a:b])) for _, coords, a, b in _path_table(n)]
+    walked, slack, on, ahead, keys = _plan(rows)
     # every coordinate lies on a row and a root's simple coefficients are at
     # most 2, so base exceeds any degree, weight coordinate or slack
-    base = 2 * sum(bounds) + 1
-    step = _variable_steps(n, base) if graded else [0] * dim
-    memo = [{} for _ in range(dim)]
+    base = 2 * sum(bound for _, bound in rows) + 1
+    step = _variable_steps(n, base) if graded else [0] * (n * n)
+    stop = len(walked)
+    memo = [{} for _ in walked]  # per level: key -> table of cells below
     empty = {0: 1}
+    get = slack.__getitem__
 
-    def walk(i, slack):
-        if i == dim:
+    def walk(t):
+        if t == stop:
             return empty
-        found = memo[i].get(slack)
+        pick, merged = keys[t]
+        key = (pick(slack), *[min(group(slack)) for group in merged])
+        found = memo[t].get(key)
         if found is not None:
             return found
-        on, kept, cut, merged = steps[i]
-        headroom = min((slack[g] for g in on), default=0)
-        fixed = tuple([slack[g] for g in kept])
-        cuts = [slack[g] for g in cut]
-        sides = [
-            (min((slack[g] for g in without), default=base),
-             min((slack[g] for g in with_i), default=base))
-            for without, with_i in merged
-        ]
-        # v = 0 shifts nothing; a stored table is never changed, so copy it
-        # before the shifted tables are added
-        out = walk(i + 1, fixed + tuple(cuts + [min(k, c) for k, c in sides]))
+        headroom = min(map(get, on[t]))
+        out = walk(t + 1)
         if headroom:
             out = dict(out)
-        for v in range(1, headroom + 1):
-            shift = v * step[i]
-            below = walk(i + 1, fixed + tuple(
-                [x - v for x in cuts] + [min(k, c - v) for k, c in sides]
-            ))
-            for cell, count in below.items():
-                cell += shift
-                out[cell] = out.get(cell, 0) + count
-        memo[i][slack] = out
+            rows_t = ahead[t]
+            for v in range(1, headroom + 1):
+                for r in rows_t:
+                    slack[r] -= 1
+                shift = v * step[walked[t]]
+                for cell, count in walk(t + 1).items():
+                    cell += shift
+                    out[cell] = out.get(cell, 0) + count
+            for r in rows_t:
+                slack[r] += headroom
+        memo[t][key] = out
         return out
 
-    table = walk(0, tuple(min(bounds[r] for r in rows) for rows in starts))
+    table = walk(0)
     del walk  # the closure holds itself and the memo through its cell
     counts = {}
     for cell, count in table.items():

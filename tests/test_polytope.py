@@ -507,15 +507,18 @@ def test_rejects_bad_weights():
 
 
 # the counting walk against the listed points, on every weight with n <= 3 and
-# total <= 3, the weights of the benchmark's enumerate workload, (2,1,1,0), and
-# two zero-heavy weights whose walks share many tables unshifted
+# total <= 3, the weights of the benchmark's enumerate workload, (2,1,1,0), two
+# zero-heavy weights whose walks share many tables unshifted, and weights where
+# the row reduction fixes most coordinates, with the empty walk at rank 5
 WALK_WEIGHTS = [
     lam
     for n in (1, 2, 3)
     for lam in itertools.product(range(4), repeat=n)
     if sum(lam) <= 3
 ] + [(2, 2, 2), (1, 1, 1, 1), (0, 2, 0, 1), (0, 0, 0, 1, 1), (0, 0, 0, 0, 0, 1),
-     (1, 0, 0, 0, 0, 1), (2, 1, 1, 0), (1, 0, 0, 1, 0), (0, 1, 0, 0, 0, 0)]
+     (1, 0, 0, 0, 0, 1), (2, 1, 1, 0), (1, 0, 0, 1, 0), (0, 1, 0, 0, 0, 0),
+     (0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 2),
+     (0, 1, 0, 0, 1)]
 
 
 @pytest.mark.parametrize("lam", WALK_WEIGHTS, ids=str)
