@@ -107,7 +107,7 @@ def order_laws(max_n, max_weight, seed):
             st = grmod.monomial_compare(s, t)
             ts = grmod.monomial_compare(t, s)
             shifted = grmod.monomial_compare(
-                tuple(a + b for a, b in zip(s, u)), tuple(a + b for a, b in zip(t, u))
+                tuple(map(add, s, u)), tuple(map(add, t, u))
             )
             su = grmod.monomial_compare(s, sample(n, degree + 1))
             yield (

@@ -53,6 +53,7 @@ from .rootsys import (
     path_bound,
     positive_roots,
     root_index_map,
+    row_slices,
     simple_coefficients,
     validate_exponent,
     validate_weight,
@@ -169,23 +170,36 @@ def column_sum(s, value: int, barred: bool, n: int) -> int:
 
 
 def row_sum(s, r: int, n: int) -> int:
-    """Sum of s over row r."""
-    return sum(x for alpha, x in zip(positive_roots(n), s) if alpha.row == r)
+    """Sum of s over row r, one slice of the reading order."""
+    if not 1 <= r <= n:
+        raise ValueError(f"row {r} outside 1..{n}")
+    return sum(s[row_slices(n)[n - r]])
 
 
 def monomial_compare(s, t) -> str:
     """Compare multi-exponents in the straightening order: 'less' means the
-    first argument precedes (is smaller than) the second."""
+    first argument precedes (is smaller than) the second.
+
+    The stages are those of ``order_key``, run one at a time: the result is
+    decided at the first stage where s and t differ, and no key is built.
+    """
     if len(s) != len(t):
         raise ValueError("multi-exponents of different ranks are not comparable")
     n = math.isqrt(len(s))
     if n * n != len(s):
         raise ValueError(
             f"multi-exponent needs a square number of coordinates, got {len(s)}")
-    ks, kt = order_key(s, n), order_key(t, n)
-    if ks == kt:
-        return "equal"
-    return "less" if ks < kt else "greater"
+    a, b = sum(s), sum(t)
+    if a != b:
+        return "less" if a > b else "greater"
+    for rows in row_slices(n):
+        a, b = sum(s[rows]), sum(t[rows])
+        if a != b:
+            return "less" if a < b else "greater"
+    for a, b in zip(reversed(s), reversed(t)):
+        if a != b:
+            return "less" if a > b else "greater"
+    return "equal"
 
 
 # ---------------------------------------------------------------------------

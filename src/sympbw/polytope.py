@@ -14,12 +14,12 @@ off it on each use.
 
 S(lambda) is listed (lattice_points) and counted (_graded_counts) by one
 depth-first walk over rows of (coordinates, bound), and one plan (_plan)
-drives both.  The plan first reduces the rows, exactly, to those that can
-bind: a row with a negative bound and a coordinate leaves no point; every
-coordinate of a row with bound 0 is fixed at 0; rows with the same remaining
-("live") coordinates merge into one with the smallest bound; and a row is
-dropped when another row holds all its live coordinates with a bound no
-larger.  The walk then assigns only the coordinates left on a kept row, the
+drives both.  The plan first reduces the rows (_reduce), exactly, to those
+that can bind: a row with a negative bound and a coordinate leaves no point;
+every coordinate of a row with bound 0 is fixed at 0; rows with the same
+remaining ("live") coordinates merge into one with the smallest bound; and a
+row is dropped when another row holds all its live coordinates with a bound
+no larger.  The walk then assigns only the coordinates left on a kept row, the
 walked coordinates, in increasing order, with one running slack per kept
 row; every other coordinate is 0.
 
@@ -218,17 +218,13 @@ def contains(lam, s) -> bool:
     return lo >= 0 and _first_broken_row(lam, s, lo) is None
 
 
-def _plan(rows):
-    """The walk plan (walked, slack, on, ahead, keys) of rows of (coordinate
-    indices, bound), or None when a row with a coordinate has a negative bound.
+def _reduce(rows):
+    """The kept rows (live coordinates, bound) of rows of (coordinate
+    indices, bound), reduced as the module docstring says, or None when a
+    row with a coordinate has a negative bound.
 
-    The rows are reduced as the module docstring says.  walked lists the
-    walked coordinates in increasing order and slack the bound of each kept
-    row.  For walked coordinate t, on[t] lists the kept rows that hold it,
-    ahead[t] those of them with a later coordinate, and keys[t] = (pick,
-    merged) reads its key: pick(slack) gives the slacks of the one-row groups,
-    and each getter of merged the slacks of one larger group, to take their
-    minimum.
+    Only a larger set of live coordinates can be a proper superset, so each
+    set is tested against the sets of larger sizes alone.
     """
     if any(bound < 0 and coords for coords, bound in rows):
         return None
@@ -238,10 +234,34 @@ def _plan(rows):
         live = frozenset(coords).difference(zero)
         if live and tightest.get(live, bound) >= bound:
             tightest[live] = bound
-    kept = [
+    by_size = {}
+    for live, bound in tightest.items():
+        by_size.setdefault(len(live), []).append((live, bound))
+    larger = {}  # size -> the sets of every larger size
+    above = []
+    for size in sorted(by_size, reverse=True):
+        larger[size] = above
+        above = above + by_size[size]
+    return [
         (live, bound) for live, bound in tightest.items()
-        if not any(b <= bound and other > live for other, b in tightest.items())
+        if not any(b <= bound and live < other for other, b in larger[len(live)])
     ]
+
+
+def _plan(rows):
+    """The walk plan (walked, slack, on, ahead, keys) of rows of (coordinate
+    indices, bound), or None when a row with a coordinate has a negative bound.
+
+    The rows are reduced by _reduce.  walked lists the walked coordinates in
+    increasing order and slack the bound of each kept row.  For walked
+    coordinate t, on[t] lists the kept rows that hold it, ahead[t] those of
+    them with a later coordinate, and keys[t] = (pick, merged) reads its key:
+    pick(slack) gives the slacks of the one-row groups, and each getter of
+    merged the slacks of one larger group, to take their minimum.
+    """
+    kept = _reduce(rows)
+    if kept is None:
+        return None
     walked = sorted({i for live, _ in kept for i in live})
     slack = [bound for _, bound in kept]
     on = [[r for r, (live, _) in enumerate(kept) if i in live] for i in walked]

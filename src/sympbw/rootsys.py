@@ -14,7 +14,9 @@ alpha_{i,i}, ..., alpha_{i,n}, alpha_{i,bar(n-1)}, ..., alpha_{i,bar(i)}.
 
 Multi-exponents s, one entry per positive root in reading order, are
 ordered by ``order_key``, the straightening order that both the ideal side
-and the module closure read.
+and the module closure read; ``grmod.monomial_compare`` compares two of them
+stage by stage and stops at the first stage that differs.  Each row is one
+slice of the reading order (``row_slices``), so a row sum sums one slice.
 
 The module also provides an explicit 2n x 2n matrix realization of sp_{2n},
 its matrices stored sparse and multiplied on the linalg kernel, supplying
@@ -192,22 +194,35 @@ def variable_key(alpha: PositiveRoot, n: int) -> tuple:
     return (alpha.row, index_position(alpha.col, n))
 
 
+@lru_cache(maxsize=None)
+def row_slices(n: int) -> tuple:
+    """The slice of reading-order coordinates that holds each row, bottom
+    row first: row r is entry n - r, and the rows above it hold
+    (r-1)(2n+1-r) roots, 2(n-k)+1 in row k."""
+    validate_rank(n)
+    return tuple(
+        slice((r - 1) * (2 * n + 1 - r), r * (2 * n - r)) for r in range(n, 0, -1)
+    )
+
+
 def d_vector(s, n: int) -> tuple:
     """Row sums read bottom row first: (s_{n,*}, ..., s_{1,*})."""
-    sums = [0] * n
-    for alpha, x in zip(positive_roots(n), s):
-        sums[alpha.row - 1] += x
-    return tuple(reversed(sums))
+    return tuple([sum(s[rows]) for rows in row_slices(n)])
 
 
 def order_key(s, n: int) -> tuple:
     """Sort key realizing the straightening order: ascending key = earlier.
 
-    A monomial precedes another when its total degree is larger; on equal
-    degree when its bottom-up row-sum vector is lexicographically smaller;
-    and on ties when it is larger in the homogeneous lexicographic order
-    taken along the variables from the largest downward, which is s read
-    backwards: the reading order is the variable order.
+    The order compares two monomials in three stages, each deciding only on
+    a tie of the one before:
+      1. the total degree: the larger degree comes first;
+      2. the row sums, bottom row first (``d_vector``): at the first row
+         whose sums differ, the smaller sum comes first;
+      3. the coordinates from the largest variable down, which is s read
+         backwards, the reading order being the variable order: at the first
+         coordinate that differs, the larger entry comes first.
+    ``grmod.monomial_compare`` runs the stages one by one and stops at the
+    first difference; this key holds all three at once.
     """
     return (-sum(s), d_vector(s, n), tuple([-x for x in reversed(s)]))
 

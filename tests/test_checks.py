@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from sympbw import checks, grmod, polytope
-from sympbw.rootsys import simple_root
+from sympbw.rootsys import row_slices, simple_root
 
 
 def stub(*counts):
@@ -102,3 +104,33 @@ def test_character_catches_a_faulty_freudenthal_table(monkeypatch, fault):
     (record,) = checks.run("character", 3, 2, 0)
     # every one of the 16 weights with n <= 3 and 1 <= sum <= 2 is caught
     assert (record["status"], record["actual"]) == ("fail", 16)
+
+
+def _faulty_compare(fault):
+    """The lazy straightening comparison with one stage broken."""
+    def compare(s, t):
+        a, b = sum(s), sum(t)
+        if a != b and fault != "ignores degree":
+            return "less" if a > b else "greater"
+        for rows in row_slices(math.isqrt(len(s))):
+            a, b = sum(s[rows]), sum(t[rows])
+            if a != b:
+                # the fault answers "less" for a larger first sum as well
+                return "less" if a < b or fault == "flips row sums" else "greater"
+        for a, b in zip(reversed(s), reversed(t)):
+            if a != b:
+                return "less" if a > b else "greater"
+        return "equal"
+
+    return compare
+
+
+@pytest.mark.parametrize("fault", ["ignores degree", "flips row sums"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_order_laws_catch_a_faulty_comparison(monkeypatch, fault, seed):
+    # Reversing the row-sum stage both ways gives another monomial order,
+    # which no law can tell apart; test_grmod pins the direction by hand.
+    assert checks.run("order", 4, 2, seed)[0]["actual"] == 0
+    monkeypatch.setattr(grmod, "monomial_compare", _faulty_compare(fault))
+    (record,) = checks.run("order", 4, 2, seed)
+    assert record["status"] == "fail" and record["actual"] > 0

@@ -150,6 +150,81 @@ def test_order_key_agrees_with_compare():
         assert (ks == kt) == (rel == "equal")
 
 
+def _row_permuted(rng, s, n):
+    """s with the entries of one row shuffled: same degree and row sums."""
+    roots = positive_roots(n)
+    row = rng.randint(1, n)
+    slots = [k for k, alpha in enumerate(roots) if alpha.row == row]
+    values = [s[k] for k in slots]
+    rng.shuffle(values)
+    t = list(s)
+    for k, x in zip(slots, values):
+        t[k] = x
+    return tuple(t)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_compare_agrees_with_order_key_on_ties(n):
+    # the lazy comparison stops at the first stage that differs, so draw
+    # pairs that tie at each stage: equal degree, equal row sums, equal
+    rng = random.Random(100 + n)
+    cases = {"degree": 0, "rows": 0, "equal": 0}
+    for _ in range(300):
+        s = tuple(rng.randint(0, 3) for _ in range(n * n))
+        kind = rng.choice(["random", "degree", "rows", "equal"])
+        if kind == "random":
+            t = tuple(rng.randint(0, 3) for _ in range(n * n))
+        elif kind == "degree":
+            t = list(s)
+            k, j = rng.randrange(n * n), rng.randrange(n * n)
+            if t[k]:
+                t[k] -= 1
+                t[j] += 1
+            t = tuple(t)
+        elif kind == "rows":
+            t = _row_permuted(rng, s, n)
+        else:
+            t = s
+        ks, kt = order_key(s, n), order_key(t, n)
+        cases["degree"] += ks[0] == kt[0]
+        cases["rows"] += ks[:2] == kt[:2]
+        cases["equal"] += s == t
+        for a, b, ka, kb in ((s, t, ks, kt), (t, s, kt, ks)):
+            rel = monomial_compare(a, b)
+            assert (rel == "less") == (ka < kb)
+            assert (rel == "equal") == (ka == kb) == (a == b)
+    assert cases["equal"] > 30
+    if n > 1:  # in rank 1 equal degrees are equal exponents
+        assert cases["degree"] > cases["rows"] + 20
+        assert cases["rows"] > cases["equal"] + 20
+
+
+def test_compare_reads_lists_as_tuples():
+    s = (1, 0, 2, 0)
+    assert monomial_compare(list(s), s) == "equal"
+    assert monomial_compare([0, 1, 0, 0], (0, 0, 0, 1)) == "less"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_row_sums_match_the_per_root_loop(n):
+    rng = random.Random(n)
+    roots = positive_roots(n)
+    for _ in range(20):
+        s = tuple(rng.randint(0, 5) for _ in range(n * n))
+        sums = {r: 0 for r in range(1, n + 1)}
+        for alpha, x in zip(roots, s):
+            sums[alpha.row] += x
+        assert d_vector(s, n) == tuple(sums[r] for r in range(n, 0, -1))
+        for r in range(1, n + 1):
+            assert row_sum(s, r, n) == sums[r]
+
+
+def test_row_sum_refuses_a_row_outside_the_rank():
+    for r in (0, 3, -1):
+        with pytest.raises(ValueError, match=f"row {r} outside 1..2"):
+            row_sum((1, 2, 3, 4), r, 2)
+
+
 # ---------------------------------------------------------------------------
 # derivations
 # ---------------------------------------------------------------------------

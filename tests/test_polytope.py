@@ -530,6 +530,43 @@ def test_walk_matches_listed_points(lam):
     assert point_count(lam) == len(points) == weyl_dim(lam)
 
 
+def _pairwise_reduction(rows):
+    """The row reduction as first written, each live set tested against every
+    other: the reference for polytope._reduce."""
+    if any(bound < 0 and coords for coords, bound in rows):
+        return None
+    zero = {i for coords, bound in rows if bound == 0 for i in coords}
+    tightest = {}
+    for coords, bound in rows:
+        live = frozenset(coords).difference(zero)
+        if live and tightest.get(live, bound) >= bound:
+            tightest[live] = bound
+    return [
+        (live, bound) for live, bound in tightest.items()
+        if not any(b <= bound and other > live for other, b in tightest.items())
+    ]
+
+
+REDUCE_WEIGHTS = [
+    lam
+    for n in range(1, 7)
+    for lam in itertools.product(range(2), repeat=n)
+    if sum(lam) <= 1
+] + [(1, 1, 1, 1, 1), (0, 0, 0, 0, 2)]
+
+
+@pytest.mark.parametrize("lam", REDUCE_WEIGHTS, ids=str)
+def test_reduce_keeps_the_pairwise_rows_in_order(lam):
+    rows = [(coords, sum(lam[a:b])) for _, coords, a, b in polytope._path_table(len(lam))]
+    assert polytope._reduce(rows) == _pairwise_reduction(rows)
+
+
+def test_reduce_refuses_a_negative_bound():
+    rows = [((0, 1), 2), ((1,), -1)]
+    assert polytope._reduce(rows) is None is _pairwise_reduction(rows)
+    assert polytope._reduce([((), -1), ((0,), 1)]) == [(frozenset({0}), 1)]
+
+
 def test_graded_character_is_fresh_on_every_call():
     # the counting walk shares its stored tables, so each result is a new dict
     for lam in ((1, 0, 0, 1, 0), (0, 1, 0, 0, 0, 0), (1, 1)):
