@@ -15,9 +15,13 @@ import sys
 from operator import add
 
 from . import decomp, dyck, grmod, oracle, polytope
-from .rootsys import epsilon_coords, positive_roots, simple_root
+from .rootsys import epsilon_coords, order_key, positive_roots, simple_root
 
 ORDER_TRIPLES = 2000
+# (s, t), s first in the straightening order at n = 2, decided by degree,
+# row sums and coordinates in turn
+ORDER_PAIRS = (((2, 0, 0, 0), (1, 0, 0, 0)), ((1, 0, 0, 0), (0, 0, 0, 1)),
+               ((0, 0, 1, 0), (1, 0, 0, 0)))
 
 
 def _weights(max_n: int, max_weight: int, lo: int = 1):
@@ -89,7 +93,9 @@ def straightening(max_n, max_weight, seed):
 
 
 def order_laws(max_n, max_weight, seed):
-    """Each seeded triple counts up to four broken laws of the monomial order."""
+    """Each seeded triple counts up to four broken laws of the monomial order;
+    each hand pair of ORDER_PAIRS, which fix its direction, counts whether
+    monomial_compare or order_key puts it the wrong way round."""
     rng = random.Random(seed)
     max_n = min(max_n, 4)
 
@@ -116,6 +122,9 @@ def order_laws(max_n, max_weight, seed):
                 + (shifted != st)
                 + (su != "greater")  # lower degree comes later in the order
             )
+        for s, t in ORDER_PAIRS:
+            yield ((grmod.monomial_compare(s, t), grmod.monomial_compare(t, s))
+                   != ("less", "greater")) + (order_key(s, 2) >= order_key(t, 2))
 
     return {"max_n": max_n, "triples": ORDER_TRIPLES, "seed": seed}, failures()
 
@@ -187,6 +196,9 @@ def tensor_cartan(max_n, max_weight, seed):
         pairs += list(itertools.product([(1, 0), (0, 1)], repeat=2))
     if max_n >= 3:
         pairs.append(((1, 0, 0), (1, 0, 0)))
+    if max_n >= 4:
+        pairs += [((0, 0, 0, 1), (0, 0, 0, 1)), ((1, 0, 0, 0), (0, 0, 1, 0)),
+                  ((0, 1, 0, 0), (0, 0, 1, 0))]
     return {"pairs": len(pairs)}, (
         oracle.tensor_cartan_dims(lam, mu)
         != oracle.pbw_filtration_dims(tuple(a + b for a, b in zip(lam, mu)))

@@ -29,10 +29,10 @@ theorem amounts to their being S(lambda).  A divisor of an essential s is
 essential, so s is t + e_alpha with t essential of degree d - 1 and alpha
 the outermost variable of s, and only those pairs (t, alpha) are imaged.
 Every kept vector is therefore f_alpha of an earlier kept vector, the
-ordered monomial f^s v_lambda, tagged with its exponent s.  The closure also stops each
-weight block mu at the multiplicity m(mu) from Freudenthal's recursion:
-V(lambda) has no more, so an image into a full block lies in its span and
-is skipped before it is computed.
+ordered monomial f^s v_lambda, tagged with its exponent s; its level is |s|.
+The closure also stops each weight block mu at the multiplicity m(mu) from
+Freudenthal's recursion: V(lambda) has no more, so an image into a full
+block lies in its span and is skipped before it is computed.
 
 Each part of the result is certified apart.  The weights: ``build_module``
 first checks the layout against the weight shifts that tag the closure:
@@ -48,10 +48,11 @@ the table exact and the closure complete.  Any wrong table, too large, too
 small or missing a weight, raises RuntimeError.  The levels: a vector kept
 at level d is a product of d lowering operators on v_lambda, so it lies in
 F_d; that it lies outside F_{d-1} rests on the essential-monomial theorem.
-``graded_action`` certifies the level tags whenever it runs: it raises when
-f_alpha takes a vector of level d to a component of level above d + 1, and
-with that the tagged filtration contains the true one, which contains it by
-construction.
+``graded_action`` certifies the level tags whenever it runs: S(n^-) is
+commutative, so it takes the column of s and alpha as the kept vector of
+s + e_alpha whenever that is kept, for every alpha, solves the rest and
+raises on a level jump above one; by induction on d the kept vectors of
+level <= d then span F_d, so the tags are the true filtration.
 The tensor-product closure of ``tensor_cartan_dims`` is the same closure on
 the commuting graded action, without a bound: its block sizes are what the
 ``tensor-cartan`` check compares with the module of lambda + mu, and
@@ -101,7 +102,7 @@ class RepresentationSpace(NamedTuple):
     lam: tuple
     basis_vectors: list  # raw spanning vectors, in discovery order
     weight_tags: list  # weight offset of each basis vector (simple-root coords)
-    level_tags: list  # minimal number of lowering operators reaching it
+    level_tags: list  # the degree of its exponent: fewest lowering operators reaching it
     layout: WedgeLayout  # the keys of basis_vectors
     exponents: list  # the essential exponent s of each basis vector: f^s v_lambda
 
@@ -114,31 +115,18 @@ class RepresentationSpace(NamedTuple):
 # lowering operators on wedge tensors
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _lowering_columns(n: int) -> dict:
-    """Sparse columns of every f_alpha matrix: {alpha: {letter: ((letter, c), ...)}},
-    each column's entries in ascending letter order."""
-    realization = chevalley_realization(n)
-    out = {}
-    for alpha in positive_roots(n):
-        cols = out[alpha] = {}
-        for (b, a), c in sorted(realization.f_root(alpha).items()):
-            cols[a] = cols.get(a, ()) + ((b, c),)
-    return out
-
-
 def _slot_images(n: int, alpha, slot: tuple) -> tuple:
-    """One step of f_alpha as a derivation on a single wedge factor, with signs."""
-    cols = _lowering_columns(n)[alpha]
+    """One step of f_alpha as a derivation on a single wedge factor, with
+    signs, read off the realization's entries (b, a): c, e_a to c * e_b."""
     out = []
-    for p, a in enumerate(slot):
-        for b, c in cols.get(a, ()):
-            if b in slot:
-                continue
-            rest = slot[:p] + slot[p + 1:]
-            pos = bisect_left(rest, b)
-            sign = -1 if (p + pos) % 2 else 1
-            out.append((rest[:pos] + (b,) + rest[pos:], sign * c))
+    for (b, a), c in chevalley_realization(n).f_root(alpha).items():
+        if a not in slot or b in slot:
+            continue
+        p = slot.index(a)
+        rest = slot[:p] + slot[p + 1:]
+        pos = bisect_left(rest, b)
+        sign = -1 if (p + pos) % 2 else 1
+        out.append((rest[:pos] + (b,) + rest[pos:], sign * c))
     return tuple(out)
 
 
@@ -221,12 +209,6 @@ def _check_lowering(layout: WedgeLayout) -> None:
 # module construction
 # ---------------------------------------------------------------------------
 
-def _outermost(s: tuple) -> int:
-    """Index of the last nonzero entry of s: the outermost variable of f^s,
-    the one applied last.  0 for s = 0, so every variable may follow it."""
-    return max((i for i, x in enumerate(s) if x), default=0)
-
-
 def _close(n: int, start: dict, act, bound: dict | None = None) -> tuple:
     """Close start under act(alpha, vec) over its essential monomials, level by level.
 
@@ -244,15 +226,15 @@ def _close(n: int, start: dict, act, bound: dict | None = None) -> tuple:
     by order_key, each once, into an untracked basis of that weight: the
     weight offset of its source lowered by alpha.  The kept vectors of lower
     levels span F_{d-1} there, so an image that enlarges the span is the
-    next essential s; it is kept and tagged with s, that offset and d.
-    That it has that weight is for the caller to certify, once, on the
+    next essential s; it is kept and tagged with s, of degree d, and that
+    offset.  That it has that weight is for the caller to certify, once, on the
     operators behind act.  With a bound {weight offset: size}, a candidate
     whose target block already holds bound[target] vectors (0 for a target
     missing from it) is skipped before act is called.  Returns the kept
-    vectors, start first, with their exponents, weight offsets and levels.
+    vectors, start first, with their exponents and weight offsets.
     """
     steps = _lowering_steps(n)
-    vectors, exponents, weights, levels = [start], [(0,) * len(steps)], [(0,) * n], [0]
+    vectors, exponents, weights = [start], [(0,) * len(steps)], [(0,) * n]
     bases = defaultdict(IncrementalBasis)  # weight offset -> its span so far
     bases[weights[0]].add(start)
 
@@ -261,13 +243,12 @@ def _close(n: int, start: dict, act, bound: dict | None = None) -> tuple:
         return bound is not None and (basis.rank if basis else 0) >= bound.get(target, 0)
 
     frontier = range(1)
-    level = 0
     while frontier:
-        level += 1
         blocks = defaultdict(list)  # target weight -> [(exponent, source, root index)]
         for j in frontier:
             t, weight = exponents[j], weights[j]
-            for i in range(_outermost(t), len(steps)):
+            outermost = max((r for r, x in enumerate(t) if x), default=0)  # 0 for t = 0
+            for i in range(outermost, len(steps)):
                 target = tuple(map(add, weight, steps[i][1]))
                 if not full(target):
                     blocks[target].append((t[:i] + (t[i] + 1,) + t[i + 1:], j, i))
@@ -282,9 +263,8 @@ def _close(n: int, start: dict, act, bound: dict | None = None) -> tuple:
                     vectors.append(image)
                     exponents.append(s)
                     weights.append(target)
-                    levels.append(level)
         frontier = range(frontier.stop, len(vectors))  # the vectors of this level
-    return vectors, exponents, weights, levels
+    return vectors, exponents, weights
 
 
 def _checked_layout(lam: tuple, cap: int) -> WedgeLayout:
@@ -315,15 +295,15 @@ def build_module(lam, cap: int = 20000) -> RepresentationSpace:
     trusting the table: RuntimeError unless every block holds exactly its
     table entry and the total is weyl_dim(lam).  No block can exceed its
     true multiplicity, so the two together prove the table exact and the
-    closure complete.  The level tags rest on the essential-monomial
-    theorem; graded_action checks them.
+    closure complete.  The level tags are the exponents' degrees; they rest
+    on the essential-monomial theorem, and graded_action certifies them.
     """
     lam = validate_weight(lam)
     n = len(lam)
     layout = _checked_layout(lam, cap)
     _check_lowering(layout)
     table = freudenthal_multiplicities(lam)
-    vectors, exponents, weights, levels = _close(
+    vectors, exponents, weights = _close(
         n, {0: 1}, partial(apply_root_vector, layout), table)
     blocks = Counter(weights)
     for weight in dict.fromkeys([*table, *blocks]):
@@ -337,6 +317,7 @@ def build_module(lam, cap: int = 20000) -> RepresentationSpace:
         raise RuntimeError(
             f"module holds {len(vectors)} vectors where the Weyl dimension {dim} was expected"
         )
+    levels = [sum(s) for s in exponents]
     return RepresentationSpace(n, lam, vectors, weights, levels, layout, exponents)
 
 
@@ -357,20 +338,24 @@ def graded_action(space: RepresentationSpace) -> dict:
     """Matrices {alpha: {src: {dst: c}}} of the f_alpha on the associated graded module.
 
     Basis vector j of level d maps into the level d+1 slice; components of
-    lower level project away in the graded quotient.  Every kept vector k > 0
-    is f_alpha applied to the vector of exponents[k] - e_alpha, alpha the
-    outermost variable of exponents[k], so that column is {k: 1} with no
-    image computed.  The other columns are solved: coordinates come from one
+    lower level project away in the graded quotient.  Vector j is the
+    ordered monomial f^s v_lambda, s = exponents[j].  When s + e_alpha is
+    kept as exponents[k], for any alpha, the column is {k: 1} with no image
+    computed.  The other columns are solved: coordinates come from one
     tracked basis per weight space, fed that weight's module vectors in
-    position order, so add index k is the k-th module vector of its weight.
+    position order, so add index k is the k-th module vector of its weight,
+    and a component of level above d + 1 raises RuntimeError.
+
+    Certificate: f_alpha f^s v - f^{s+e_alpha} v lies in F_{|s|}, because
+    reordering an ordered product adds only commutator terms with fewer
+    factors.  Induction on d: if the kept vectors of level <= d span F_d,
+    every unit pair lands in the span of the kept vectors of level <= d + 1,
+    and every solved pair does too, by the level-jump check.  So the kept
+    vectors of level <= d + 1 span F_{d+1}.
     """
     n, layout = space.n, space.layout
     levels = space.level_tags
     position = {s: k for k, s in enumerate(space.exponents)}
-    free = {}  # (root index, source position) -> the kept vector that is its image
-    for k, s in enumerate(space.exponents[1:], start=1):
-        r = _outermost(s)
-        free[r, position[s[:r] + (s[r] - 1,) + s[r + 1:]]] = k
     members = defaultdict(list)  # weight offset -> module positions, in order
     bases = defaultdict(lambda: IncrementalBasis(track_combinations=True))
     for j, (vec, weight) in enumerate(zip(space.basis_vectors, space.weight_tags)):
@@ -379,8 +364,8 @@ def graded_action(space: RepresentationSpace) -> dict:
     action = {}
     for r, (alpha, coeffs) in enumerate(_lowering_steps(n)):
         mat = {}
-        for j, vec in enumerate(space.basis_vectors):
-            k = free.get((r, j))
+        for j, (vec, s) in enumerate(zip(space.basis_vectors, space.exponents)):
+            k = position.get(s[:r] + (s[r] + 1,) + s[r + 1:])
             if k is not None:
                 mat[j] = {k: 1}
                 continue
@@ -466,14 +451,12 @@ def tensor_cartan_dims(lam, mu, cap: int = 20000) -> dict:
 
     Every pair the closure keeps has the weight and degree it is tagged
     with, by construction.  The factors' weights and completeness are
-    certified by build_module.  graded_action takes a column either as a
-    kept vector of level one higher, when that vector is the image itself,
-    or solves it in the basis of the target weight, raising "module is not
-    closed" when the image is not in that span; it keeps only the entries of
-    level one higher and raises on a larger jump, which certifies the
-    factors' level tags.  So f_alpha takes a pair of weight w and degree d
-    only to pairs of weight w lowered by alpha and degree d + 1, the tag
-    that _close records.
+    certified by build_module, their level tags by graded_action, whose
+    column of s and alpha is the kept vector of s + e_alpha when that is
+    kept and is solved otherwise, a level jump above one raising.  So
+    f_alpha takes a pair of weight w and degree d only to pairs of weight w
+    lowered by alpha and degree d + 1: the degree of the exponent that
+    _close tags the pair with.
     """
     lam = validate_weight(lam)
     mu = validate_weight(mu)
@@ -489,7 +472,7 @@ def tensor_cartan_dims(lam, mu, cap: int = 20000) -> dict:
         act_right = graded_action(right)
 
     width = right.dimension
-    *_, weights, levels = _close(
+    _, exponents, weights = _close(
         n, {0: 1},
         lambda alpha, vec: _apply_pair(act_left[alpha], act_right[alpha], width, vec))
-    return dict(Counter(zip(weights, levels)))
+    return dict(Counter(zip(weights, map(sum, exponents))))

@@ -526,7 +526,11 @@ def test_graded_action_reads_kept_images_without_computing_them(monkeypatch):
     space = build_module((1, 1, 1))
     calls = _count_images(monkeypatch)
     graded_action(space)
-    assert calls["apply"] <= 4608 - 511  # 512 vectors x 9 roots, less the kept images
+    kept = set(space.exponents)
+    unkept = sum(s[:r] + (s[r] + 1,) + s[r + 1:] not in kept
+                 for s in space.exponents for r in range(len(s)))
+    assert unkept == 4608 - 1702  # 512 vectors x 9 roots, less the pairs read as units
+    assert calls["apply"] == unkept
 
 
 def test_monomial_vectors_span():
