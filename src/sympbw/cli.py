@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=_int_at_least(0), default=None,
                    help="truncate the table at this total degree")
     p.add_argument("--cap", type=_int_at_least(1), default=200000,
-                   help="abort if a cell has more standard monomials than this")
+                   help="abort if a cell keeps more monomials than this")
 
     p = add("straighten", "straightening element and normal form of a monomial",
             cmd_straighten)

@@ -8,10 +8,10 @@ dimensions, the degree/row-sum/lex monomial order, and the explicit operator
 composites whose value on a high power of the long-root variable is a
 straightening relation with prescribed leading term.
 
-Many closure elements of the ideal are single monomials.  The quotient
-dimensions count the standard monomials, those that no single-term element
-divides, found by a walk degree by degree, and subtract the rank of the
-other closure multiples restricted to them, row reduced one cell at a time.
+The quotient dimensions come from one walk degree by degree that keeps the
+monomials outside a span of monomials inside I(lambda): it drops those that
+a single-term closure element divides and those found in I(lambda) as a
+cell is reduced, and row reduces only the other closure multiples.
 
 Coefficients follow the number rule of ``linalg``: an int stays an int, a
 Fraction stays a Fraction, a float or any other number is refused with
@@ -33,6 +33,7 @@ frame.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -267,70 +268,65 @@ def base_relations(lam) -> list:
 
 
 def ideal_generators(lam) -> IdealGenerators:
-    """Close the defining powers under the n simple-root derivations."""
+    """Close the defining powers under the n simple-root derivations.
+
+    The span is the direct sum of its cells (weight, degree), so each cell
+    keeps its own basis.  A derivative keeps the degree, so packed in base
+    2 * (the largest power's degree) + 1, no digit of a cell carries."""
     lam = validate_weight(lam)
     n = len(lam)
     simples = [make_root(k, k, False, n) for k in range(1, n + 1)]
     rels = base_relations(lam)
-    basis = IncrementalBasis()
-    closure = [P for P in rels if basis.add(P.terms)]
+    bases = defaultdict(IncrementalBasis)  # packed (weight, degree) -> its basis
+    steps = _variable_steps(n, 2 * max(sum(s) for P in rels for s in P.terms) + 1)
+
+    def enlarges(P):
+        return bases[sum(map(mul, next(iter(P.terms)), steps))].add(P.terms)
+
+    closure = [P for P in rels if enlarges(P)]
     for P in closure:  # grows while it is read: each kept element is derived once
         for beta in simples:
             Q = partial_op(beta, P)
-            if not Q.is_zero() and basis.add(Q.terms):
+            if not Q.is_zero() and enlarges(Q):
                 closure.append(Q)
     return IdealGenerators(tuple(rels), tuple(closure))
 
 
-def _standard_monomials(n: int, max_degree: int, forbidden, cap: int) -> dict:
-    """The standard monomials of degree <= max_degree, grouped by cell: the
-    exponents that no exponent in `forbidden` divides.
-
-    An exponent is packed in base max_degree + 1 and its cell (weight,
-    degree) in base 4 * max_degree + 1, each cell digit raised by
-    2 * max_degree (see ``quotient_graded_dims``); the dict maps packed cell
-    -> packed exponents.  The walk goes degree by degree, and a variable
-    steps the exponent by its place and the cell by its packed step.  A
-    candidate of the next degree is kept when it is not forbidden and it was
-    reached from as many standard monomials as it has variables in its
-    support, i.e. when each of its divisors of one degree less is standard;
-    the standard set is closed under division, so the test is exact.  A cell
-    with more than cap monomials raises ValueError as its degree is formed.
-    """
-    dim = n * n
-    base, cell_base = max_degree + 1, 4 * max_degree + 1
-    lift = _pack([2 * max_degree] * (n + 1), cell_base)
-    steps = [
-        (base ** (dim - 1 - i), step, 1 << i)
-        for i, step in enumerate(_variable_steps(n, cell_base))
-    ]
-    cells = {lift: [0]}
-    level = {0: (lift, 0)}  # exponent -> (cell, bitmask of its support)
-    for _ in range(max_degree):
-        reached = {}  # exponent -> [standard divisors found, cell, support]
-        for s, (cell, support) in level.items():
+def _next_degree(level: dict, n: int, max_degree: int, forbidden) -> dict:
+    """The monomials of the next degree not in `forbidden` whose divisors of
+    one degree less are all in `level`, that is, that are reached from as
+    many of them as their support has variables.  Packed as in
+    ``quotient_graded_dims``, level maps cell -> {exponent: support bitmask},
+    and so does the result."""
+    steps = [((max_degree + 1) ** (n * n - 1 - i), step, 1 << i)
+             for i, step in enumerate(_variable_steps(n, 4 * max_degree + 1))]
+    reached = {}  # exponent -> [divisors in level, cell, support]
+    for cell, monos in level.items():
+        for s, support in monos.items():
             for place, step, bit in steps:
-                t = s + place
-                seen = reached.get(t)
+                seen = reached.get(s + place)
                 if seen is None:
-                    reached[t] = [1, cell + step, support | bit]
+                    reached[s + place] = [1, cell + step, support | bit]
                 else:
                     seen[0] += 1
-        level = {}
-        formed = {}
-        for t, (count, cell, support) in reached.items():
-            if count == support.bit_count() and t not in forbidden:
-                level[t] = (cell, support)
-                formed.setdefault(cell, []).append(t)
-        for cell, monos in formed.items():
-            if len(monos) > cap:
-                *mu, d = _unpack(cell - lift, cell_base, n + 1)
-                raise ValueError(
-                    f"cell {(tuple(mu), d)} has {len(monos)} monomials,"
-                    f" above the cap {cap}"
-                )
-        cells.update(formed)
-    return cells
+    formed = {}
+    for t, (count, cell, support) in reached.items():
+        if count == support.bit_count() and t not in forbidden:
+            formed.setdefault(cell, {})[t] = support
+    return formed
+
+
+def _reduce_cell(products, full: int) -> tuple:
+    """(rank, monomials in the span) of a cell's products, stopping at rank
+    full; in the fully reduced basis, a monomial is in the span iff the row
+    with that pivot has no other entry."""
+    basis = IncrementalBasis()
+    for vec in products:
+        if vec:
+            basis.add(vec)
+            if basis.rank == full:
+                break
+    return basis.rank, [p for p, row in basis.rows if len(row) == 1]
 
 
 def quotient_graded_dims(lam, max_degree=None, cap: int = 200000):
@@ -338,24 +334,26 @@ def quotient_graded_dims(lam, max_degree=None, cap: int = 200000):
     degree), degrees up to max_degree (default: one beyond the largest
     polytope point degree).  Zero cells are omitted; the keys are sorted.
 
-    Let K be the span of the monomials that a single-term closure element
-    divides, and call a monomial standard when none does.  K lies in
-    I(lambda), and so does every product g * t of a closure element g and a
-    monomial t; such a product lies in K already when g is a single term or
-    t is not standard.  Hence in each cell the dimension is the number of
-    standard monomials minus the rank of the products g * t, g a closure
-    element of more than one term and t standard, restricted to the standard
-    monomials.  That rank is found by one ``IncrementalBasis`` per cell, which
-    stops at full rank; a cell with no standard monomial is never reduced.
+    One walk goes degree by degree, keeping a set of monomials closed under
+    division.  A degree's candidates are the monomials whose divisors of one
+    degree less are all kept and that are no single-term closure element;
+    the cap bounds the candidates of each cell and is checked before any
+    cell of the degree is reduced.  A cell's dimension is its number of
+    candidates minus the rank of the products g * t, g a closure element of
+    several terms and t kept, restricted to the candidates; a candidate
+    whose basis row has a single entry lies in that span and is dropped.
 
-    Exponents are packed in base max_degree + 1, which no digit of degree
-    <= max_degree reaches, so a monomial shift is one int addition.  A cell
-    (weight, degree) has digits at most 2 * max_degree, since no positive
-    root has a simple-root coefficient above 2; raised by 2 * max_degree each
-    and packed in base 4 * max_degree + 1, two cells subtract without a
-    borrow, so the cell of the shifts is one lookup, which finds nothing
-    for a generator of higher degree than the cell.  The cap bounds the
-    standard monomials of a cell.
+    This is exact.  Let F be the single-term elements and the dropped
+    monomials, and K the span of the monomials that an element of F divides.
+    K lies in I(lambda), by induction on the degree: a restricted product
+    differs from g * t by monomials of K.  The kept monomials are those
+    outside K, and g * t lies in K when g is one term or t is not kept.
+
+    Exponents are packed in base max_degree + 1, so a monomial shift is one
+    int addition.  A cell's digits (weight, degree) are at most
+    2 * max_degree, as no root has a simple-root coefficient above 2; raised
+    by 2 * max_degree and packed in base 4 * max_degree + 1, two cells
+    subtract without a borrow, so the cell of the shifts is one lookup.
     """
     lam = validate_weight(lam)
     n = len(lam)
@@ -371,39 +369,41 @@ def quotient_graded_dims(lam, max_degree=None, cap: int = 200000):
     by_bidegree = {}  # packed cell -> closure elements of several terms
     for g in ideal_generators(lam).closure:
         mono = next(iter(g.terms))
-        d = sum(mono)
-        if d > max_degree:
+        if sum(mono) > max_degree:
             continue
         if len(g.terms) == 1:
             forbidden.add(_pack(mono, base))
         else:
-            key = sum(map(mul, mono, steps))
-            by_bidegree.setdefault(key, []).append(
+            by_bidegree.setdefault(sum(map(mul, mono, steps)), []).append(
                 [(_pack(s, base), c) for s, c in g.terms.items()]
             )
-    cells = _standard_monomials(n, max_degree, forbidden, cap)
-    standard = {t for monos in cells.values() for t in monos}
     lift = _pack([2 * max_degree] * (n + 1), cell_base)
-    table = {}
-    for here in sorted(cells):  # packed cells sort as their (weight, degree)
-        basis = IncrementalBasis()
-        full = len(cells[here])
-        products = (
-            {s + t: c for s, c in g if s + t in standard}
-            for gkey, gens_here in by_bidegree.items()
-            for t in cells.get(here - gkey, ())
-            for g in gens_here
-        )
-        for vec in products:
-            if vec:
-                basis.add(vec)
-                if basis.rank == full:
-                    break
-        dim = full - basis.rank
-        if dim:
-            *mu, d = _unpack(here - lift, cell_base, n + 1)
-            table[(tuple(mu), d)] = dim
-    return table
+    level = {lift: {0: 0}}  # the last degree's kept monomials with supports
+    kept = {lift: [0]}  # packed cell -> its kept monomials
+    table = {((0,) * n, 0): 1}
+    for _ in range(max_degree):
+        level = _next_degree(level, n, max_degree, forbidden)
+        for cell, monos in level.items():
+            if len(monos) > cap:
+                *mu, d = _unpack(cell - lift, cell_base, n + 1)
+                raise ValueError(
+                    f"cell {(tuple(mu), d)} has {len(monos)} monomials,"
+                    f" above the cap {cap}"
+                )
+        for here, monos in level.items():
+            rank, drop = _reduce_cell((
+                {s + t: c for s, c in g if s + t in monos}
+                for gkey, gens_here in by_bidegree.items()
+                for t in kept.get(here - gkey, ())
+                for g in gens_here
+            ), len(monos))
+            if rank < len(monos):
+                *mu, d = _unpack(here - lift, cell_base, n + 1)
+                table[(tuple(mu), d)] = len(monos) - rank
+            for m in drop:
+                del monos[m]
+            kept[here] = list(monos)
+    return dict(sorted(table.items()))
 
 
 # ---------------------------------------------------------------------------

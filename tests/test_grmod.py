@@ -333,6 +333,33 @@ def test_closure_sizes_frozen():
     assert len(ideal_generators((0, 1, 0)).closure) == 38
 
 
+def _small_weights():
+    """Every weight of rank n <= 3 with total at most 2, the zero weights too."""
+    return [lam for n in (1, 2, 3) for lam in itertools.product(range(3), repeat=n)
+            if sum(lam) <= 2]
+
+
+def _single_basis_closure(lam):
+    """The closure tested against one basis for all cells, as it was built
+    before the span was split by cell."""
+    n = len(lam)
+    basis = IncrementalBasis()
+    closure = [P for P in base_relations(lam) if basis.add(P.terms)]
+    for P in closure:
+        for beta in [make_root(k, k, False, n) for k in range(1, n + 1)]:
+            Q = partial_op(beta, P)
+            if not Q.is_zero() and basis.add(Q.terms):
+                closure.append(Q)
+    return tuple(closure)
+
+
+def test_closure_per_cell_matches_a_single_basis():
+    weights = _small_weights() + [(0, 1, 0, 1)]
+    assert len(weights) == 20
+    for lam in weights:
+        assert ideal_generators(lam).closure == _single_basis_closure(lam), lam
+
+
 def test_closure_is_homogeneous():
     n = 2
     for poly in ideal_generators((1, 1)).closure:
@@ -344,8 +371,51 @@ def test_closure_is_homogeneous():
 
 
 def test_quotient_matches_point_count():
-    for lam in ((1, 0), (0, 1), (1, 1), (2, 0), (0, 1, 0)):
+    # every nonzero weight of rank n <= 4 with total at most 2
+    weights = [lam for n in (1, 2, 3, 4) for lam in itertools.product(range(3), repeat=n)
+               if 1 <= sum(lam) <= 2]
+    assert len(weights) == 30
+    for lam in weights:
         assert quotient_graded_dims(lam) == polytope.graded_character(lam), lam
+
+
+def test_quotient_drops_only_monomials_of_the_ideal(monkeypatch):
+    # every monomial the walk drops as it reduces a cell normalizes to 0
+    reduce_cell = grmod._reduce_cell
+    dropped = []
+
+    def recording(products, full):
+        rank, drop = reduce_cell(products, full)
+        dropped.extend(drop)
+        return rank, drop
+
+    monkeypatch.setattr(grmod, "_reduce_cell", recording)
+    cases = 0
+    for lam in _small_weights():
+        n, max_degree = len(lam), polytope.max_point_degree(lam) + 1
+        dropped.clear()
+        assert quotient_graded_dims(lam, max_degree=max_degree) == (
+            polytope.graded_character(lam)), lam
+        for m in dropped:
+            s = grmod._unpack(m, max_degree + 1, n * n)
+            assert normal_form(mono(n, s), lam).is_zero(), (lam, s)
+            cases += 1
+    assert cases
+
+
+def test_quotient_changes_when_a_two_term_row_is_dropped(monkeypatch):
+    # negative control: dropping the pivot of a row with two entries as well
+    # drops a monomial outside I(lambda), and some table changes
+    def reduce_cell(products, full):
+        basis = IncrementalBasis()
+        for vec in products:
+            if vec:
+                basis.add(vec)
+        return basis.rank, [p for p, row in basis.rows if len(row) <= 2]
+
+    want = {lam: quotient_graded_dims(lam) for lam in _small_weights()}
+    monkeypatch.setattr(grmod, "_reduce_cell", reduce_cell)
+    assert any(quotient_graded_dims(lam) != table for lam, table in want.items())
 
 
 def test_quotient_rejects_a_bad_max_degree():
@@ -440,21 +510,41 @@ def test_quotient_rejects_a_bad_cap():
 
 
 def test_quotient_cap_bounds_standard_monomials_before_any_reduction(monkeypatch):
-    lam, max_degree = (1, 1), polytope.max_point_degree((1, 1)) + 1
-    forbidden = {grmod._pack(s, max_degree + 1) for s in _single_terms(lam, max_degree)}
-    cells = grmod._standard_monomials(2, max_degree, forbidden, cap=10 ** 6)
-    widest = max(map(len, cells.values()))
-    assert widest > 1
-    assert quotient_graded_dims(lam, cap=widest) == quotient_graded_dims(lam)
+    # the walk reduces each degree before it forms the next, so the cap
+    # cannot come before every reduction; it bounds the kept candidates of a
+    # cell and comes before any cell of that cell's degree is reduced
+    lam, max_degree = (0, 0, 1), polytope.max_point_degree((0, 0, 1)) + 1
     gens = ideal_generators(lam)
     monkeypatch.setattr(grmod, "ideal_generators", lambda lam: gens)
+    widths = []  # (degree, candidates) per cell, as the walk forms them
+    next_degree = grmod._next_degree
 
-    def refuse(self, vec):
-        raise AssertionError("a cell was reduced before the cap check")
+    def recording(level, *args):
+        out = next_degree(level, *args)
+        widths.extend(
+            (grmod._unpack(cell, 4 * max_degree + 1, len(lam) + 1)[-1] - 2 * max_degree,
+             len(monos))
+            for cell, monos in out.items())
+        return out
 
-    monkeypatch.setattr(IncrementalBasis, "add", refuse)
-    with pytest.raises(ValueError, match=rf"has {widest} monomials, above the cap {widest - 1}$"):
+    monkeypatch.setattr(grmod, "_next_degree", recording)
+    default = quotient_graded_dims(lam)
+    widest = max(width for _, width in widths)
+    assert widest > 1
+    first_over = min(d for d, width in widths if width == widest)
+    assert quotient_graded_dims(lam, cap=widest) == default
+    reduced = []  # the degree of every vector added to a cell's basis
+    add = IncrementalBasis.add
+
+    def record(self, vec):
+        reduced.append(sum(grmod._unpack(min(vec), max_degree + 1, len(lam) ** 2)))
+        return add(self, vec)
+
+    monkeypatch.setattr(IncrementalBasis, "add", record)
+    with pytest.raises(ValueError, match=rf", {first_over}\) has {widest} monomials,"
+                                         rf" above the cap {widest - 1}$"):
         quotient_graded_dims(lam, cap=widest - 1)
+    assert reduced and max(reduced) < first_over
 
 
 def test_closure_coefficients_are_ints():
@@ -496,6 +586,8 @@ def _single_terms(lam, max_degree):
 
 
 def test_standard_monomials_match_brute_force():
+    # one degree step at a time, with only the single-term elements
+    # forbidden and nothing dropped, the walk lists the standard monomials
     for lam, max_degree in (((3,), 6), ((1, 0), 4), ((1, 1), 5), ((0, 2), 4),
                             ((0, 1, 0), 3), ((1, 0, 1), 3)):
         n = len(lam)
@@ -511,14 +603,16 @@ def test_standard_monomials_match_brute_force():
         for s in _brute_force(n, max_degree, standard):
             expected.setdefault((polytope.weight_of(s, n), sum(s)), set()).add(s)
         forbidden = {grmod._pack(s, max_degree + 1) for s in single}
-        cells = grmod._standard_monomials(n, max_degree, forbidden, cap=10 ** 6)
         lift = 2 * max_degree
+        level = {grmod._pack([lift] * (n + 1), 4 * max_degree + 1): {0: 0}}
         found = {}
-        for cell, monos in cells.items():
-            *mu, d = (x - lift for x in grmod._unpack(cell, 4 * max_degree + 1, n + 1))
-            exponents = [grmod._unpack(t, max_degree + 1, n * n) for t in monos]
-            assert len(set(exponents)) == len(exponents), (lam, cell)
-            found[(tuple(mu), d)] = set(exponents)
+        for degree in range(max_degree + 1):
+            if degree:
+                level = grmod._next_degree(level, n, max_degree, forbidden)
+            for cell, monos in level.items():
+                *mu, d = (x - lift for x in grmod._unpack(cell, 4 * max_degree + 1, n + 1))
+                found[(tuple(mu), d)] = {
+                    grmod._unpack(t, max_degree + 1, n * n) for t in monos}
         assert found == expected, lam
 
 
