@@ -29,6 +29,18 @@ and every corner root vector is a bracket of those generators, so the
 corner's Chevalley constants are the full rank's own.  Straightening is
 therefore planned and evaluated in rank n for every path, with no change of
 frame.
+
+Straightening checks its inputs at the public functions (straightening_plan,
+minimal_violations, straightening_element, straighten_step, normal_form) and
+runs unchecked inside.  A path is checked by lookup in the rank's path table;
+dyck.is_dyck_path runs only on a miss, to name the clause broken.  An element
+depends on (rank, path, s) alone: lambda enters only through the test that
+sum(s) exceeds the path's bound, which each caller makes for its own lambda.
+So one bounded cache, keyed by (rank, path-table row, s), serves every weight.
+normal_form reduces one dict in place: each monomial's membership is read
+once, from polytope._first_broken_row, and a monomial outside S(lambda) waits
+in a heap keyed by order_key with the row it breaks, which names the path to
+straighten it along.
 """
 from __future__ import annotations
 
@@ -36,7 +48,8 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from heapq import heapify, heappop, heappush
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from . import dyck, polytope
@@ -51,7 +64,6 @@ from .rootsys import (
     make_index,
     make_root,
     order_key,
-    path_bound,
     positive_roots,
     root_index_map,
     row_slices,
@@ -416,6 +428,31 @@ class StraighteningPlan(NamedTuple):
     factors: tuple  # (root, exponent) pairs in application order
 
 
+def _exponent(s, n: int) -> tuple:
+    """s as a multi-exponent of rank n with no negative entry, or ValueError."""
+    s = validate_exponent(s, n)
+    if min(s) < 0:
+        raise ValueError(f"multi-exponent entries must be non-negative, got {s!r}")
+    return s
+
+
+@lru_cache(maxsize=None)
+def _path_rows(n: int) -> dict:
+    """Each Dyck path of rank n -> its row in the path table."""
+    return {path: row for row, (path, *_) in enumerate(polytope._path_table(n))}
+
+
+def _path_row(path, n: int) -> int:
+    """The path-table row of path.  A sequence that is not a Dyck path of
+    rank n raises ValueError naming the clause it breaks: dyck.is_dyck_path
+    runs only when the lookup misses."""
+    path = tuple(path)
+    row = _path_rows(n).get(path)
+    if row is None:
+        raise ValueError(dyck.is_dyck_path(path, n)[1])
+    return row
+
+
 def straightening_plan(lam, path, s) -> StraighteningPlan:
     """The operator schedule for a path-supported exponent above its bound.
 
@@ -427,22 +464,18 @@ def straightening_plan(lam, path, s) -> StraighteningPlan:
     block; for a simple endpoint the column-splitting block followed by the
     row-lifting block.  Every factor is a corner root, and the corner's
     Chevalley constants are those of the full rank, so the plan is read and
-    evaluated in rank n directly.
+    evaluated in rank n directly.  The schedule depends on the path and s
+    alone; lambda only bounds it, as Sigma must exceed the path's bound.
     """
     lam = validate_weight(lam)
     n = len(lam)
-    s = validate_exponent(s, n)
-    if min(s) < 0:
-        raise ValueError(f"multi-exponent entries must be non-negative, got {s!r}")
-    path = tuple(path)
-    ok, why = dyck.is_dyck_path(path, n)
-    if not ok:
-        raise ValueError(why)
+    s = _exponent(s, n)
+    path, _, first, stop = polytope._path_table(n)[_path_row(path, n)]
     for alpha, x in zip(positive_roots(n), s):
         if x and alpha not in path:
             raise ValueError(f"exponent touches {alpha} off the path")
     sigma = sum(s)
-    bound = path_bound(lam, path[0], path[-1])
+    bound = sum(lam[first:stop])
     if sigma <= bound:
         raise ValueError(f"total {sigma} does not exceed the path bound {bound}")
     a = path[0].row
@@ -489,48 +522,84 @@ def minimal_violations(lam, path):
     naming the clause it breaks."""
     lam = validate_weight(lam)
     n = len(lam)
-    path = tuple(path)
-    ok, why = dyck.is_dyck_path(path, n)
-    if not ok:
-        raise ValueError(why)
-    idx = root_index_map(n)
-    total = path_bound(lam, path[0], path[-1]) + 1
-    row = ([idx[alpha] for alpha in path], total)
-    return [s for s in polytope.lattice_points(n * n, [row]) if sum(s) == total]
+    _, coords, first, stop = polytope._path_table(n)[_path_row(path, n)]
+    total = sum(lam[first:stop]) + 1
+    return [s for s in polytope.lattice_points(n * n, [(coords, total)]) if sum(s) == total]
+
+
+class _CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+
+
+class _ElementCache(dict):
+    """Straightening elements with their leads, keyed by (rank, path-table
+    row, s), at most `maxsize` of them, the oldest dropped first.  ``find``
+    counts a hit and ``store`` a miss, one build; ``cache_info`` and
+    ``cache_clear`` read and reset the counts as on a functools.lru_cache."""
+
+    def __init__(self, maxsize: int):
+        super().__init__()
+        self.maxsize = maxsize
+        self.hits = self.misses = 0
+
+    def find(self, key):
+        found = self.get(key)
+        if found is not None:
+            self.hits += 1
+        return found
+
+    def store(self, key, value):
+        self.misses += 1
+        if len(self) >= self.maxsize:
+            del self[next(iter(self))]
+        self[key] = value
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self.hits, self.misses)
+
+    def cache_clear(self):
+        self.clear()
+        self.hits = self.misses = 0
+
+
+# Shared by every weight: an element depends on (rank, path, s) alone.
+_element_cache = _ElementCache(4096)
 
 
 def straightening_element(lam, path, s):
     """Evaluate the plan: a polynomial in the ideal whose earliest monomial
     in the straightening order is f^s; returns it with that coefficient.
 
-    Raises when the leading-term contract fails (nonzero coefficient on f^s,
-    every other monomial strictly later in the order).
+    The inputs are checked first, by straightening_plan, which holds the one
+    test that involves lambda: sum(s) must exceed the path's bound.  The
+    element and its leading-term checks depend on (rank, path, s) alone, so
+    it is built once into the cache that normal forms read, whatever the
+    weight, and each call returns a fresh copy.  Raises RuntimeError when the
+    leading-term contract fails (nonzero coefficient on f^s, every other
+    monomial strictly later in the order).
     """
     lam = validate_weight(lam)
     n = len(lam)
+    path, s = tuple(path), tuple(s)
     plan = straightening_plan(lam, path, s)
-    P = SparsePolynomial.variable_power(plan.start_root, plan.sigma, n)
-    for beta, exponent in plan.factors:
-        P = apply_partial_power(beta, P, exponent)
-    lead = P.coefficient(s)
-    if not lead:
-        raise RuntimeError(f"straightening lost its leading term f^{tuple(s)}")
-    key = order_key(tuple(s), n)
-    for t in P.monomials():
-        if tuple(t) != tuple(s) and not order_key(t, n) > key:
-            raise RuntimeError(
-                f"straightening produced {t} not later than {tuple(s)}"
-            )
-    return P, lead
-
-
-@lru_cache(maxsize=1024)
-def _cached_element(lam: tuple, path: tuple, s: tuple):
-    """straightening_element(lam, path, s), built once per argument triple
-    for straighten_step, which only reads it: normal forms meet the same
-    element again and again.  The call goes through the module global, so
-    the element passed its leading-term checks when it was built."""
-    return straightening_element(lam, path, s)
+    key = (n, _path_row(path, n), s)
+    found = _element_cache.find(key)
+    if found is None:
+        P = SparsePolynomial.variable_power(plan.start_root, plan.sigma, n)
+        for beta, exponent in plan.factors:
+            P = apply_partial_power(beta, P, exponent)
+        lead = P.coefficient(s)
+        if not lead:
+            raise RuntimeError(f"straightening lost its leading term f^{s}")
+        key_s = order_key(s, n)
+        for t in P.monomials():
+            if t != s and not order_key(t, n) > key_s:
+                raise RuntimeError(f"straightening produced {t} not later than {s}")
+        found = P, lead
+        _element_cache.store(key, found)
+    element, lead = found
+    return SparsePolynomial(n, element.terms), lead
 
 
 def violated_inequality(lam, s):
@@ -538,26 +607,77 @@ def violated_inequality(lam, s):
     return polytope.first_broken(lam, s)
 
 
+def _straighten(terms: dict, s: tuple, row: int, lam: tuple):
+    """Cancel f^s in the polynomial `terms`, changed in place: subtract the
+    multiple of the element of the part of s on path-table row `row`,
+    shifted by the rest of s, that removes f^s.  Unchecked: s must be a term
+    that breaks that row under lam, which is the element's bound test.
+    Returns the cached element and the monomials the subtraction touched."""
+    n = len(lam)
+    path, coords, _, _ = polytope._path_table(n)[row]
+    on_path = [0] * len(s)
+    for i in coords:
+        on_path[i] = s[i]
+    on_path = tuple(on_path)
+    key = (n, row, on_path)
+    found = _element_cache.find(key)
+    if found is None:
+        straightening_element(lam, path, on_path)  # checks, builds and stores it
+        found = _element_cache[key]
+    element, lead = found
+    rest = tuple(map(sub, s, on_path))
+    q = -exact_quotient(terms[s], lead)
+    touched = []
+    for t, x in element.terms.items():
+        u = tuple(map(add, t, rest))
+        touched.append(u)
+        y = terms.get(u)
+        if y is None:
+            terms[u] = q * x
+        else:
+            y += q * x
+            if y:
+                terms[u] = y
+            else:
+                del terms[u]
+    if s in terms:
+        raise RuntimeError(f"straightening failed to remove {s}")
+    return element, touched
+
+
+def _check_terms(P: SparsePolynomial, lam) -> tuple:
+    """(lam, its rank) after checking lam and every exponent of P."""
+    lam = validate_weight(lam)
+    n = len(lam)
+    if P.n != n:
+        raise ValueError(f"polynomial rank {P.n} does not match weight rank {n}")
+    for s in P.terms:
+        _exponent(s, n)
+    return lam, n
+
+
 def straighten_step(P: SparsePolynomial, s, lam):
     """One normal-form step at the monomial f^s of P outside S(lambda).
 
-    Splits s along the first path inequality it breaks and returns that
-    path, the straightening element of the part of s on it, and P minus the
-    multiple of the element times the rest of s that removes f^s.  The
-    element comes from a cache shared by every later step, so it is only
-    read, never changed.
+    Checks lambda and every exponent of P, splits s along the first path
+    inequality it breaks, and returns that path, the straightening element
+    of the part of s on it, and P minus the multiple of the element times
+    the rest of s that removes f^s.  The step is normal_form's own, run
+    unchecked after these checks.  The element depends on (rank, path, s)
+    alone, lambda entering only through the bound that s breaks, so it comes
+    from the cache that normal_form and straightening_element share.
     """
-    ineq = violated_inequality(lam, s)
-    if ineq is None:
+    lam, n = _check_terms(P, lam)
+    s = _exponent(s, n)
+    if s not in P.terms:
+        raise ValueError(f"{s} is not a monomial of the polynomial")
+    row = polytope._first_broken_row(lam, s, 0)
+    if row is None:
         raise RuntimeError(f"{s} is outside the polytope but breaks nothing")
-    on_path = {root_index_map(P.n)[alpha] for alpha in ineq.path}
-    s1 = tuple(x if i in on_path else 0 for i, x in enumerate(s))
-    element, lead = _cached_element(tuple(lam), ineq.path, s1)
-    rest = tuple(a - b for a, b in zip(s, s1))
-    P = P - element.shift(rest).scale(exact_quotient(P.terms[s], lead))
-    if P.coefficient(s):
-        raise RuntimeError(f"straightening failed to remove {s}")
-    return ineq.path, element, P
+    terms = dict(P.terms)
+    element, _ = _straighten(terms, s, row, lam)
+    path = polytope._path_table(n)[row][0]
+    return path, SparsePolynomial(n, element.terms), SparsePolynomial(n, terms)
 
 
 NORMAL_FORM_STEPS = 10000  # straightening steps before normal_form gives up
@@ -566,19 +686,41 @@ NORMAL_FORM_STEPS = 10000  # straightening steps before normal_form gives up
 def normal_form(P: SparsePolynomial, lam):
     """Rewrite P modulo the ideal into the span of polytope-point monomials.
 
-    Repeatedly picks the earliest monomial (in the straightening order) lying
-    outside the polytope, subtracts the matching multiple of a straightening
-    element, and continues; every step trades the monomial for strictly later
-    ones of the same degree, so the loop terminates.
+    lambda and every exponent of P are checked once, here; a negative entry
+    raises ValueError.  The reduction then runs unchecked on one dict, in
+    place.  Each monomial's membership is read once, when it first appears,
+    from polytope._first_broken_row; one outside S(lambda) waits in a heap
+    keyed by order_key, with the path-table row it breaks first.  Each step
+    pops the earliest monomial still present and subtracts the multiple of
+    its straightening element that cancels it.  An element depends on (rank,
+    path, s) alone, lambda entering only through the bound, which the broken
+    row shows exceeded, so one cache serves every weight.  The
+    step trades the monomial for strictly later ones of the same degree, so
+    no popped monomial comes back, and the loop terminates.
     """
-    lam = validate_weight(lam)
-    n = len(lam)
-    if P.n != n:
-        raise ValueError(f"polynomial rank {P.n} does not match weight rank {n}")
-    for _ in range(NORMAL_FORM_STEPS):
-        outside = [s for s in P.terms if not polytope.contains(lam, s)]
-        if not outside:
-            return P
-        s = min(outside, key=lambda t: order_key(t, n))
-        _, _, P = straighten_step(P, s, lam)
-    raise RuntimeError(f"normal form did not terminate within {NORMAL_FORM_STEPS} steps")
+    lam, n = _check_terms(P, lam)
+    first_broken_row = polytope._first_broken_row
+    terms = dict(P.terms)
+    seen = set(terms)
+    heap = []
+    for s in terms:
+        row = first_broken_row(lam, s, 0)
+        if row is not None:
+            heap.append((order_key(s, n), s, row))
+    heapify(heap)
+    steps = 0
+    while heap:
+        _, s, row = heappop(heap)
+        if s not in terms:  # cancelled by an earlier step
+            continue
+        if steps == NORMAL_FORM_STEPS:
+            raise RuntimeError(
+                f"normal form did not terminate within {NORMAL_FORM_STEPS} steps")
+        steps += 1
+        for u in _straighten(terms, s, row, lam)[1]:
+            if u not in seen:
+                seen.add(u)
+                row = first_broken_row(lam, u, 0)
+                if row is not None:
+                    heappush(heap, (order_key(u, n), u, row))
+    return SparsePolynomial(n, terms)

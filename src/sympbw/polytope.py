@@ -48,9 +48,13 @@ than n^2 coordinates and 0 <= bound_p <= sum(lambda), so every field lies
 strictly between 0 and 2^W: no borrow or carry crosses a field, and the
 fields are exact for ints of any size and sign.  Row p is broken exactly when
 its top bit is clear, so the first broken row is the lowest set bit of
-high & ~slack, and only that row of the table is read.  Whole bytes per field
-let the masks be built from byte strings, and keep the widths, hence the
-cached masks, to one or two per rank for the small entries met in practice.
+high & ~slack, and only that row of the table is read.  The weight half,
+high + sum(lambda_k * weight_k), is cached per (lambda, width)
+(_weighted_masks), so a call pays for the s half alone when its weight and
+width repeat, as they do across the monomials of one normal form.  Whole
+bytes per field let the masks be built from byte strings, and keep the
+widths, hence the cached masks, to one or two per rank for the small entries
+met in practice.
 With no negative entry, an entry above sum(lambda) is lowered to
 sum(lambda) + 1 first: the rows that hold it are broken either way, so a
 huge entry does not widen the masks.  Likewise an entry below
@@ -163,9 +167,19 @@ def _path_masks(n: int, width: int) -> tuple:
     )
 
 
+@lru_cache(maxsize=256)
+def _weighted_masks(lam: tuple, width: int) -> tuple:
+    """(coord, high, high + sum(lam_k * weight_k)) for the masks of
+    _path_masks: the weight half of the packed evaluation, paid once per
+    weight and width."""
+    coord, weight, high = _path_masks(len(lam), width)
+    return coord, high, high + sum(map(mul, lam, weight))
+
+
 def _first_broken_row(lam: tuple, s: tuple, lo: int):
     """The path-table index of the first row that the validated s breaks
-    under the validated lambda, or None when none is broken; lo is min(s)."""
+    under the validated lambda, or None when none is broken; lo is min(s),
+    or 0 for an s with no negative entry."""
     n, total, hi = len(lam), sum(lam), max(s)
     if lo >= 0 and hi > total:
         # exact: a row holding an entry above sum(lam) is broken either way
@@ -179,8 +193,8 @@ def _first_broken_row(lam: tuple, s: tuple, lo: int):
         s = [max(x, floor) for x in s]
     # the least multiple of 8 with 2^(width-1) > n^2 * max|s_i| + sum(lam)
     width = (n * n * max(hi, -lo) + total).bit_length() // 8 * 8 + 8
-    coord, weight, high = _path_masks(n, width)
-    slack = high + sum(map(mul, lam, weight)) - sum(map(mul, s, coord))
+    coord, high, bounds = _weighted_masks(lam, width)
+    slack = bounds - sum(map(mul, s, coord))
     broken = high & ~slack
     if not broken:
         return None

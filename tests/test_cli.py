@@ -154,7 +154,7 @@ def test_straighten_text_format(capsys):
 def test_straighten_computes_the_element_once(capsys, monkeypatch):
     # the first normal-form step reuses the element the payload shows; the
     # cache starts cold, so an element built by an earlier test is not reused
-    grmod._cached_element.cache_clear()
+    grmod._element_cache.cache_clear()
     calls = []
     original = grmod.straightening_element
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ from sympbw.grmod import (
     straightening_plan,
     violated_inequality,
 )
-from sympbw.linalg import IncrementalBasis
+from sympbw.linalg import IncrementalBasis, exact_quotient
 from sympbw.rootsys import (
     chevalley_realization,
     d_vector,
@@ -752,6 +753,7 @@ def test_straightening_element_raises_when_the_lead_vanishes(monkeypatch):
     monkeypatch.setattr(
         grmod, "apply_partial_power", lambda beta, P, e: SparsePolynomial(P.n)
     )
+    grmod._element_cache.cache_clear()  # an element found in the cache is not rebuilt
     with pytest.raises(RuntimeError, match="lost its leading term"):
         straightening_element((1, 0), (a11, a12, hook), (1, 1, 0, 0))
 
@@ -781,6 +783,38 @@ def test_straightening_plan_validates_input():
         for build in (straightening_plan, straightening_element):
             with pytest.raises(ValueError, match=why):
                 build(lam, path, s)
+    # a path is found by lookup in the path table; a miss gives the clause
+    # text of dyck.is_dyck_path, for a tuple and a list alike, from the plan,
+    # the element and minimal_violations
+    s = (0, 3, 0, 0)
+    for seq, why in [
+        ((a12, a22), r"^clause \(a\): first root a\[1,2\] is not simple$"),
+        ((a11, a12), r"^clause \(b\): last root a\[1,2\] is neither simple nor of the"
+                     r" form alpha_\(j,bar\(j\)\)$"),
+        ((a11, a22), r"^clause \(c\): a\[2,2\] is not a successor of a\[1,1\]$"),
+        ((make_root(3, 3, False, 3),), r"^a\[3,3\] is not a positive root for rank 2$"),
+    ]:
+        for path in (seq, list(seq)):
+            for build in (straightening_plan, straightening_element,
+                          lambda lam, path, s: minimal_violations(lam, path)):
+                with pytest.raises(ValueError, match=why):
+                    build(lam, path, s)
+    path = (a11, a12, hook)
+    assert straightening_plan(lam, list(path), s) == straightening_plan(lam, path, s)
+    assert minimal_violations(lam, list(path)) == minimal_violations(lam, path)
+
+
+def test_normal_form_refuses_a_negative_exponent():
+    # a term with a negative entry is refused at the entry, not dropped or
+    # straightened as if it lay outside the polytope
+    for terms in ({(0, 0, -1, 5): 1, (0, 0, 1, 0): 2}, {(5, -1, 0, 0): 1},
+                  {(-1, 0, 0, 0): 1}):
+        P = SparsePolynomial(2, terms)
+        bad = next(s for s in terms if min(s) < 0)
+        with pytest.raises(ValueError, match=rf"non-negative, got {re.escape(repr(bad))}"):
+            normal_form(P, (1, 1))
+        with pytest.raises(ValueError, match="non-negative"):
+            grmod.straighten_step(P, bad, (1, 1))
 
 
 def test_normal_form_hand_values():
@@ -859,13 +893,13 @@ def test_normal_forms_agree_with_a_cold_and_a_warm_element_cache():
         n = len(lam)
         cold = []
         for s in _violations(lam):
-            grmod._cached_element.cache_clear()
+            grmod._element_cache.cache_clear()
             cold.append(_terms(normal_form(mono(n, s), lam)))
         for s in _violations(lam):  # fill the cache
             normal_form(mono(n, s), lam)
-        warm_start = grmod._cached_element.cache_info()
+        warm_start = grmod._element_cache.cache_info()
         warm = [_terms(normal_form(mono(n, s), lam)) for s in _violations(lam)]
-        warm_end = grmod._cached_element.cache_info()
+        warm_end = grmod._element_cache.cache_info()
         assert warm == cold, lam
         assert warm_end.hits > warm_start.hits, lam
         assert warm_end.misses == warm_start.misses, lam
@@ -882,17 +916,101 @@ def test_cached_elements_equal_fresh_ones_after_use(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(grmod, "straightening_element", recorded)
-    grmod._cached_element.cache_clear()
+    grmod._element_cache.cache_clear()
     lam, n = (1, 1, 1), 3
     for s in _violations(lam):
         normal_form(mono(n, s, 3), lam)
     assert built and len(built) == len(set(built))
+    cached = {
+        args: grmod._element_cache.find((n, grmod._path_row(args[1], n), args[2]))
+        for args in built
+    }
+    grmod._element_cache.cache_clear()  # so that original builds each anew
     for args in list(built):
-        element, lead = grmod._cached_element(*args)
+        element, lead = cached[args]
         fresh, fresh_lead = original(*args)
         assert lead == fresh_lead and _terms(element) == _terms(fresh), args
     assert len(built) == len(set(built))  # every lookup was a hit
-    grmod._cached_element.cache_clear()
+    grmod._element_cache.cache_clear()
+
+
+def _hit_across_weights_and_bound_checked(element_of):
+    """Check that an element built at (1,1,1) on a path from row 2 is a
+    cache hit at (0,1,1), and that a weight whose bound s does not exceed
+    raises ValueError though the element is cached."""
+    n = 3
+    path = next(p for p in enumerate_paths(n) if p[0].row == 2 and len(p) > 1)
+    s = minimal_violations((1, 1, 1), path)[0]
+    assert minimal_violations((0, 1, 1), path)[0] == s  # the same bound on row 2
+    grmod._element_cache.cache_clear()
+    built = element_of((1, 1, 1), path, s)
+    before = grmod._element_cache.cache_info()
+    again = element_of((0, 1, 1), path, s)
+    after = grmod._element_cache.cache_info()
+    assert after.hits == before.hits + 1 and after.misses == before.misses
+    assert _terms(again[0]) == _terms(built[0]) and again[1] == built[1]
+    with pytest.raises(ValueError, match="does not exceed the path bound"):
+        element_of((0, 2, 1), path, s)  # bound 3 = sum(s)
+    grmod._element_cache.cache_clear()
+
+
+def test_elements_are_shared_across_weights_and_still_bounded():
+    _hit_across_weights_and_bound_checked(straightening_element)
+    # negative control: a lookup that skips the per-weight bound check
+    # answers from the cache at the weight whose bound is not exceeded
+
+    def unchecked(lam, path, s):
+        n = len(lam)
+        found = grmod._element_cache.find((n, grmod._path_row(path, n), s))
+        return found if found is not None else straightening_element(lam, path, s)
+
+    with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+        _hit_across_weights_and_bound_checked(unchecked)
+    grmod._element_cache.cache_clear()
+
+
+def _reference_step(P, s, lam):
+    """P with f^s cancelled by polynomial arithmetic on new polynomials."""
+    path = violated_inequality(lam, s).path
+    on_path = {root_index_map(P.n)[alpha] for alpha in path}
+    s1 = tuple(x if i in on_path else 0 for i, x in enumerate(s))
+    element, lead = straightening_element(lam, path, s1)
+    rest = tuple(a - b for a, b in zip(s, s1))
+    return P - element.shift(rest).scale(exact_quotient(P.terms[s], lead))
+
+
+def _reference_normal_form(P, lam):
+    """The rescanning loop that normal_form replaced: every step rescans
+    every term with contains and cancels the earliest outside monomial."""
+    n = len(lam)
+    for _ in range(grmod.NORMAL_FORM_STEPS):
+        outside = [s for s in P.terms if not polytope.contains(lam, s)]
+        if not outside:
+            return P
+        s = min(outside, key=lambda t: order_key(t, n))
+        P = _reference_step(P, s, lam)
+    raise RuntimeError("the reference normal form did not terminate")
+
+
+def test_normal_form_matches_the_rescanning_reference():
+    # term for term, with value, type and dict item order, at every minimal
+    # violation with n <= 3 and sum(lambda) <= 3, with coefficients 1 and 3;
+    # the first step also equals straighten_step
+    cases = 0
+    for n in (1, 2, 3):
+        for lam in itertools.product(range(4), repeat=n):
+            if sum(lam) > 3:
+                continue
+            for s in _violations(lam):
+                for coeff in (1, 3):
+                    P = mono(n, s, coeff)
+                    expected = _reference_normal_form(P, lam)
+                    assert _terms(normal_form(P, lam)) == _terms(expected), (lam, s)
+                    cases += 1
+                P = mono(n, s, 3) + mono(n, (0,) * (n * n))
+                assert _terms(grmod.straighten_step(P, s, lam)[2]) == _terms(
+                    _reference_step(P, s, lam)), (lam, s)
+    assert cases == 13116
 
 
 def test_violated_inequality_detects_breaks():
