@@ -29,6 +29,7 @@ from .grmod import (
     partial_op,
     quotient_graded_dims,
     straightening_element,
+    straightening_plan,
 )
 from .linalg import IncrementalBasis
 from .oracle import (
@@ -104,6 +105,7 @@ __all__ = [
     "quotient_graded_dims",
     "simple_root",
     "straightening_element",
+    "straightening_plan",
     "tensor_cartan_dims",
     "validate_weight",
     "weyl_dim",

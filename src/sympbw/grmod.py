@@ -36,11 +36,12 @@ runs unchecked inside.  A path is checked by lookup in the rank's path table;
 dyck.is_dyck_path runs only on a miss, to name the clause broken.  An element
 depends on (rank, path, s) alone: lambda enters only through the test that
 sum(s) exceeds the path's bound, which each caller makes for its own lambda.
-So one bounded cache, keyed by (rank, path-table row, s), serves every weight.
-normal_form reduces one dict in place: each monomial's membership is read
-once, from polytope._first_broken_row, and a monomial outside S(lambda) waits
-in a heap keyed by order_key with the row it breaks, which names the path to
-straighten it along.
+So one lru_cache builder, _element, keyed by (rank, path-table row, s),
+serves every weight, and a cache hit builds no schedule.  normal_form
+reduces one dict in place, summing through linalg.add_into: each monomial's
+membership is read once, from polytope._first_broken_row, and a monomial
+outside S(lambda) waits in a heap keyed by order_key with the row it breaks,
+which names the path to straighten it along.
 """
 from __future__ import annotations
 
@@ -53,7 +54,7 @@ from operator import add, mul, sub
 from typing import NamedTuple
 
 from . import dyck, polytope
-from .linalg import IncrementalBasis, combine, exact_quotient, vec_add, vec_scale
+from .linalg import IncrementalBasis, add_into, combine, exact_quotient, vec_add, vec_scale
 from .polytope import _pack, _unpack, _variable_steps
 from .rootsys import (
     PositiveRoot,
@@ -453,24 +454,16 @@ def _path_row(path, n: int) -> int:
     return row
 
 
-def straightening_plan(lam, path, s) -> StraighteningPlan:
-    """The operator schedule for a path-supported exponent above its bound.
-
-    A path starting on row a lies in the corner sp_{2(n-a+1)} spanned by the
-    roots of rows a..n.  The plan seeds with the power Sigma of the path's
-    last reachable row-a variable and lists the derivation factors in
-    application order: for a hook endpoint a[i,i~] the three displayed
-    blocks, then the bridge back to row a columns, then the row-lifting
-    block; for a simple endpoint the column-splitting block followed by the
-    row-lifting block.  Every factor is a corner root, and the corner's
-    Chevalley constants are those of the full rank, so the plan is read and
-    evaluated in rank n directly.  The schedule depends on the path and s
-    alone; lambda only bounds it, as Sigma must exceed the path's bound.
-    """
+def _violation(lam, path, s) -> tuple:
+    """(rank, path-table row, s) after checking lambda, s and the path: s
+    must be a non-negative multi-exponent supported on the path whose total
+    exceeds the path's bound under lambda, the one test that involves
+    lambda."""
     lam = validate_weight(lam)
     n = len(lam)
     s = _exponent(s, n)
-    path, _, first, stop = polytope._path_table(n)[_path_row(path, n)]
+    row = _path_row(path, n)
+    path, _, first, stop = polytope._path_table(n)[row]
     for alpha, x in zip(positive_roots(n), s):
         if x and alpha not in path:
             raise ValueError(f"exponent touches {alpha} off the path")
@@ -478,6 +471,13 @@ def straightening_plan(lam, path, s) -> StraighteningPlan:
     bound = sum(lam[first:stop])
     if sigma <= bound:
         raise ValueError(f"total {sigma} does not exceed the path bound {bound}")
+    return n, row, s
+
+
+def _schedule(n: int, row: int, s: tuple) -> StraighteningPlan:
+    """The plan of straightening_plan for an exponent s on path-table row
+    row, unchecked."""
+    path = polytope._path_table(n)[row][0]
     a = path[0].row
 
     def row_a(value, barred, e):
@@ -510,96 +510,84 @@ def straightening_plan(lam, path, s) -> StraighteningPlan:
         start = make_root(a, j, False, n)
     return StraighteningPlan(
         start_root=start,
-        sigma=sigma,
+        sigma=sum(s),
         factors=tuple((b, e) for b, e in factors if e),
     )
+
+
+def straightening_plan(lam, path, s) -> StraighteningPlan:
+    """The operator schedule for a path-supported exponent above its bound.
+
+    A path starting on row a lies in the corner sp_{2(n-a+1)} spanned by the
+    roots of rows a..n.  The plan seeds with the power Sigma of the path's
+    last reachable row-a variable and lists the derivation factors in
+    application order: for a hook endpoint a[i,i~] the three displayed
+    blocks, then the bridge back to row a columns, then the row-lifting
+    block; for a simple endpoint the column-splitting block followed by the
+    row-lifting block.  Every factor is a corner root, and the corner's
+    Chevalley constants are those of the full rank, so the plan is read and
+    evaluated in rank n directly.  The schedule depends on the path and s
+    alone; lambda only bounds it, as Sigma must exceed the path's bound.
+    """
+    return _schedule(*_violation(lam, path, s))
 
 
 def minimal_violations(lam, path):
     """All exponents supported on the path with degree one past its bound.
 
     A sequence that is not a Dyck path of lam's rank raises ValueError
-    naming the clause it breaks."""
+    naming the clause it breaks.  The exponents are picked from those of
+    degree at most one past the bound, and when these number more than
+    polytope.POINT_LIMIT, ValueError is raised before any is listed."""
     lam = validate_weight(lam)
     n = len(lam)
     _, coords, first, stop = polytope._path_table(n)[_path_row(path, n)]
     total = sum(lam[first:stop]) + 1
+    count = math.comb(total + len(coords), len(coords))
+    if count > polytope.POINT_LIMIT:
+        raise ValueError(
+            f"a path of {len(coords)} roots has {count} exponents of degree at"
+            f" most {total}, above the limit {polytope.POINT_LIMIT} for listing them"
+        )
     return [s for s in polytope.lattice_points(n * n, [(coords, total)]) if sum(s) == total]
 
 
-class _CacheInfo(NamedTuple):
-    hits: int
-    misses: int
-
-
-class _ElementCache(dict):
-    """Straightening elements with their leads, keyed by (rank, path-table
-    row, s), at most `maxsize` of them, the oldest dropped first.  ``find``
-    counts a hit and ``store`` a miss, one build; ``cache_info`` and
-    ``cache_clear`` read and reset the counts as on a functools.lru_cache."""
-
-    def __init__(self, maxsize: int):
-        super().__init__()
-        self.maxsize = maxsize
-        self.hits = self.misses = 0
-
-    def find(self, key):
-        found = self.get(key)
-        if found is not None:
-            self.hits += 1
-        return found
-
-    def store(self, key, value):
-        self.misses += 1
-        if len(self) >= self.maxsize:
-            del self[next(iter(self))]
-        self[key] = value
-
-    def cache_info(self) -> _CacheInfo:
-        return _CacheInfo(self.hits, self.misses)
-
-    def cache_clear(self):
-        self.clear()
-        self.hits = self.misses = 0
-
-
-# Shared by every weight: an element depends on (rank, path, s) alone.
-_element_cache = _ElementCache(4096)
+@lru_cache(maxsize=4096)
+def _element(n: int, row: int, s: tuple) -> tuple:
+    """(element, lead): the plan of s on path-table row row evaluated, and its
+    coefficient on f^s, unchecked.  Shared by every weight, as the element
+    depends on (rank, path, s) alone; the cached polynomial must not be
+    mutated.  Raises RuntimeError when the leading-term contract fails
+    (nonzero coefficient on f^s, every other monomial strictly later in the
+    order)."""
+    plan = _schedule(n, row, s)
+    P = SparsePolynomial.variable_power(plan.start_root, plan.sigma, n)
+    for beta, exponent in plan.factors:
+        P = apply_partial_power(beta, P, exponent)
+    lead = P.coefficient(s)
+    if not lead:
+        raise RuntimeError(f"straightening lost its leading term f^{s}")
+    key_s = order_key(s, n)
+    for t in P.monomials():
+        if t != s and not order_key(t, n) > key_s:
+            raise RuntimeError(f"straightening produced {t} not later than {s}")
+    return P, lead
 
 
 def straightening_element(lam, path, s):
     """Evaluate the plan: a polynomial in the ideal whose earliest monomial
     in the straightening order is f^s; returns it with that coefficient.
 
-    The inputs are checked first, by straightening_plan, which holds the one
-    test that involves lambda: sum(s) must exceed the path's bound.  The
-    element and its leading-term checks depend on (rank, path, s) alone, so
-    it is built once into the cache that normal forms read, whatever the
-    weight, and each call returns a fresh copy.  Raises RuntimeError when the
-    leading-term contract fails (nonzero coefficient on f^s, every other
-    monomial strictly later in the order).
+    The inputs are checked first, with the one test that involves lambda:
+    sum(s) must exceed the path's bound.  The element and its leading-term
+    checks depend on (rank, path, s) alone, so it is built once, by the
+    lru_cache builder that normal forms read, whatever the weight, and each
+    call returns a fresh copy; a cache hit builds no schedule.  Raises
+    RuntimeError when the leading-term contract fails (nonzero coefficient
+    on f^s, every other monomial strictly later in the order).
     """
-    lam = validate_weight(lam)
-    n = len(lam)
-    path, s = tuple(path), tuple(s)
-    plan = straightening_plan(lam, path, s)
-    key = (n, _path_row(path, n), s)
-    found = _element_cache.find(key)
-    if found is None:
-        P = SparsePolynomial.variable_power(plan.start_root, plan.sigma, n)
-        for beta, exponent in plan.factors:
-            P = apply_partial_power(beta, P, exponent)
-        lead = P.coefficient(s)
-        if not lead:
-            raise RuntimeError(f"straightening lost its leading term f^{s}")
-        key_s = order_key(s, n)
-        for t in P.monomials():
-            if t != s and not order_key(t, n) > key_s:
-                raise RuntimeError(f"straightening produced {t} not later than {s}")
-        found = P, lead
-        _element_cache.store(key, found)
-    element, lead = found
-    return SparsePolynomial(n, element.terms), lead
+    element, lead = _element(*_violation(lam, path, s))
+    return SparsePolynomial(element.n, element.terms), lead
 
 
 def violated_inequality(lam, s):
@@ -607,39 +595,21 @@ def violated_inequality(lam, s):
     return polytope.first_broken(lam, s)
 
 
-def _straighten(terms: dict, s: tuple, row: int, lam: tuple):
+def _straighten(terms: dict, s: tuple, row: int, n: int):
     """Cancel f^s in the polynomial `terms`, changed in place: subtract the
     multiple of the element of the part of s on path-table row `row`,
     shifted by the rest of s, that removes f^s.  Unchecked: s must be a term
-    that breaks that row under lam, which is the element's bound test.
+    of rank n that breaks that row, which is the element's bound test.
     Returns the cached element and the monomials the subtraction touched."""
-    n = len(lam)
-    path, coords, _, _ = polytope._path_table(n)[row]
     on_path = [0] * len(s)
-    for i in coords:
+    for i in polytope._path_table(n)[row][1]:
         on_path[i] = s[i]
     on_path = tuple(on_path)
-    key = (n, row, on_path)
-    found = _element_cache.find(key)
-    if found is None:
-        straightening_element(lam, path, on_path)  # checks, builds and stores it
-        found = _element_cache[key]
-    element, lead = found
+    element, lead = _element(n, row, on_path)
     rest = tuple(map(sub, s, on_path))
     q = -exact_quotient(terms[s], lead)
-    touched = []
-    for t, x in element.terms.items():
-        u = tuple(map(add, t, rest))
-        touched.append(u)
-        y = terms.get(u)
-        if y is None:
-            terms[u] = q * x
-        else:
-            y += q * x
-            if y:
-                terms[u] = y
-            else:
-                del terms[u]
+    touched = [tuple(map(add, t, rest)) for t in element.terms]
+    add_into(terms, zip(touched, [q * x for x in element.terms.values()]))
     if s in terms:
         raise RuntimeError(f"straightening failed to remove {s}")
     return element, touched
@@ -665,7 +635,8 @@ def straighten_step(P: SparsePolynomial, s, lam):
     the rest of s that removes f^s.  The step is normal_form's own, run
     unchecked after these checks.  The element depends on (rank, path, s)
     alone, lambda entering only through the bound that s breaks, so it comes
-    from the cache that normal_form and straightening_element share.
+    from the lru_cache builder that normal_form and straightening_element
+    share.
     """
     lam, n = _check_terms(P, lam)
     s = _exponent(s, n)
@@ -675,7 +646,7 @@ def straighten_step(P: SparsePolynomial, s, lam):
     if row is None:
         raise RuntimeError(f"{s} is outside the polytope but breaks nothing")
     terms = dict(P.terms)
-    element, _ = _straighten(terms, s, row, lam)
+    element, _ = _straighten(terms, s, row, n)
     path = polytope._path_table(n)[row][0]
     return path, SparsePolynomial(n, element.terms), SparsePolynomial(n, terms)
 
@@ -692,11 +663,12 @@ def normal_form(P: SparsePolynomial, lam):
     from polytope._first_broken_row; one outside S(lambda) waits in a heap
     keyed by order_key, with the path-table row it breaks first.  Each step
     pops the earliest monomial still present and subtracts the multiple of
-    its straightening element that cancels it.  An element depends on (rank,
-    path, s) alone, lambda entering only through the bound, which the broken
-    row shows exceeded, so one cache serves every weight.  The
-    step trades the monomial for strictly later ones of the same degree, so
-    no popped monomial comes back, and the loop terminates.
+    its straightening element that cancels it, summed in by linalg.add_into.
+    An element depends on (rank, path, s) alone, lambda entering only through
+    the bound, which the broken row shows exceeded, so one lru_cache builder
+    serves every weight.  The step trades the monomial for strictly later
+    ones of the same degree, so no popped monomial comes back, and the loop
+    terminates.
     """
     lam, n = _check_terms(P, lam)
     first_broken_row = polytope._first_broken_row
@@ -717,7 +689,7 @@ def normal_form(P: SparsePolynomial, lam):
             raise RuntimeError(
                 f"normal form did not terminate within {NORMAL_FORM_STEPS} steps")
         steps += 1
-        for u in _straighten(terms, s, row, lam)[1]:
+        for u in _straighten(terms, s, row, n)[1]:
             if u not in seen:
                 seen.add(u)
                 row = first_broken_row(lam, u, 0)

@@ -1,9 +1,9 @@
 """Exact sparse vectors and incremental row reduction over the rationals.
 
 Vectors are sparse dicts mapping hashable, orderable keys to exact numbers
-(ints or Fractions).  ``combine`` is the one place where terms are added into
-a sparse vector and zeros are dropped; every sparse sum in the package goes
-through it.
+(ints or Fractions).  ``add_into`` is the one place where terms are added into
+a sparse vector and zeros are dropped: ``combine`` sums into a copy through
+it, and every sparse sum in the package goes through one or the other.
 
 No float is ever made.  ``_divide`` and its scalar form ``exact_quotient``
 are the only divisions, and no other module divides: a quotient is an int
@@ -32,10 +32,10 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
-def combine(terms, start=()) -> dict:
-    """A copy of start plus every (key, coefficient) pair of terms, summed by
-    key; a key whose sum becomes zero is dropped as it occurs."""
-    out = dict(start)
+def add_into(out: dict, terms) -> dict:
+    """Add every (key, coefficient) pair of terms into out, in place, summed
+    by key; a key whose sum becomes zero is dropped as it occurs.  Returns
+    out."""
     for k, x in terms:
         y = out.get(k)
         if y is None:  # a new key: store x itself, sparing a Fraction sum with 0
@@ -48,6 +48,12 @@ def combine(terms, start=()) -> dict:
             else:
                 del out[k]
     return out
+
+
+def combine(terms, start=()) -> dict:
+    """A copy of start plus every (key, coefficient) pair of terms, summed by
+    key, through add_into."""
+    return add_into(dict(start), terms)
 
 
 def _scaled(vec: dict, c):

@@ -380,7 +380,6 @@ class ChevalleyRealization:
     Generators (E the elementary matrices, size 2n):
       e_k = E_{k,k+1} - E_{2n-k,2n+1-k}  (k < n),   e_n = E_{n,n+1}
       f_k = E_{k+1,k} - E_{2n+1-k,2n-k}  (k < n),   f_n = E_{n+1,n}
-      h_k = [e_k, f_k]
 
     Root vectors for non-simple roots are fixed recursively by
     f_{alpha+alpha_k} = [f_k, f_alpha] (and likewise for e) with the smallest
@@ -394,14 +393,12 @@ class ChevalleyRealization:
         self.n = n
         self.e = {}
         self.f = {}
-        self.h = {}
         for k in range(1, n + 1):
             self.e[k] = {(k, k + 1): 1}
             self.f[k] = {(k + 1, k): 1}
             if k < n:
                 self.e[k][2 * n - k, 2 * n + 1 - k] = -1
                 self.f[k][2 * n + 1 - k, 2 * n - k] = -1
-            self.h[k] = _bracket(self.e[k], self.f[k])
         self._e_root = {}
         self._f_root = {}
         # a stable sort: reading order within each height

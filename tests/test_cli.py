@@ -151,24 +151,16 @@ def test_straighten_text_format(capsys):
     assert "normal_form: 0" in out
 
 
-def test_straighten_computes_the_element_once(capsys, monkeypatch):
+def test_straighten_computes_the_element_once(capsys):
     # the first normal-form step reuses the element the payload shows; the
     # cache starts cold, so an element built by an earlier test is not reused
-    grmod._element_cache.cache_clear()
-    calls = []
-    original = grmod.straightening_element
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(grmod, "straightening_element", counted)
+    grmod._element.cache_clear()
     code, payload = run_json(capsys, [
         "straighten", "--n", "2", "--lambda", "1,0", "--exponent", "2,0,0,0",
     ])
     assert code == 0
     assert payload["contained"] is False
-    assert len(calls) == 1
+    assert grmod._element.cache_info().misses == 1
 
 
 def test_oracle_summary_and_filtration(capsys):

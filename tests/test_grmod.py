@@ -753,7 +753,7 @@ def test_straightening_element_raises_when_the_lead_vanishes(monkeypatch):
     monkeypatch.setattr(
         grmod, "apply_partial_power", lambda beta, P, e: SparsePolynomial(P.n)
     )
-    grmod._element_cache.cache_clear()  # an element found in the cache is not rebuilt
+    grmod._element.cache_clear()  # an element found in the cache is not rebuilt
     with pytest.raises(RuntimeError, match="lost its leading term"):
         straightening_element((1, 0), (a11, a12, hook), (1, 1, 0, 0))
 
@@ -893,13 +893,13 @@ def test_normal_forms_agree_with_a_cold_and_a_warm_element_cache():
         n = len(lam)
         cold = []
         for s in _violations(lam):
-            grmod._element_cache.cache_clear()
+            grmod._element.cache_clear()
             cold.append(_terms(normal_form(mono(n, s), lam)))
         for s in _violations(lam):  # fill the cache
             normal_form(mono(n, s), lam)
-        warm_start = grmod._element_cache.cache_info()
+        warm_start = grmod._element.cache_info()
         warm = [_terms(normal_form(mono(n, s), lam)) for s in _violations(lam)]
-        warm_end = grmod._element_cache.cache_info()
+        warm_end = grmod._element.cache_info()
         assert warm == cold, lam
         assert warm_end.hits > warm_start.hits, lam
         assert warm_end.misses == warm_start.misses, lam
@@ -909,29 +909,28 @@ def test_cached_elements_equal_fresh_ones_after_use(monkeypatch):
     # each element is built once, and what the cache returns after every
     # normal form has used it is what straightening_element computes anew
     built = []
-    original = grmod.straightening_element
+    schedule = grmod._schedule
 
     def recorded(*args):
         built.append(args)
-        return original(*args)
+        return schedule(*args)
 
-    monkeypatch.setattr(grmod, "straightening_element", recorded)
-    grmod._element_cache.cache_clear()
+    monkeypatch.setattr(grmod, "_schedule", recorded)
+    grmod._element.cache_clear()
     lam, n = (1, 1, 1), 3
     for s in _violations(lam):
         normal_form(mono(n, s, 3), lam)
-    assert built and len(built) == len(set(built))
-    cached = {
-        args: grmod._element_cache.find((n, grmod._path_row(args[1], n), args[2]))
-        for args in built
-    }
-    grmod._element_cache.cache_clear()  # so that original builds each anew
-    for args in list(built):
-        element, lead = cached[args]
-        fresh, fresh_lead = original(*args)
-        assert lead == fresh_lead and _terms(element) == _terms(fresh), args
-    assert len(built) == len(set(built))  # every lookup was a hit
-    grmod._element_cache.cache_clear()
+    misses = grmod._element.cache_info().misses
+    assert misses and misses == len(built) == len(set(built))
+    cached = {key: grmod._element(*key) for key in built}
+    assert grmod._element.cache_info().misses == misses  # every lookup was a hit
+    grmod._element.cache_clear()  # so that straightening_element builds each anew
+    for (_, row, s), (element, lead) in cached.items():
+        path = polytope._path_table(n)[row][0]
+        fresh, fresh_lead = straightening_element(lam, path, s)
+        assert lead == fresh_lead and _terms(element) == _terms(fresh), (row, s)
+    assert grmod._element.cache_info().misses == misses  # one build each
+    grmod._element.cache_clear()
 
 
 def _hit_across_weights_and_bound_checked(element_of):
@@ -942,16 +941,16 @@ def _hit_across_weights_and_bound_checked(element_of):
     path = next(p for p in enumerate_paths(n) if p[0].row == 2 and len(p) > 1)
     s = minimal_violations((1, 1, 1), path)[0]
     assert minimal_violations((0, 1, 1), path)[0] == s  # the same bound on row 2
-    grmod._element_cache.cache_clear()
+    grmod._element.cache_clear()
     built = element_of((1, 1, 1), path, s)
-    before = grmod._element_cache.cache_info()
+    before = grmod._element.cache_info()
     again = element_of((0, 1, 1), path, s)
-    after = grmod._element_cache.cache_info()
+    after = grmod._element.cache_info()
     assert after.hits == before.hits + 1 and after.misses == before.misses
     assert _terms(again[0]) == _terms(built[0]) and again[1] == built[1]
     with pytest.raises(ValueError, match="does not exceed the path bound"):
         element_of((0, 2, 1), path, s)  # bound 3 = sum(s)
-    grmod._element_cache.cache_clear()
+    grmod._element.cache_clear()
 
 
 def test_elements_are_shared_across_weights_and_still_bounded():
@@ -961,12 +960,53 @@ def test_elements_are_shared_across_weights_and_still_bounded():
 
     def unchecked(lam, path, s):
         n = len(lam)
-        found = grmod._element_cache.find((n, grmod._path_row(path, n), s))
-        return found if found is not None else straightening_element(lam, path, s)
+        return grmod._element(n, grmod._path_row(path, n), s)
 
     with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
         _hit_across_weights_and_bound_checked(unchecked)
-    grmod._element_cache.cache_clear()
+    grmod._element.cache_clear()
+
+
+def test_a_cached_element_builds_no_schedule(monkeypatch):
+    # the first call builds the schedule once; a second call, at the same
+    # weight or another whose bound s exceeds, is a cache hit that builds
+    # none, and a weight whose bound s does not exceed is still refused
+    calls = []
+    schedule = grmod._schedule
+
+    def counted(*args):
+        calls.append(args)
+        return schedule(*args)
+
+    monkeypatch.setattr(grmod, "_schedule", counted)
+    grmod._element.cache_clear()
+    n = 3
+    path = next(p for p in enumerate_paths(n) if p[0].row == 2 and len(p) > 1)
+    s = minimal_violations((1, 1, 1), path)[0]
+    first = straightening_element((1, 1, 1), path, s)
+    assert len(calls) == 1
+    for lam in ((1, 1, 1), (0, 1, 1)):
+        again = straightening_element(lam, path, s)
+        assert _terms(again[0]) == _terms(first[0]) and again[1] == first[1]
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="does not exceed the path bound"):
+        straightening_element((0, 2, 1), path, s)
+    assert len(calls) == 1
+    grmod._element.cache_clear()
+
+
+def test_minimal_violations_refuses_a_huge_list_before_listing(monkeypatch):
+    # the path a[1,1] -> a[1,2] -> a[1,1~] at (1,1) bounds 3 roots by 2, so
+    # its exponents of degree at most 3 number comb(6, 3) = 20
+    path = (make_root(1, 1, False, 2), make_root(1, 2, False, 2),
+            make_root(1, 1, True, 2))
+    monkeypatch.setattr(polytope, "POINT_LIMIT", 20)
+    listed = minimal_violations((1, 1), path)
+    assert listed and all(sum(s) == 3 for s in listed)
+    monkeypatch.setattr(polytope, "POINT_LIMIT", 19)
+    with pytest.raises(ValueError, match=r"^a path of 3 roots has 20 exponents of"
+                       r" degree at most 3, above the limit 19 for listing them$"):
+        minimal_violations((1, 1), path)
 
 
 def _reference_step(P, s, lam):

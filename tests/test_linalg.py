@@ -8,6 +8,7 @@ from fractions import Fraction
 
 from sympbw.linalg import (
     IncrementalBasis,
+    add_into,
     combine,
     exact_quotient,
     vec_add,
@@ -31,6 +32,13 @@ def test_vec_helpers_drop_zeros():
     out = combine([("a", -1), ("d", 4)], start)
     assert out == {"b": Fraction(2), "d": 4}
     assert start == {"a": Fraction(1), "b": Fraction(2)}
+    # add_into sums into its argument, returns it, drops a key whose sum
+    # is zero and keeps the other keys in insertion order
+    out = {"a": 1, "b": Fraction(2), "c": 3}
+    assert add_into(out, [("b", -2), ("d", 4), ("a", Fraction(1, 2)), ("e", 0)]) is out
+    assert out == {"a": Fraction(3, 2), "c": 3, "d": 4}
+    assert list(out) == ["a", "c", "d"]
+    assert add_into(out, []) is out and list(out) == ["a", "c", "d"]
 
 
 def test_exact_quotient_keeps_ints_and_never_floats():

@@ -247,14 +247,16 @@ REALIZATION_DIGEST = "058ff924c1408f4c2237f2bad8b2cbfb8f2ae107b51d712c9365c15c64
 
 
 def _realization_lines(n: int):
-    """Every nonzero entry (row, col, value) of e, f, h, e_root and f_root at
-    rank n, and every constant ad_root_coeff(beta, alpha), one line each."""
+    """Every nonzero entry (row, col, value) of e, f, h = [e, f], e_root and
+    f_root at rank n, and every constant ad_root_coeff(beta, alpha), one line
+    each."""
     def entries(mat):
         return sorted((r, c, x) for (r, c), x in mat.items())
 
     real = chevalley_realization(n)
     roots = positive_roots(n)
-    for name, mats in (("e", real.e), ("f", real.f), ("h", real.h)):
+    h = {k: _bracket(real.e[k], real.f[k]) for k in range(1, n + 1)}
+    for name, mats in (("e", real.e), ("f", real.f), ("h", h)):
         for k in range(1, n + 1):
             yield f"{n} {name}{k} {entries(mats[k])}"
     for alpha in roots:
@@ -276,13 +278,14 @@ def test_realization_serre_relations():
     for n in (2, 3):
         real = chevalley_realization(n)
         A = cartan_matrix(n)
+        h = {k: _bracket(real.e[k], real.f[k]) for k in range(1, n + 1)}
         for j in range(1, n + 1):
             for k in range(1, n + 1):
                 if j != k:
                     assert _bracket(real.e[j], real.f[k]) == {}
-                he = _bracket(real.h[j], real.e[k])
+                he = _bracket(h[j], real.e[k])
                 assert _proportionality(he, real.e[k]) == A.get((j, k), 0)
-                hf = _bracket(real.h[j], real.f[k])
+                hf = _bracket(h[j], real.f[k])
                 assert _proportionality(hf, real.f[k]) == -A.get((j, k), 0)
 
 
