@@ -30,6 +30,7 @@ from .grmod import (
     quotient_graded_dims,
     straightening_element,
     straightening_plan,
+    violated_inequality,
 )
 from .linalg import IncrementalBasis
 from .oracle import (
@@ -108,5 +109,6 @@ __all__ = [
     "straightening_plan",
     "tensor_cartan_dims",
     "validate_weight",
+    "violated_inequality",
     "weyl_dim",
 ]

@@ -14,7 +14,7 @@ import random
 import sys
 from operator import add
 
-from . import decomp, dyck, grmod, oracle, polytope
+from . import decomp, grmod, oracle, polytope
 from .rootsys import epsilon_coords, order_key, positive_roots, simple_root
 
 ORDER_TRIPLES = 2000
@@ -74,16 +74,13 @@ def straightening(max_n, max_weight, seed):
     def failures():
         for lam in _weights(max_n, max_weight):
             n = len(lam)
-            for path in dyck.enumerate_paths(n):
+            for row, (path, *_) in enumerate(polytope._path_table(n)):
                 for s in grmod.minimal_violations(lam, path):
                     try:
-                        # when s breaks this path first, normal_form's first
-                        # step computes this element and runs its checks
-                        if grmod.violated_inequality(lam, s).path != path:
+                        # when s breaks this row first, normal_form's step checks it
+                        if polytope._first_broken_row(lam, s) != row:
                             grmod.straightening_element(lam, path, s)
-                        nf = grmod.normal_form(
-                            grmod.SparsePolynomial.monomial(n, s), lam
-                        )
+                        nf = grmod.normal_form(grmod.SparsePolynomial.monomial(n, s), lam)
                     except (RuntimeError, ValueError):
                         yield 1
                     else:

@@ -38,10 +38,8 @@ depends on (rank, path, s) alone: lambda enters only through the test that
 sum(s) exceeds the path's bound, which each caller makes for its own lambda.
 So one lru_cache builder, _element, keyed by (rank, path-table row, s),
 serves every weight, and a cache hit builds no schedule.  normal_form
-reduces one dict in place, summing through linalg.add_into: each monomial's
-membership is read once, from polytope._first_broken_row, and a monomial
-outside S(lambda) waits in a heap keyed by order_key with the row it breaks,
-which names the path to straighten it along.
+reduces one dict in place, and the row that a monomial breaks first, read
+once from the weight's membership record, names the path to straighten it.
 """
 from __future__ import annotations
 
@@ -50,6 +48,7 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
+from itertools import combinations
 from operator import add, mul, sub
 from typing import NamedTuple
 
@@ -533,23 +532,28 @@ def straightening_plan(lam, path, s) -> StraighteningPlan:
 
 
 def minimal_violations(lam, path):
-    """All exponents supported on the path with degree one past its bound.
-
-    A sequence that is not a Dyck path of lam's rank raises ValueError
-    naming the clause it breaks.  The exponents are picked from those of
-    degree at most one past the bound, and when these number more than
-    polytope.POINT_LIMIT, ValueError is raised before any is listed."""
+    """All exponents supported on the path with degree one past its bound, in
+    lexicographic order: the compositions of that degree over the path's
+    increasing coordinates, read off k - 1 cuts for k roots.  A sequence
+    that is not a Dyck path of lam's rank raises ValueError naming the clause
+    it breaks; more than polytope.POINT_LIMIT exponents raise it before any is listed."""
     lam = validate_weight(lam)
     n = len(lam)
     _, coords, first, stop = polytope._path_table(n)[_path_row(path, n)]
-    total = sum(lam[first:stop]) + 1
-    count = math.comb(total + len(coords), len(coords))
+    total, k = sum(lam[first:stop]) + 1, len(coords)
+    count = math.comb(total + k - 1, k - 1)
     if count > polytope.POINT_LIMIT:
         raise ValueError(
-            f"a path of {len(coords)} roots has {count} exponents of degree at"
-            f" most {total}, above the limit {polytope.POINT_LIMIT} for listing them"
+            f"a path of {k} roots has {count} exponents of degree {total},"
+            f" above the limit {polytope.POINT_LIMIT} for listing them"
         )
-    return [s for s in polytope.lattice_points(n * n, [(coords, total)]) if sum(s) == total]
+    out = []
+    for cuts in combinations(range(total + k - 1), k - 1):
+        s = [0] * (n * n)
+        for i, a, b in zip(coords, (-1, *cuts), (*cuts, total + k - 1)):
+            s[i] = b - a - 1
+        out.append(tuple(s))
+    return out
 
 
 @lru_cache(maxsize=4096)
@@ -633,16 +637,14 @@ def straighten_step(P: SparsePolynomial, s, lam):
     inequality it breaks, and returns that path, the straightening element
     of the part of s on it, and P minus the multiple of the element times
     the rest of s that removes f^s.  The step is normal_form's own, run
-    unchecked after these checks.  The element depends on (rank, path, s)
-    alone, lambda entering only through the bound that s breaks, so it comes
-    from the lru_cache builder that normal_form and straightening_element
-    share.
+    unchecked after these checks, with the element from the lru_cache
+    builder that normal_form and straightening_element share.
     """
     lam, n = _check_terms(P, lam)
     s = _exponent(s, n)
     if s not in P.terms:
         raise ValueError(f"{s} is not a monomial of the polynomial")
-    row = polytope._first_broken_row(lam, s, 0)
+    row = polytope._first_broken_row(lam, s)
     if row is None:
         raise RuntimeError(f"{s} is outside the polytope but breaks nothing")
     terms = dict(P.terms)
@@ -663,12 +665,11 @@ def normal_form(P: SparsePolynomial, lam):
     from polytope._first_broken_row; one outside S(lambda) waits in a heap
     keyed by order_key, with the path-table row it breaks first.  Each step
     pops the earliest monomial still present and subtracts the multiple of
-    its straightening element that cancels it, summed in by linalg.add_into.
-    An element depends on (rank, path, s) alone, lambda entering only through
-    the bound, which the broken row shows exceeded, so one lru_cache builder
-    serves every weight.  The step trades the monomial for strictly later
-    ones of the same degree, so no popped monomial comes back, and the loop
-    terminates.
+    its straightening element that cancels it, summed in by linalg.add_into;
+    the broken row shows the bound exceeded, so the element comes from the
+    lru_cache builder that serves every weight.  A step trades the monomial
+    for strictly later ones of the same degree, so no popped monomial comes
+    back, and the loop terminates.
     """
     lam, n = _check_terms(P, lam)
     first_broken_row = polytope._first_broken_row
@@ -676,7 +677,7 @@ def normal_form(P: SparsePolynomial, lam):
     seen = set(terms)
     heap = []
     for s in terms:
-        row = first_broken_row(lam, s, 0)
+        row = first_broken_row(lam, s)
         if row is not None:
             heap.append((order_key(s, n), s, row))
     heapify(heap)
@@ -692,7 +693,7 @@ def normal_form(P: SparsePolynomial, lam):
         for u in _straighten(terms, s, row, n)[1]:
             if u not in seen:
                 seen.add(u)
-                row = first_broken_row(lam, u, 0)
+                row = first_broken_row(lam, u)
                 if row is not None:
                     heappush(heap, (order_key(u, n), u, row))
     return SparsePolynomial(n, terms)

@@ -42,25 +42,21 @@ packed int: row p owns the W-bit field at bit p*W, and the masks of a rank
 and width (_path_masks) put a 1 in field p for each coordinate and each
 weight entry on row p.  So slack = high + sum(lambda_k * weight_k) -
 sum(s_i * coord_i), where high holds the top bit of every field, has
-bound_p + 2^(W-1) - (path sum)_p in field p.  The width W is the least
-multiple of 8 with 2^(W-1) > n^2 * max|s_i| + sum(lambda).  No path has more
-than n^2 coordinates and 0 <= bound_p <= sum(lambda), so every field lies
-strictly between 0 and 2^W: no borrow or carry crosses a field, and the
-fields are exact for ints of any size and sign.  Row p is broken exactly when
-its top bit is clear, so the first broken row is the lowest set bit of
-high & ~slack, and only that row of the table is read.  The weight half,
-high + sum(lambda_k * weight_k), is cached per (lambda, width)
-(_weighted_masks), so a call pays for the s half alone when its weight and
-width repeat, as they do across the monomials of one normal form.  Whole
-bytes per field let the masks be built from byte strings, and keep the
-widths, hence the cached masks, to one or two per rank for the small entries
-met in practice.
-With no negative entry, an entry above sum(lambda) is lowered to
-sum(lambda) + 1 first: the rows that hold it are broken either way, so a
-huge entry does not widen the masks.  Likewise an entry below
--((n^2 - 1) * max(max(s), 0) + 1) is raised to that value: a row that holds
-it sums to at most -1 either way, so it holds, and a huge negative entry
-does not widen the masks either.
+bound_p + 2^(W-1) - (path sum)_p in field p.  W is a multiple of 8 with
+2^(W-1) > n^2 * max|s_i| + sum(lambda); no path has more than n^2
+coordinates and 0 <= bound_p <= sum(lambda), so no borrow or carry crosses
+a field, for ints of any size and sign.  Row p is broken exactly when its
+top bit is clear, so the first broken row is the lowest set bit of
+high & ~slack.  Each weight has one cached record (_membership): the masks
+at the one width that serves every s with 0 <= s_i <= sum(lambda) + 1, and
+the weight half.  Every coordinate lies on a row bounded by at most
+sum(lambda), so contains answers False on a negative entry or one above
+sum(lambda) before it reads the record.  For an s with no negative entry,
+first_broken and grmod read the same record, with each entry above
+sum(lambda) lowered to sum(lambda) + 1, which breaks the same rows.  Only
+first_broken with a negative entry evaluates at a width of its own, after
+raising each entry below -((n^2 - 1) * max(max(s), 0) + 1) to that value:
+a row holding it sums to at most -1 either way.
 
 A (weight, degree) cell is one packed int (_pack), and a monomial's cell is
 the sum of its exponents times its variables' cells (_variable_steps): the
@@ -167,69 +163,73 @@ def _path_masks(n: int, width: int) -> tuple:
     )
 
 
+def _evaluation(lam: tuple, top: int) -> tuple:
+    """(coord, high, bounds, width): the masks of _path_masks at the least
+    width, a multiple of 8, with 2^(width-1) > n^2 * top + sum(lam), and the
+    weight half bounds = high + sum(lam_k * weight_k)."""
+    n = len(lam)
+    width = (n * n * top + sum(lam)).bit_length() // 8 * 8 + 8
+    coord, weight, high = _path_masks(n, width)
+    return coord, high, high + sum(map(mul, lam, weight)), width
+
+
 @lru_cache(maxsize=256)
-def _weighted_masks(lam: tuple, width: int) -> tuple:
-    """(coord, high, high + sum(lam_k * weight_k)) for the masks of
-    _path_masks: the weight half of the packed evaluation, paid once per
-    weight and width."""
-    coord, weight, high = _path_masks(len(lam), width)
-    return coord, high, high + sum(map(mul, lam, weight))
+def _membership(lam: tuple) -> tuple:
+    """The record (coord, high, bounds, width, sum(lam)) for 0 <= s_i <= sum(lam) + 1."""
+    return (*_evaluation(lam, sum(lam) + 1), sum(lam))
 
 
-def _first_broken_row(lam: tuple, s: tuple, lo: int):
-    """The path-table index of the first row that the validated s breaks
-    under the validated lambda, or None when none is broken; lo is min(s),
-    or 0 for an s with no negative entry."""
-    n, total, hi = len(lam), sum(lam), max(s)
-    if lo >= 0 and hi > total:
-        # exact: a row holding an entry above sum(lam) is broken either way
-        hi = total + 1
-        s = [min(x, hi) for x in s]
-    floor = -((n * n - 1) * max(hi, 0) + 1)
-    if lo < floor:
-        # exact: a row holding an entry at or below floor sums to at most -1
-        # either way, so it holds, and the width follows the positive entries
-        lo = floor
-        s = [max(x, floor) for x in s]
-    # the least multiple of 8 with 2^(width-1) > n^2 * max|s_i| + sum(lam)
-    width = (n * n * max(hi, -lo) + total).bit_length() // 8 * 8 + 8
-    coord, high, bounds = _weighted_masks(lam, width)
-    slack = bounds - sum(map(mul, s, coord))
-    broken = high & ~slack
-    if not broken:
-        return None
-    return (broken & -broken).bit_length() // width - 1
+def _row(s, coord, high, bounds, width):
+    """The first row broken in the packed evaluation of s, or None."""
+    broken = high & ~(bounds - sum(map(mul, s, coord)))
+    return (broken & -broken).bit_length() // width - 1 if broken else None
+
+
+def _first_broken_row(lam: tuple, s: tuple):
+    """The path-table index of the first row that the validated s, with no
+    negative entry, breaks under the validated lambda, or None."""
+    coord, high, bounds, width, total = _membership(lam)
+    if max(s) > total:  # exact: a row holding such an entry is broken either way
+        s = [min(x, total + 1) for x in s]
+    return _row(s, coord, high, bounds, width)
 
 
 def first_broken(lam, s):
     """The first path inequality, in path order, that the multi-exponent s
     breaks, or None when s satisfies all of them.  An entry of s whose type
-    is not int (bools included) raises ValueError.
-
-    All rows are evaluated at once in one packed int (see the module
-    docstring); only the row of the first broken path is read.  An entry
-    below -((n^2 - 1) * max(max(s), 0) + 1) is raised to that value first,
-    which leaves every row's answer as it was, so the masks are as wide as
-    the positive entries need.
-    """
+    is not int (bools included) raises ValueError.  Only the row of the
+    first broken path is read; an s with a negative entry is evaluated at a
+    width of its own (see the module docstring)."""
     lam = validate_weight(lam)
-    s = validate_exponent(s, len(lam))
-    p = _first_broken_row(lam, s, min(s))
+    n = len(lam)
+    s = validate_exponent(s, n)
+    lo = min(s)
+    if lo >= 0:
+        p = _first_broken_row(lam, s)
+    else:
+        hi = max(s)
+        floor = -((n * n - 1) * max(hi, 0) + 1)
+        if lo < floor:  # exact: a row holding such an entry sums to at most -1
+            lo = floor
+            s = [max(x, floor) for x in s]
+        p = _row(s, *_evaluation(lam, max(hi, -lo)))
     if p is None:
         return None
-    path, _, a, b = _path_table(len(lam))[p]
+    path, _, a, b = _path_table(n)[p]
     return PathInequality(path, sum(lam[a:b]))
 
 
 def contains(lam, s) -> bool:
-    """Whether the multi-exponent s lies in P(lambda): no negative coordinate
-    and no broken path inequality, read from one packed evaluation of every
-    row.  s may be any iterable; it is read and validated once.  A negative
-    entry answers False before any mask is built."""
+    """Whether the multi-exponent s lies in P(lambda).  s may be any
+    iterable; it is read and validated once.  A negative entry, or one above
+    sum(lambda), answers False before any mask is read; otherwise one packed
+    dot product against the weight's record evaluates every path at once."""
     lam = validate_weight(lam)
     s = validate_exponent(s, len(lam))
-    lo = min(s)
-    return lo >= 0 and _first_broken_row(lam, s, lo) is None
+    if min(s) < 0 or max(s) > sum(lam):
+        return False
+    coord, high, bounds, _, _ = _membership(lam)
+    return not high & ~(bounds - sum(map(mul, s, coord)))
 
 
 def _reduce(rows):

@@ -630,6 +630,21 @@ def test_minimal_violations_match_brute_force():
             assert minimal_violations(lam, path) == expected, (lam, path)
 
 
+def test_minimal_violations_equal_the_filtered_listing():
+    # the walk's listing of every path-supported exponent of degree at most
+    # bound + 1, kept at degree bound + 1, in the same order
+    for n in range(1, 5):
+        for lam in itertools.product(range(3), repeat=n):
+            if sum(lam) > 2:
+                continue
+            for path, coords, a, b in polytope._path_table(n):
+                assert list(coords) == sorted(coords)  # read as increasing
+                total = sum(lam[a:b]) + 1
+                listed = polytope.lattice_points(n * n, [(coords, total)])
+                expected = [s for s in listed if sum(s) == total]
+                assert minimal_violations(lam, path) == expected, (lam, path)
+
+
 def test_minimal_violations_counts():
     lam = (1, 0)
     counts = [len(minimal_violations(lam, path)) for path in enumerate_paths(2)]
@@ -997,15 +1012,15 @@ def test_a_cached_element_builds_no_schedule(monkeypatch):
 
 def test_minimal_violations_refuses_a_huge_list_before_listing(monkeypatch):
     # the path a[1,1] -> a[1,2] -> a[1,1~] at (1,1) bounds 3 roots by 2, so
-    # its exponents of degree at most 3 number comb(6, 3) = 20
+    # its exponents of degree 3 number comb(5, 2) = 10
     path = (make_root(1, 1, False, 2), make_root(1, 2, False, 2),
             make_root(1, 1, True, 2))
-    monkeypatch.setattr(polytope, "POINT_LIMIT", 20)
+    monkeypatch.setattr(polytope, "POINT_LIMIT", 10)
     listed = minimal_violations((1, 1), path)
-    assert listed and all(sum(s) == 3 for s in listed)
-    monkeypatch.setattr(polytope, "POINT_LIMIT", 19)
-    with pytest.raises(ValueError, match=r"^a path of 3 roots has 20 exponents of"
-                       r" degree at most 3, above the limit 19 for listing them$"):
+    assert len(listed) == 10 and all(sum(s) == 3 for s in listed)
+    monkeypatch.setattr(polytope, "POINT_LIMIT", 9)
+    with pytest.raises(ValueError, match=r"^a path of 3 roots has 10 exponents of"
+                       r" degree 3, above the limit 9 for listing them$"):
         minimal_violations((1, 1), path)
 
 

@@ -356,6 +356,57 @@ def test_huge_negative_entries_build_narrow_masks(monkeypatch):
     assert widths and max(widths) <= 64
 
 
+def test_out_of_range_entries_build_no_mask(monkeypatch):
+    # contains answers a negative entry, or one above sum(lambda), before it
+    # reads the weight's record, so on cold caches no mask is built
+    polytope._membership.cache_clear()
+    polytope._path_masks.cache_clear()
+    widths = []
+    original = polytope._path_masks
+    monkeypatch.setattr(
+        polytope, "_path_masks", lambda n, w: widths.append(w) or original(n, w)
+    )
+    for lam in ((0,), (1, 1), (1, 0, 2)):
+        n2, total = len(lam) ** 2, sum(lam)
+        for k in (0, n2 - 1):
+            for x in (-1, -10 ** 4000, total + 1, 10 ** 4000):
+                s = [0] * n2
+                s[k] = x
+                assert not contains(lam, s)
+    assert widths == []
+    assert polytope._membership.cache_info().currsize == 0
+
+
+def _weights_up_to(max_n, max_total):
+    return [lam for n in range(1, max_n + 1)
+            for lam in itertools.product(range(max_total + 1), repeat=n)
+            if sum(lam) <= max_total]
+
+
+def test_membership_record_at_the_bounds():
+    # sum(lambda) * e_i lies on the record's range and (sum(lambda) + 1) * e_i
+    # at its top; seeded points fill -1 .. sum(lambda) + 1
+    rng = random.Random(41)
+    for lam in _weights_up_to(4, 2):
+        n2, total = len(lam) ** 2, sum(lam)
+        cases = [tuple(x * (j == i) for j in range(n2))
+                 for i in range(n2) for x in (total, total + 1)]
+        cases += [tuple(rng.randint(-1, total + 1) for _ in range(n2))
+                  for _ in range(20)]
+        for s in cases:
+            expected = _first_broken_by_scan(lam, s)
+            assert polytope.first_broken(lam, s) == expected, (lam, s)
+            assert contains(lam, s) == (expected is None and min(s) >= 0), (lam, s)
+
+
+def test_membership_record_stays_within_its_cache():
+    maxsize = polytope._membership.cache_info().maxsize
+    assert maxsize is not None
+    for k in range(2 * maxsize):
+        assert contains((k, 1), (0, 0, 0, 1))
+    assert polytope._membership.cache_info().currsize <= maxsize
+
+
 def test_weyl_dim_known_values():
     assert weyl_dim((1, 0)) == 4
     assert weyl_dim((0, 1)) == 5
