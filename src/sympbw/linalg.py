@@ -11,20 +11,26 @@ where it is integral and a Fraction where not.  The basis itself reduces
 without division, in the manner of Bareiss: its rows are int vectors, a
 vector with a Fraction entry has its denominators cleared, and a vector is
 scaled where subtracting a row would otherwise divide.  Fractions appear only
-in what the basis reports (coordinates, combinations, the residual), never in
-its rows.
+in what the basis reports (combinations and the residual), never in its rows.
 
 The basis keeps its rows fully reduced and primitive: each row owns its
 pivot key (the smallest key of the row) with a positive int entry d_r there,
 no other row has an entry at that key, and the gcd of the row's entries is
 1.  Hence the coefficient of row r in any vector of the span is the vector's
 entry x_r at the pivot of r over d_r, and one pass over the input's pivot
-keys gives the coordinates and the residual together (``_reduce``): the
-input is scaled by the lcm of d_r / gcd(x_r, d_r) over the rows it meets,
-which keeps every multiple of a row integral, and the multiples are
-subtracted.  A pivot entry of 1, by far the most common, costs neither that
-lcm nor the gcd that makes a new row primitive.  Membership tests and
-coordinates are deterministic and independent of insertion history.
+keys gives the residual (``_reduce``): the input is scaled by the lcm of
+d_r / gcd(x_r, d_r) over the rows it meets, which keeps every multiple of a
+row integral, and the multiples are subtracted.  A pivot entry of 1, by far
+the most common, costs neither that lcm nor the gcd that makes a new row
+primitive.  Membership tests are deterministic and independent of insertion
+history.
+
+The basis keeps no record of how its rows were made.  A caller that needs a
+vector as a combination of its inputs tags each input with a key of its own,
+above every other key, at entry 1 (``combination``).  A row then pivots on a
+tag only when it holds no other key, so reducing an untagged vector leaves an
+untagged key exactly when the vector is off the span of the untagged parts,
+and otherwise leaves minus its combination, scaled, on the tags.
 """
 from __future__ import annotations
 
@@ -83,17 +89,17 @@ def _integral(vec: dict) -> tuple:
     return {k: x.numerator * (den // x.denominator) for k, x in vec.items()}, den
 
 
-def _primitive(vec: dict, lead: int) -> tuple:
-    """(vec / g, g), g the gcd of vec's entries signed like the entry lead,
-    so that lead / g > 0; no gcd is taken when lead is 1 or -1."""
+def _primitive(vec: dict, lead: int) -> dict:
+    """vec / g, g the gcd of vec's entries signed like the entry lead, so
+    that lead / g > 0; no gcd is taken when lead is 1 or -1."""
     if lead == 1:
-        return vec, 1
+        return vec
     if lead == -1:
-        return {k: -x for k, x in vec.items()}, -1
+        return {k: -x for k, x in vec.items()}
     g = gcd(*vec.values())
     if lead < 0:
         g = -g
-    return (vec, 1) if g == 1 else ({k: x // g for k, x in vec.items()}, g)
+    return vec if g == 1 else {k: x // g for k, x in vec.items()}
 
 
 def _divide(vec: dict, p) -> dict:
@@ -120,28 +126,27 @@ def exact_quotient(x, p):
 
 
 class IncrementalBasis:
-    """A growing reduced basis supporting rank, membership, and coordinates."""
+    """A growing reduced basis supporting rank, membership, and the
+    combination of tagged inputs."""
 
-    def __init__(self, track_combinations: bool = False):
+    def __init__(self):
         self.rows = []  # list of (pivot, vector): int entries, gcd 1, vector[pivot] > 0
         self.pivots = {}  # pivot key -> row index
         self.wide = {}  # row index -> its pivot entry, for the entries above 1
-        self.track = track_combinations
-        self.combos = []  # per row: dict add-index -> int or Fraction
-        self.added = 0  # count of add() calls, successful or not
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
     def _reduce(self, vec: dict):
-        """(residual, scale, factors) of vec.
+        """(residual, scale) of vec.
 
-        factors maps row index -> a number, and the residual is scale*vec
-        minus that combination of rows; it is empty exactly when vec lies in
-        the span.  scale is 1 unless vec meets a row whose pivot entry is
-        not 1: then vec is made integral and scaled by the least int that
-        lets every such row be subtracted in ints.  Mutates nothing stored.
+        The residual is scale*vec minus the multiple of each row r that
+        clears vec's entry at the pivot of r; it is empty exactly when vec
+        lies in the span.  scale is 1 unless vec meets a row whose pivot
+        entry is not 1: then vec is made integral and scaled by the least int
+        that lets every such row be subtracted in ints.  Mutates nothing
+        stored.
         """
         pivots, rows, wide = self.pivots, self.rows, self.wide
         factors = {pivots[k]: x for k, x in vec.items() if x and k in pivots}
@@ -163,34 +168,25 @@ class IncrementalBasis:
             chain.from_iterable(_scaled(rows[r][1], -f) for r, f in factors.items()),
             {k: x for k, x in vec.items() if x},
         )
-        return residual, scale, factors
+        return residual, scale
 
     def residual(self, vec: dict) -> dict:
         """vec minus its projection onto the span; empty iff vec is in it."""
-        residual, scale, _ = self._reduce(vec)
-        return _divide(residual, scale)
+        return _divide(*self._reduce(vec))
 
     def contains(self, vec: dict) -> bool:
         return not self._reduce(vec)[0]
 
     def add(self, vec: dict) -> bool:
         """Insert vec; True when it enlarged the span."""
-        index = self.added
-        self.added += 1
-        vec, scale, factors = self._reduce(vec)
+        vec = self._reduce(vec)[0]
         if not vec:
             return False
-        den = 1
         if type(sum(vec.values())) is not int:
-            vec, den = _integral(vec)
+            vec = _integral(vec)[0]
         pivot = min(vec)
-        new, g = _primitive(vec, vec[pivot])
+        new = _primitive(vec, vec[pivot])
         lead = new[pivot]
-        if self.track:
-            combo = _divide(combine(chain(
-                ((index, scale * den),),
-                *(_scaled(self.combos[r], -den * f) for r, f in factors.items()),
-            )), g)
         for r, (p, row) in enumerate(self.rows):
             c = row.get(pivot)
             if not c:
@@ -198,47 +194,32 @@ class IncrementalBasis:
             h = gcd(c, lead)
             a, b = lead // h, c // h  # a*row - b*new has no entry at pivot
             row = vec_add(row if a == 1 else vec_scale(row, a), new, -b)
-            content = 1
             d = row[p]
             if d != 1:  # else the pivot entry was 1 and stays 1
-                row, content = _primitive(row, d)
+                row = _primitive(row, d)
                 d = row[p]
                 if d == 1:
                     self.wide.pop(r, None)
                 else:
                     self.wide[r] = d
             self.rows[r] = (p, row)
-            if self.track:
-                combo_r = self.combos[r]
-                self.combos[r] = _divide(
-                    vec_add(combo_r if a == 1 else vec_scale(combo_r, a), combo, -b),
-                    content)
         if lead != 1:
             self.wide[len(self.rows)] = lead
         self.pivots[pivot] = len(self.rows)
         self.rows.append((pivot, new))
-        if self.track:
-            self.combos.append(combo)
         return True
 
-    def coordinates(self, vec: dict):
-        """Coefficients over the stored rows (row index -> number), or None.
+    def combination(self, vec: dict, start):
+        """Express vec over the inputs by their tags (tag -> number), or None.
 
-        Well-defined because the rows are linearly independent.  The
-        coefficient of row r is the entry of vec at its pivot over d_r.
+        Every input must carry one tag key of its own, at or above start,
+        with entry 1, and all its other keys below start; vec must have
+        keys below start alone.  A residual key below start means vec is off
+        the span of the inputs' untagged parts; otherwise the coefficient of
+        the input tagged t is minus the residual at t over the scale of the
+        reduction.  The inputs need not be independent.
         """
-        residual, scale, factors = self._reduce(vec)
-        if residual:
+        residual, scale = self._reduce(vec)
+        if any(k < start for k in residual):
             return None
-        return factors if scale == 1 else _divide(factors, scale)
-
-    def combination(self, vec: dict):
-        """Express vec over the original add() inputs (add index -> number)."""
-        if not self.track:
-            raise RuntimeError("basis was built without combination tracking")
-        coords = self.coordinates(vec)
-        if coords is None:
-            return None
-        return combine(chain.from_iterable(
-            _scaled(self.combos[r], c) for r, c in coords.items()
-        ))
+        return {k: -x for k, x in _divide(residual, scale).items()}

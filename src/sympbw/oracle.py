@@ -50,9 +50,13 @@ at level d is a product of d lowering operators on v_lambda, so it lies in
 F_d; that it lies outside F_{d-1} rests on the essential-monomial theorem.
 ``graded_action`` certifies the level tags whenever it runs: S(n^-) is
 commutative, so it takes the column of s and alpha as the kept vector of
-s + e_alpha whenever that is kept, for every alpha, solves the rest and
-raises on a level jump above one; by induction on d the kept vectors of
-level <= d then span F_d, so the tags are the true filtration.
+s + e_alpha whenever that is kept, for every alpha, and solves the rest once
+per s + e_alpha, since pairs with equal s + e_alpha have equal classes in
+gr V(lambda); it raises on a level jump above one.  By induction on d the
+kept vectors of level <= d then span F_d, so the tags are the true
+filtration.  The solve stays in ints: module vector j enters its weight's
+basis tagged with the key ambient + j, and a column is read off the
+residual of the image (``IncrementalBasis.combination``).
 The tensor-product closure of ``tensor_cartan_dims`` is the same closure on
 the commuting graded action, without a bound: its block sizes are what the
 ``tensor-cartan`` check compares with the module of lambda + mu, and
@@ -223,7 +227,7 @@ def _close(n: int, start: dict, act, bound: dict | None = None) -> tuple:
     takes as candidates only the pairs (t, alpha) with t kept at level
     d - 1 and alpha at or after t's outermost variable: each pair names a
     distinct exponent.  The candidates of one target weight are reduced latest-first
-    by order_key, each once, into an untracked basis of that weight: the
+    by order_key, each once, into a basis of that weight: the
     weight offset of its source lowered by alpha.  The kept vectors of lower
     levels span F_{d-1} there, so an image that enlarges the span is the
     next essential s; it is kept and tagged with s, of degree d, and that
@@ -339,52 +343,56 @@ def graded_action(space: RepresentationSpace) -> dict:
 
     Basis vector j of level d maps into the level d+1 slice; components of
     lower level project away in the graded quotient.  Vector j is the
-    ordered monomial f^s v_lambda, s = exponents[j].  When s + e_alpha is
-    kept as exponents[k], for any alpha, the column is {k: 1} with no image
-    computed.  The other columns are solved: coordinates come from one
-    tracked basis per weight space, fed that weight's module vectors in
-    position order, so add index k is the k-th module vector of its weight,
-    and a component of level above d + 1 raises RuntimeError.
+    ordered monomial f^s v_lambda, s = exponents[j], and the column of
+    (s, alpha) is read by u = s + e_alpha.  When u is kept as exponents[k]
+    the column is {k: 1} with no image computed.  Otherwise it is solved
+    once per u, and every pair with that u shares the one column dict, so
+    a caller must not mutate it.  The solve reads one basis per weight
+    space, fed that weight's module vectors j tagged with the key
+    ambient + j, above every tensor key (IncrementalBasis.combination); an
+    image off the module, or with a component of level above d + 1, raises
+    RuntimeError.
 
     Certificate: f_alpha f^s v - f^{s+e_alpha} v lies in F_{|s|}, because
     reordering an ordered product adds only commutator terms with fewer
-    factors.  Induction on d: if the kept vectors of level <= d span F_d,
-    every unit pair lands in the span of the kept vectors of level <= d + 1,
-    and every solved pair does too, by the level-jump check.  So the kept
-    vectors of level <= d + 1 span F_{d+1}.
+    factors; so pairs with equal s + e_alpha differ by an element of
+    F_{|s|} and have equal classes in gr V(lambda).  Induction on d: if the
+    kept vectors of level <= d span F_d, every unit pair lands in the span
+    of the kept vectors of level <= d + 1, and every solved pair does too,
+    by the level-jump check, and with it every pair that shares its u.  So
+    the kept vectors of level <= d + 1 span F_{d+1}.
     """
     n, layout = space.n, space.layout
     levels = space.level_tags
+    tag = prod(layout.radices)  # the ambient size: above every tensor key
     position = {s: k for k, s in enumerate(space.exponents)}
-    members = defaultdict(list)  # weight offset -> module positions, in order
-    bases = defaultdict(lambda: IncrementalBasis(track_combinations=True))
+    bases = defaultdict(IncrementalBasis)  # weight offset -> its tagged vectors
     for j, (vec, weight) in enumerate(zip(space.basis_vectors, space.weight_tags)):
-        members[weight].append(j)
-        bases[weight].add(vec)
+        bases[weight].add({**vec, tag + j: 1})
+    solved = {}  # u = s + e_alpha -> its column, for u not kept
     action = {}
     for r, (alpha, coeffs) in enumerate(_lowering_steps(n)):
         mat = {}
         for j, (vec, s) in enumerate(zip(space.basis_vectors, space.exponents)):
-            k = position.get(s[:r] + (s[r] + 1,) + s[r + 1:])
+            u = s[:r] + (s[r] + 1,) + s[r + 1:]
+            k = position.get(u)
             if k is not None:
                 mat[j] = {k: 1}
                 continue
-            image = apply_root_vector(layout, alpha, vec)
-            if not image:
-                continue
-            weight = tuple(map(add, space.weight_tags[j], coeffs))
-            combo = bases[weight].combination(image)  # None off the module
-            if combo is None:
-                raise RuntimeError(f"module is not closed under lowering by {alpha}")
-            column = {}
-            for k, c in combo.items():
-                i = members[weight][k]
-                if levels[i] > levels[j] + 1:
-                    raise RuntimeError(
-                        f"f_{alpha} raises level {levels[j]} to {levels[i]}"
-                    )
-                if levels[i] == levels[j] + 1:
-                    column[i] = c
+            column = solved.get(u)
+            if column is None:
+                weight = tuple(map(add, space.weight_tags[j], coeffs))
+                image = apply_root_vector(layout, alpha, vec)
+                combo = bases[weight].combination(image, tag) if image else {}
+                if combo is None:
+                    raise RuntimeError(f"module is not closed under lowering by {alpha}")
+                column = solved[u] = {}
+                for key, c in combo.items():
+                    i = key - tag
+                    if levels[i] > levels[j] + 1:
+                        raise RuntimeError(f"f_{alpha} raises level {levels[j]} to {levels[i]}")
+                    if levels[i] == levels[j] + 1:
+                        column[i] = c
             if column:
                 mat[j] = column
         action[alpha] = mat

@@ -43,7 +43,8 @@ and width (_path_masks) put a 1 in field p for each coordinate and each
 weight entry on row p.  So slack = high + sum(lambda_k * weight_k) -
 sum(s_i * coord_i), where high holds the top bit of every field, has
 bound_p + 2^(W-1) - (path sum)_p in field p.  W is a multiple of 8 with
-2^(W-1) > n^2 * max|s_i| + sum(lambda); no path has more than n^2
+2^(W-1) > L * max|s_i| + sum(lambda), where L is the longest row of the
+path table (_longest_row; 2n - 1 for n <= 8); no path has more than L
 coordinates and 0 <= bound_p <= sum(lambda), so no borrow or carry crosses
 a field, for ints of any size and sign.  Row p is broken exactly when its
 top bit is clear, so the first broken row is the lowest set bit of
@@ -55,7 +56,7 @@ sum(lambda) before it reads the record.  For an s with no negative entry,
 first_broken and grmod read the same record, with each entry above
 sum(lambda) lowered to sum(lambda) + 1, which breaks the same rows.  Only
 first_broken with a negative entry evaluates at a width of its own, after
-raising each entry below -((n^2 - 1) * max(max(s), 0) + 1) to that value:
+raising each entry below -((L - 1) * max(max(s), 0) + 1) to that value:
 a row holding it sums to at most -1 either way.
 
 A (weight, degree) cell is one packed int (_pack), and a monomial's cell is
@@ -138,6 +139,12 @@ def inequalities(lam) -> list:
     ]
 
 
+@lru_cache(maxsize=None)
+def _longest_row(n: int) -> int:
+    """The most coordinates on one row of the path table of rank n."""
+    return max(len(coords) for _, coords, _, _ in _path_table(n))
+
+
 @lru_cache(maxsize=32)
 def _path_masks(n: int, width: int) -> tuple:
     """The masks (coord, weight, high) of the packed evaluation for rank n
@@ -165,10 +172,10 @@ def _path_masks(n: int, width: int) -> tuple:
 
 def _evaluation(lam: tuple, top: int) -> tuple:
     """(coord, high, bounds, width): the masks of _path_masks at the least
-    width, a multiple of 8, with 2^(width-1) > n^2 * top + sum(lam), and the
-    weight half bounds = high + sum(lam_k * weight_k)."""
+    width, a multiple of 8, with 2^(width-1) > _longest_row(n) * top +
+    sum(lam), and the weight half bounds = high + sum(lam_k * weight_k)."""
     n = len(lam)
-    width = (n * n * top + sum(lam)).bit_length() // 8 * 8 + 8
+    width = (_longest_row(n) * top + sum(lam)).bit_length() // 8 * 8 + 8
     coord, weight, high = _path_masks(n, width)
     return coord, high, high + sum(map(mul, lam, weight)), width
 
@@ -208,7 +215,7 @@ def first_broken(lam, s):
         p = _first_broken_row(lam, s)
     else:
         hi = max(s)
-        floor = -((n * n - 1) * max(hi, 0) + 1)
+        floor = -((_longest_row(n) - 1) * max(hi, 0) + 1)
         if lo < floor:  # exact: a row holding such an entry sums to at most -1
             lo = floor
             s = [max(x, floor) for x in s]

@@ -1,4 +1,4 @@
-"""Tests for exact sparse row reduction with combination tracking."""
+"""Tests for exact sparse row reduction and combinations of tagged inputs."""
 
 from __future__ import annotations
 
@@ -70,62 +70,59 @@ def test_residual_is_zero_exactly_on_the_span():
     assert basis.residual({"x": 3, "y": 6}) == {}
 
 
+# the tag keys of combination's inputs: every test vector's keys lie below
+TAG = 100
+
+
 def test_coordinates_reproduce_vectors():
+    # independent inputs have unique coordinates: combination returns the
+    # very weights that built the target, and they rebuild it
     rng = random.Random(7)
     keys = list(range(8))
+    plain = IncrementalBasis()
     basis = IncrementalBasis()
     stored = []
-    while basis.rank < 5:
+    while plain.rank < 5:
         vec = {k: Fraction(rng.randint(-3, 3)) for k in rng.sample(keys, 4)}
         vec = {k: x for k, x in vec.items() if x}
-        if vec and basis.add(vec):
+        if vec and plain.add(vec):
+            assert basis.add({**vec, TAG + len(stored): 1})
             stored.append(vec)
     for _ in range(20):
         weights = [Fraction(rng.randint(-2, 2)) for _ in stored]
         target = {}
         for w, vec in zip(weights, stored):
             target = vec_add(target, vec, w)
-        coords = basis.coordinates(target)
-        assert coords is not None
+        coords = basis.combination(target, TAG)
+        assert coords == {TAG + i: w for i, w in enumerate(weights) if w}
         rebuilt = {}
-        for r, c in coords.items():
-            rebuilt = vec_add(rebuilt, basis.rows[r][1], c)
+        for tag, c in coords.items():
+            rebuilt = vec_add(rebuilt, stored[tag - TAG], c)
         assert rebuilt == {k: Fraction(x) for k, x in target.items() if x}
-    assert basis.coordinates({99: 1}) is None
+    assert basis.combination({99: 1}, TAG) is None
 
 
 def test_combination_expresses_inputs():
     rng = random.Random(13)
-    basis = IncrementalBasis(track_combinations=True)
+    basis = IncrementalBasis()
     added = []
     for _ in range(12):
         vec = {k: Fraction(rng.randint(-2, 2)) for k in rng.sample(range(6), 3)}
         vec = {k: x for k, x in vec.items() if x}
         if vec:
-            basis.add(vec)
+            basis.add({**vec, TAG + len(added): 1})
             added.append(vec)
     for _ in range(20):
         weights = [Fraction(rng.randint(-2, 2)) for _ in added]
         target = {}
         for w, vec in zip(weights, added):
             target = vec_add(target, vec, w)
-        combo = basis.combination(target)
+        combo = basis.combination(target, TAG)
         assert combo is not None
         rebuilt = {}
-        for add_index, c in combo.items():
-            rebuilt = vec_add(rebuilt, added[add_index], c)
+        for tag, c in combo.items():
+            rebuilt = vec_add(rebuilt, added[tag - TAG], c)
         assert rebuilt == {k: Fraction(x) for k, x in target.items() if x}
-
-
-def test_combination_requires_tracking():
-    basis = IncrementalBasis()
-    basis.add({1: 1})
-    try:
-        basis.combination({1: 1})
-    except RuntimeError:
-        pass
-    else:
-        raise AssertionError("combination() without tracking should fail")
 
 
 def test_rows_stay_reduced():
@@ -182,11 +179,12 @@ def test_reduction_matches_dense_elimination():
             return {k: number(low, high, den)
                     for k in rng.sample(range(dim), rng.randint(1, dim))}
 
-        def no_float(*vectors):
-            return not any(isinstance(x, float) for v in vectors for x in v.values())
+        def no_float(vec):
+            return not any(isinstance(x, float) for x in vec.values())
 
         inputs = []
-        basis = IncrementalBasis(track_combinations=True)
+        basis = IncrementalBasis()
+        tagged = IncrementalBasis()  # input i with the tag key TAG + i
         for _ in range(rng.randint(1, 9)):
             if inputs and rng.random() < 0.3:  # a combination of earlier inputs
                 vec = {}
@@ -196,18 +194,21 @@ def test_reduction_matches_dense_elimination():
                 vec = sample(-4, 4, 2) if integral else sample(-3, 3, 2)
             before = _dense_rank([dense(v) for v in inputs])
             grew = basis.add(vec)
+            assert tagged.add({**vec, TAG + len(inputs): 1}), trial
             inputs.append(vec)
             after = _dense_rank([dense(v) for v in inputs])
             assert grew == (after > before), trial
             assert basis.rank == after, trial
-            assert no_float(*basis.combos), trial
-            for pivot, row in basis.rows:
-                assert all(type(x) is int for x in row.values()), trial
-                assert math.gcd(*row.values()) == 1, trial
-                assert row[pivot] > 0 and pivot == min(row), trial
-                assert not any(pivot in other for p, other in basis.rows
-                               if p != pivot), trial
-            assert basis.wide == {r: row[p] for r, (p, row) in enumerate(basis.rows)
+            # as many tagged rows pivot below TAG as the inputs have rank
+            assert sum(p < TAG for p, _ in tagged.rows) == after, trial
+            for b in (basis, tagged):
+                for pivot, row in b.rows:
+                    assert all(type(x) is int for x in row.values()), trial
+                    assert math.gcd(*row.values()) == 1, trial
+                    assert row[pivot] > 0 and pivot == min(row), trial
+                    assert not any(pivot in other for p, other in b.rows
+                                   if p != pivot), trial
+                assert b.wide == {r: row[p] for r, (p, row) in enumerate(b.rows)
                                   if row[p] != 1}, trial
             if grew and integral:
                 pivot, row = basis.rows[-1]
@@ -220,14 +221,14 @@ def test_reduction_matches_dense_elimination():
             inside = _dense_rank([dense(v) for v in inputs + [probe]]) == basis.rank
             assert basis.contains(probe) == inside, trial
             assert (not basis.residual(probe)) == inside, trial
-            combo = basis.combination(probe)
+            combo = tagged.combination(probe, TAG)
             if not inside:
                 assert combo is None, trial
                 continue
             assert no_float(combo), trial
             rebuilt = [Fraction(0)] * dim
-            for index, c in combo.items():
-                for k, x in inputs[index].items():
+            for tag, c in combo.items():
+                for k, x in inputs[tag - TAG].items():
                     rebuilt[k] += c * x
             assert rebuilt == dense(probe), trial
     # int trials reach both pivot entry 1 and pivot entries above 1

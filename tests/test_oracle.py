@@ -530,7 +530,50 @@ def test_graded_action_reads_kept_images_without_computing_them(monkeypatch):
     unkept = sum(s[:r] + (s[r] + 1,) + s[r + 1:] not in kept
                  for s in space.exponents for r in range(len(s)))
     assert unkept == 4608 - 1702  # 512 vectors x 9 roots, less the pairs read as units
-    assert calls["apply"] == unkept
+    # one image per distinct unkept s + e_alpha: pairs that share it share a column
+    distinct = {s[:r] + (s[r] + 1,) + s[r + 1:]
+                for s in space.exponents for r in range(len(s))} - kept
+    assert len(distinct) == 1649
+    assert calls["apply"] == len(distinct)
+
+
+def _solved_pairs(space) -> list:
+    """(source, alpha, target) for each entry of a column of graded_action
+    whose s + e_alpha is not kept, so that the column was solved."""
+    kept = set(space.exponents)
+    out = []
+    for r, (alpha, mat) in enumerate(graded_action(space).items()):
+        for j, column in mat.items():
+            s = space.exponents[j]
+            if s[:r] + (s[r] + 1,) + s[r + 1:] not in kept:
+                out += [(j, alpha, i) for i in column]
+    return out
+
+
+def test_graded_action_refuses_a_module_that_is_not_closed():
+    # a solved column's target replaced by a copy of another vector of its
+    # weight: the block loses that direction, and the image leaves the span
+    space = build_module((1, 1))
+    weights = space.weight_tags
+    _, _, i = next((j, alpha, i) for j, alpha, i in _solved_pairs(space)
+                   if weights.count(weights[i]) > 1)
+    other = next(k for k, w in enumerate(weights) if w == weights[i] and k != i)
+    vectors = list(space.basis_vectors)
+    vectors[i] = dict(vectors[other])
+    with pytest.raises(RuntimeError, match="not closed under lowering"):
+        graded_action(space._replace(basis_vectors=vectors))
+
+
+def test_graded_action_refuses_a_level_jump():
+    # a solved column's target tagged two levels too high
+    space = build_module((1, 1))
+    pairs = _solved_pairs(space)
+    assert pairs
+    _, _, i = pairs[0]
+    levels = list(space.level_tags)
+    levels[i] += 2
+    with pytest.raises(RuntimeError, match="raises level"):
+        graded_action(space._replace(level_tags=levels))
 
 
 def test_monomial_vectors_span():

@@ -399,6 +399,30 @@ def test_membership_record_at_the_bounds():
             assert contains(lam, s) == (expected is None and min(s) >= 0), (lam, s)
 
 
+def test_membership_fields_are_sized_by_the_longest_path():
+    # the longest row of the path table has 2n - 1 coordinates, not n^2
+    assert [polytope._longest_row(n) for n in range(1, 9)] == [2 * n - 1 for n in range(1, 9)]
+    # rank 6, sum(lambda) = 3: 11 * 4 + 3 = 47 fits 8-bit fields, where
+    # 36 * 4 + 3 = 147 would need 16
+    lam = (1, 0, 0, 0, 1, 1)
+    total, n2 = sum(lam), len(lam) ** 2
+    assert polytope._membership(lam)[3] == 8
+    rng = random.Random(43)
+    # dense points break some row almost always, sparse ones often do not
+    cases = [tuple(rng.randint(-1, total + 1) if rng.random() < density else 0
+                   for _ in range(n2))
+             for density in (1, 0.05) for _ in range(100)]
+    cases += [tuple(x * (j == i) for j in range(n2))
+              for i in range(n2) for x in (-1, total, total + 1)]
+    inside = 0
+    for s in cases:
+        expected = _first_broken_by_scan(lam, s)
+        assert polytope.first_broken(lam, s) == expected, s
+        assert contains(lam, s) == (expected is None and min(s) >= 0), s
+        inside += contains(lam, s)
+    assert 20 <= inside <= len(cases) - 100, inside
+
+
 def test_membership_record_stays_within_its_cache():
     maxsize = polytope._membership.cache_info().maxsize
     assert maxsize is not None
