@@ -11,8 +11,10 @@ canonical JSON; their text lines keep each subcommand's own format.
 All diagnostics go to standard error.  Usage errors, the rank and the
 lengths of --lambda, --mu and --exponent included, exit 2 before anything is
 allocated or computed, and so do roots and paths listings above ROOT_LIMIT
-or PATH_LIMIT.  Exit codes: 0 success, 1 verification failure or a reader
-that closed standard output early, 2 usage error.
+or PATH_LIMIT and every subcommand that needs the path table of a rank with
+more than polytope.PATH_TABLE_LIMIT paths.  One parser (build_parser) serves
+every main call of a process.  Exit codes: 0 success, 1 verification failure
+or a reader that closed standard output early, 2 usage error.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import io
 import json
 import os
 import sys
+from functools import lru_cache
 
 from . import checks, dyck, grmod, oracle, polytope
 from .checks import SUITES
@@ -290,7 +293,9 @@ def cmd_verify(args) -> int:
 # parser assembly
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use; main only reads it."""
     parser = argparse.ArgumentParser(
         prog="sympbw",
         description=(

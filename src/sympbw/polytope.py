@@ -10,7 +10,8 @@ The polytope has one representation, the path table of a rank: one row per
 Dyck path, in path enumeration order, holding the path, its reading-order
 coordinate indices and the slice of lambda whose sum bounds it.  The table
 depends on the rank alone and is built once; the bounds of a weight are read
-off it on each use.
+off it on each use.  A rank with more than PATH_TABLE_LIMIT Dyck paths is
+refused with ValueError before any path is listed.
 
 S(lambda) is listed (lattice_points) and counted (_graded_counts) by one
 depth-first walk over rows of (coordinates, bound), and one plan (_plan)
@@ -77,7 +78,9 @@ multiplicity of its dominant representative, and by the dominant-chain lemma
 dominant weights that steps down from lambda by positive roots.  Each
 dominant multiplicity is an exact integer quotient; the table is then
 expanded over the Weyl orbit of each dominant weight, its signed
-permutations in epsilon coordinates.
+permutations in epsilon coordinates.  Both oracles check lambda first and then
+read a cache of 256 validated weights (_weyl_dim, _freudenthal); each call of
+freudenthal_multiplicities copies the cached table into a new dict.
 """
 from __future__ import annotations
 
@@ -105,6 +108,11 @@ from .rootsys import (
 # test, check or benchmark job builds.
 POINT_LIMIT = 500_000
 
+# Most Dyck paths that _path_table lists: rank 11 has 260,854 and rank 12 has
+# 990,000.  The table of rank 11 takes about 200 MB and 4 s to build, and it
+# grows about fourfold per rank.
+PATH_TABLE_LIMIT = 300_000
+
 MultiExponent = tuple  # length n^2, one slot per positive root in reading order
 GradedDimensionTable = dict  # (weight offset over simple roots, degree) -> dim
 
@@ -122,6 +130,12 @@ def _path_table(n: int) -> tuple:
     path's inequality for a weight lambda is bounded by sum(lambda[a:b]).
     Distinct paths have distinct supports, so no two rows repeat each other.
     """
+    count = dyck.count_paths(n)
+    if count > PATH_TABLE_LIMIT:
+        raise ValueError(
+            f"rank {n} has {count} Dyck paths, above the limit {PATH_TABLE_LIMIT}"
+            " of the path table"
+        )
     idx = root_index_map(n)
     return tuple(
         (path, tuple(idx[alpha] for alpha in path))
@@ -528,7 +542,12 @@ def max_point_degree(lam) -> int:
 
 def weyl_dim(lam) -> int:
     """Weyl dimension formula for C_n, evaluated exactly."""
-    lam = validate_weight(lam)
+    return _weyl_dim(validate_weight(lam))
+
+
+@lru_cache(maxsize=256)
+def _weyl_dim(lam: tuple) -> int:
+    """weyl_dim of the validated lambda."""
     n = len(lam)
     l = [x + (n - k) for k, x in enumerate(epsilon_weight(lam))]  # lambda + rho
     r = [n - k for k in range(n)]  # rho
@@ -586,8 +605,16 @@ def freudenthal_multiplicities(lam) -> dict:
     alpha-string stops at its first zero, since weight strings are unbroken.
     Each quotient is an exact int division.  Every dominant weight is then
     expanded over its Weyl orbit, its signed permutations.
+
+    Each call returns a new dict, which the caller may change.
     """
-    lam = validate_weight(lam)
+    return dict(_freudenthal(validate_weight(lam)))
+
+
+@lru_cache(maxsize=256)
+def _freudenthal(lam: tuple) -> dict:
+    """The table of freudenthal_multiplicities for the validated lambda,
+    shared by every call at lambda: callers read a copy."""
     n = len(lam)
     top = epsilon_weight(lam)
     rho = tuple(range(n, 0, -1))

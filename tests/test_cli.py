@@ -298,8 +298,9 @@ def test_huge_rank_is_a_usage_error_before_any_allocation():
 
 
 def test_huge_listings_are_refused_before_any_allocation():
-    # roots and paths name the size of a listing above their limit and exit 2;
-    # the address-space cap makes a regression fail fast, as above
+    # roots and paths name the size of a listing above their limit and exit 2,
+    # and so does dim at a rank whose path table is too long to list; the
+    # address-space cap makes a regression fail fast, as above
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     for argv, message in (
         (["roots", "--n", "3000", "--format", "csv"],
@@ -307,6 +308,9 @@ def test_huge_listings_are_refused_before_any_allocation():
         (["paths", "--n", "3000", "--count-only"], "rank 3000 has 9000000 positive roots"),
         (["paths", "--n", "16"],
          f"rank 16 has 214443152 Dyck paths, above the limit {cli.PATH_LIMIT}"),
+        (["dim", "--n", "30", "--lambda", ",".join(["1"] * 30)],
+         "rank 30 has 40815327564313110 Dyck paths, above the limit "
+         f"{polytope.PATH_TABLE_LIMIT}"),
     ):
         proc = subprocess.run(
             [sys.executable, "-m", "sympbw.cli", *argv],
@@ -346,8 +350,15 @@ def test_library_error_exits_two(capsys):
 
 
 def test_repeated_runs_are_byte_identical(capsys):
+    # one parser serves every call, so a usage error between two runs must
+    # leave nothing behind that changes the second
+    assert cli.build_parser() is cli.build_parser()
     argv = ["graded-char", "--n", "2", "--lambda", "1,1"]
     first = run(capsys, argv)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["graded-char", "--n", "2", "--lambda", "1,x", "--format", "text"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().out == ""
     second = run(capsys, argv)
     assert first == second
     argv = [

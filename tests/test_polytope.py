@@ -564,6 +564,37 @@ def test_freudenthal_top_weight():
     assert mults[(0,) * n] == 1  # the highest weight itself
 
 
+def test_cached_oracles_still_validate_every_weight():
+    # (True, True) == (1, 1) with equal hashes, so the check must come first
+    assert weyl_dim((1, 1)) == 16
+    assert freudenthal_multiplicities((1, 1))[(0, 0)] == 1
+    for lam in ((True, 1), (True, True), (1, 0.5), (1, -1)):
+        for oracle in (weyl_dim, freudenthal_multiplicities):
+            with pytest.raises(ValueError):
+                oracle(lam)
+
+
+def test_freudenthal_is_fresh_on_every_call():
+    lam = (1, 0, 1)
+    first = freudenthal_multiplicities(lam)
+    expected = list(first.items())
+    first[(0, 0, 0)] += 1
+    for key in list(first)[1::2]:
+        del first[key]
+    first[(99, 99, 99)] = 1
+    assert list(freudenthal_multiplicities(lam).items()) == expected
+
+
+def test_freudenthal_is_computed_once_per_weight():
+    polytope._freudenthal.cache_clear()
+    lam = (2, 0, 1)
+    first = freudenthal_multiplicities(lam)
+    for again in (lam, lam, [2, 0, 1]):
+        assert freudenthal_multiplicities(again) == first
+    info = polytope._freudenthal.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
 def test_points_satisfy_every_inequality():
     lam = (2, 1)
     n = len(lam)
