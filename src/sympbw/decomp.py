@@ -1,9 +1,17 @@
 """Fundamental lattice points, minimal markers, and the peeling step.
 
-The points of S(omega_i) are exactly the 0/1 multi-exponents whose support is
-a pair of index chains (a barred part and an unbarred part); enumerating the
-chains directly is far cheaper than walking the polytope and doubles as an
-independent check on it.
+The points of S(omega_i) are exactly the 0/1 multi-exponents supported on two
+index chains.  The head is a barred chain: roots a[j_1, k_1~], ...,
+a[j_p, k_p~] with j_1 < ... < j_p <= i, k_1 < ... < k_p <= n-1 and j_l <= k_l.
+The tail is an unbarred chain a[t_1, r_q], ..., a[t_q, r_1] with
+t_low <= t_1 < ... < t_q <= i <= r_1 < ... < r_q <= n, where t_low is j_p + 1
+(1 for an empty head); rows go up as columns go down, so the support is an
+antichain of the path order.  The tail depends on the head only through
+t_low, so ``fundamental_count`` counts tails by Vandermonde instead of listing
+them, and ``fundamental_points`` lists the tails for each t_low once and
+writes each exponent from a slot table built once per rank.  Both read one
+enumeration of the heads, and the listing doubles as an independent check on
+the polytope walk.
 
 Peeling splits a point of S(lambda) into a fundamental point for the smallest
 contributing fundamental weight and a point of the reduced polytope.  The
@@ -15,6 +23,7 @@ meets a marker at most once.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -30,66 +39,94 @@ from .rootsys import (
 )
 
 
-class FundamentalSupport(NamedTuple):
-    barred_part: tuple  # pairs (j_l, k_l): roots a[j_l, k_l~], both ascending
-    plain_part: tuple  # pairs (t, r): roots a[t, r], rows up, columns down
-
-
 class MinimalMarker(NamedTuple):
     roots: tuple  # the minimal support roots through alpha_i, reading order
     exponent: tuple  # same set as an indicator multi-exponent
 
 
-def _fundamental_supports(n: int, i: int):
-    """All index-chain supports for omega_i: j_1<...<j_p <= i with barred
-    columns k_1<...<k_p (j_l <= k_l <= n-1), then j_p < t_1<...<t_q <= i and
-    unbarred columns i <= r_1<...<r_q <= n.  The support must be an antichain
-    of the path order, so ascending rows t_l pair with descending columns."""
-    for p in range(0, i + 1):
-        for js in combinations(range(1, i + 1), p):
-            for ks in combinations(range(1, n), p):
-                if any(j > k for j, k in zip(js, ks)):
-                    continue
-                barred = tuple(zip(js, ks))
-                t_low = js[-1] + 1 if js else 1
-                q_max = min(i - t_low + 1, n - i + 1)
-                for q in range(0, max(q_max, 0) + 1):
-                    for ts in combinations(range(t_low, i + 1), q):
-                        for rs in combinations(range(i, n + 1), q):
-                            yield FundamentalSupport(
-                                barred, tuple(zip(ts, reversed(rs)))
-                            )
-
-
-def support_to_exponent(sup: FundamentalSupport, n: int) -> tuple:
-    """Indicator multi-exponent of a fundamental support."""
-    idx = root_index_map(n)
-    s = [0] * (n * n)
-    for j, k in sup.barred_part:
-        s[idx[make_root(j, k, True, n)]] = 1
-    for t, r in sup.plain_part:
-        s[idx[make_root(t, r, False, n)]] = 1
-    return tuple(s)
-
-
 def _validate_index(n: int, i: int) -> None:
-    """Refuse a rank below 1 or a fundamental index outside 1..n."""
+    """Refuse a rank below 1 or a fundamental index that is not an int in 1..n."""
     validate_rank(n)
+    if type(i) is not int:
+        raise ValueError(f"fundamental index must be an int, got {i!r}")
     if not 1 <= i <= n:
         raise ValueError(f"fundamental index must satisfy 1 <= i <= {n}, got {i}")
 
 
+def _chain_heads(n: int, i: int):
+    """Every barred head of S(omega_i) as (pairs (j_l, k_l), t_low)."""
+    for p in range(i + 1):
+        for js in combinations(range(1, i + 1), p):
+            for ks in combinations(range(1, n), p):
+                if all(j <= k for j, k in zip(js, ks)):
+                    yield tuple(zip(js, ks)), (js[-1] + 1 if js else 1)
+
+
+def _tail_count(n: int, i: int, heads) -> int:
+    """The number of (head, tail) supports over the given heads.
+
+    A head with lowest tail row t_low has sum_q C(a, q) C(b, q) tails, with
+    a = i - t_low + 1 rows and b = n - i + 1 columns to choose q of each from.
+    As C(b, q) = C(b, b - q), Vandermonde's identity sums this to
+    C(a + b, a) = C(n - t_low + 2, i - t_low + 1).
+    """
+    return sum(math.comb(n - t_low + 2, i - t_low + 1) for _, t_low in heads)
+
+
+@lru_cache(maxsize=None)
+def _slots(n: int) -> tuple:
+    """Slot tables (barred, plain) of rank n: {(row, column): reading-order
+    index} over the roots a[j, k~] with j <= k <= n-1 and a[t, r] with
+    t <= r <= n, each checked once by make_root."""
+    idx = root_index_map(n)
+    barred = {(j, k): idx[make_root(j, k, True, n)]
+              for k in range(1, n) for j in range(1, k + 1)}
+    plain = {(t, r): idx[make_root(t, r, False, n)]
+             for r in range(1, n + 1) for t in range(1, r + 1)}
+    return barred, plain
+
+
 def fundamental_points(n: int, i: int) -> list:
-    """All points of S(omega_i) by chain enumeration, sorted as tuples."""
+    """All points of S(omega_i) by chain enumeration, sorted as tuples.
+
+    Raises ValueError before listing when there are more than
+    polytope.POINT_LIMIT of them.
+    """
     _validate_index(n, i)
-    points = {support_to_exponent(sup, n) for sup in _fundamental_supports(n, i)}
-    return sorted(points)
+    heads = list(_chain_heads(n, i))
+    count = _tail_count(n, i, heads)
+    if count > polytope.POINT_LIMIT:
+        raise ValueError(
+            f"S(omega_{i}) at rank {n} has {count} points, above the limit "
+            f"{polytope.POINT_LIMIT} for listing them"
+        )
+    barred, plain = _slots(n)
+    tails = {}
+    points = []
+    for pairs, t_low in heads:
+        tail = tails.get(t_low)
+        if tail is None:
+            tail = tails[t_low] = [
+                [plain[pair] for pair in zip(ts, reversed(rs))]
+                for q in range(min(i - t_low + 1, n - i + 1) + 1)
+                for ts in combinations(range(t_low, i + 1), q)
+                for rs in combinations(range(i, n + 1), q)
+            ]
+        head = [0] * (n * n)
+        for pair in pairs:
+            head[barred[pair]] = 1
+        for slots in tail:
+            s = head.copy()
+            for k in slots:
+                s[k] = 1
+            points.append(tuple(s))
+    return sorted(set(points))
 
 
 def fundamental_count(n: int, i: int) -> int:
-    """|S(omega_i)| without materializing exponent vectors."""
+    """|S(omega_i)|: the tails of each chain head, counted by Vandermonde."""
     _validate_index(n, i)
-    return sum(1 for _ in _fundamental_supports(n, i))
+    return _tail_count(n, i, _chain_heads(n, i))
 
 
 def support_R_i(s, i: int) -> set:

@@ -305,12 +305,12 @@ def test_peeling_and_fundamental_counts(capfd):
                 total = [a + b for a, b in zip(total, marker.exponent)]
             if tuple(total) != s:
                 failures.append((lam, s, "marker sum"))
-    for n in range(1, 6):
+    for n in range(1, 7):
         for i in range(1, n + 1):
             lam = tuple(1 if k == i else 0 for k in range(1, n + 1))
             if decomp.fundamental_points(n, i) != polytope.enumerate_points(lam):
                 failures.append((n, i, "fundamental points"))
-    for n in range(1, 7):
+    for n in range(1, 9):
         for i in range(1, n + 1):
             if not decomp.binomial_identity_check(n, i):
                 failures.append((n, i, "binomial identity"))

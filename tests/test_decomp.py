@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from sympbw import polytope
 from sympbw.decomp import (
     binomial_identity_check,
     fundamental_count,
@@ -24,7 +25,7 @@ def omega(n, i):
 
 
 def test_fundamental_points_match_enumeration():
-    for n in range(1, 6):
+    for n in range(1, 7):
         for i in range(1, n + 1):
             assert fundamental_points(n, i) == enumerate_points(omega(n, i)), (n, i)
 
@@ -41,10 +42,36 @@ def test_fundamental_counts_equal_weyl():
             assert fundamental_count(n, i) == weyl_dim(omega(n, i))
 
 
+def test_fundamental_count_matches_the_listing():
+    # the Vandermonde count of the chain tails against the listed points
+    for n in range(1, 8):
+        for i in range(1, n + 1):
+            assert fundamental_count(n, i) == len(fundamental_points(n, i)), (n, i)
+
+
 def test_binomial_identity():
-    for n in range(1, 7):
+    for n in range(1, 9):
         for i in range(1, n + 1):
             assert binomial_identity_check(n, i), (n, i)
+
+
+def test_fundamental_index_must_be_an_int():
+    s = (1, 0, 1, 1, 0, 0, 0, 0, 0)
+    for i in (True, 1.0, "1", None):
+        for entry in (fundamental_points, fundamental_count,
+                      binomial_identity_check):
+            with pytest.raises(ValueError, match="fundamental index must be an int"):
+                entry(3, i)
+        for entry in (support_R_i, minimal_marker):
+            with pytest.raises(ValueError, match="fundamental index must be an int"):
+                entry(s, i)
+
+
+def test_fundamental_points_refuse_a_long_list(monkeypatch):
+    monkeypatch.setattr(polytope, "POINT_LIMIT", 13)
+    with pytest.raises(ValueError, match="has 14 points, above the limit 13"):
+        fundamental_points(3, 2)
+    assert len(fundamental_points(3, 1)) == 6
 
 
 def test_support_R_i():
